@@ -99,13 +99,11 @@ from .verifyproto import (
     MEASUREMENT_ROUND,
     MixedStateProver,
     TEST_ROUND,
-    commit,
     decoded_distribution,
     delegate_rounds,
+    finish_round,
     keygen,
     load_instance_text,
-    run_round,
-    transcript_with_decoded,
     verify_energy,
 )
 
@@ -212,6 +210,13 @@ def _state_arg(spec: str, seed: int, *labels) -> QuantumState:
 
 def _subsystem_label(sub: tuple[int, ...] | None) -> str:
     return "full" if sub is None else " ".join(str(q) for q in sub)
+
+
+def _num(value, spec: str) -> str:
+    """Human-readable number; a missing (None) or NaN value prints as nan."""
+    if value is None or np.isnan(value):
+        return "nan"
+    return format(value, spec)
 
 
 def _cell(value) -> str:
@@ -358,11 +363,14 @@ def _cmd_hamlearn_run(args, argv) -> int:
     )
     mode = "exact" if shots is None else f"{shots} shots/entry"
     print(
-        f"{args.lattice} lattice (J={args.j}, U={args.u}): ground energy {energy:.9f}; "
+        f"{args.lattice} lattice (J={args.j}, U={args.u}): ground energy {_num(energy, '.9f')}; "
         f"{op_basis.m} couplings from {n_constraints} constraints ({mode})"
     )
     target = "recovered solution span" if result.degenerate else "recovered couplings"
-    print(f"distance from true couplings to {target}: {distance:.3e}; spectrum gap {result.gap:.3e}")
+    print(
+        f"distance from true couplings to {target}: {_num(distance, '.3e')}; "
+        f"spectrum gap {_num(result.gap, '.3e')}"
+    )
     return EXIT_OK
 
 
@@ -481,7 +489,7 @@ def _cmd_randmeas_compare(args, argv) -> int:
     )
     a, b = est["devices"]
     print(
-        f"Fmax({a}, {b}) = {est['fmax']:.6f} +/- {est['se_fmax']:.6f} "
+        f"Fmax({a}, {b}) = {_num(est['fmax'], '.6f')} +/- {_num(est['se_fmax'], '.6f')} "
         f"[{_subsystem_label(sub)}] from {est['n_settings']} shared settings"
     )
     return EXIT_OK
@@ -525,8 +533,8 @@ def _cmd_randmeas_exact(args, argv) -> int:
         columns=["subsystem", "value", "std_error", "n_settings"],
         rows=[[_subsystem_label(sub), float(est.value), se, est.n_settings]],
     )
-    detail = "ensemble-exact" if se is None else f"std error {se:.3e}, {est.n_settings} settings"
-    print(f"exact mode overlap [{_subsystem_label(sub)}] = {est.value:.12f} ({detail})")
+    detail = "ensemble-exact" if se is None else f"std error {_num(se, '.3e')}, {est.n_settings} settings"
+    print(f"exact mode overlap [{_subsystem_label(sub)}] = {_num(est.value, '.12f')} ({detail})")
     return EXIT_OK
 
 
@@ -568,7 +576,7 @@ def _cmd_randmeas_scaling(args, argv) -> int:
         rows=rows,
     )
     print(
-        f"measurement budget for error {args.target} grows as 2^({result.exponent:.2f} n) "
+        f"measurement budget for error {args.target} grows as 2^({_num(result.exponent, '.2f')} n) "
         f"over n = {n_list} ({args.ensemble} ensemble)"
     )
     return EXIT_OK
@@ -641,7 +649,7 @@ def _cmd_repo_compare(args, argv) -> int:
         label = _subsystem_label(tuple(sub) if sub is not None else None)
         print(
             f"Fmax[{label}]({est['devices'][0]}, {est['devices'][1]}) = "
-            f"{est['fmax']:.6f} +/- {est['se_fmax']:.6f}"
+            f"{_num(est['fmax'], '.6f')} +/- {_num(est['se_fmax'], '.6f')}"
         )
     return EXIT_OK
 
@@ -664,7 +672,7 @@ def _cmd_repo_matrix(args, argv) -> int:
     _emit(cfg, "repo_matrix", argv, body=report, columns=columns, rows=rows)
     print(f"{len(report['ids'])} x {len(report['ids'])} Fmax matrix [{_subsystem_label(sub)}]")
     for ds_id, row in zip(report["ids"], report["matrix"]):
-        print("  " + ds_id + "  " + "  ".join(f"{v:.4f}" for v in row))
+        print("  " + ds_id + "  " + "  ".join(_num(v, ".4f") for v in row))
     return EXIT_OK
 
 
@@ -673,8 +681,7 @@ def _cmd_repo_matrix(args, argv) -> int:
 
 
 def _instance_ground_state(instance) -> QuantumState:
-    _, vectors = np.linalg.eigh(instance.matrix())
-    return QuantumState(vectors[:, 0], QubitBasis(instance.num_qubits))
+    return ground_state(instance.matrix(), QubitBasis(instance.num_qubits))[1]
 
 
 def _cmd_verify_run(args, argv) -> int:
@@ -756,11 +763,10 @@ def _cmd_verify_run(args, argv) -> int:
         jsonl=transcripts,
     )
     verdict = "ACCEPT" if result.accepted else "REJECT"
-    est = "nan" if np.isnan(result.estimate) else f"{result.estimate:.6f}"
-    se = "nan" if np.isnan(result.std_error) else f"{result.std_error:.6f}"
     print(
         f"{verdict} ({args.prover} prover, {instance.num_qubits}+3 qubit commitments): "
-        f"estimate {est} +/- {se} vs midpoint {result.midpoint:.6f}"
+        f"estimate {_num(result.estimate, '.6f')} +/- {_num(result.std_error, '.6f')} "
+        f"vs midpoint {_num(result.midpoint, '.6f')}"
     )
     print(
         f"{result.n_test_rounds} test rounds ({result.n_test_failures} failures), "
@@ -788,17 +794,17 @@ def _cmd_verify_delegate(args, argv) -> int:
         args.seed,
         args.out,
     )
+    prover = HonestProver(state)
     records: list[dict] = []
     decoded_counts = {0: 0, 1: 0}
     n_test = n_pass = 0
     for r in range(args.rounds):
         rng = make_rng(args.seed, "cli", "delegate", r)
         key = keygen(basis, rng=rng)
-        committed = commit(state, args.qubit, key.table)
         kind = TEST_ROUND if rng.random() < args.test_fraction else MEASUREMENT_ROUND
-        transcript = run_round(kind, key, committed, rng=rng)
+        session = prover.open_round(key.table, args.qubit, (), rng)
+        transcript, _ = finish_round(kind, key, session)
         if kind == MEASUREMENT_ROUND:
-            transcript = transcript_with_decoded(transcript, key)
             decoded_counts[transcript.decoded] += 1
         else:
             n_test += 1
@@ -871,7 +877,7 @@ def _cmd_verify_delegate(args, argv) -> int:
     )
     print(f"decoded counts: 0 -> {decoded_counts[0]}, 1 -> {decoded_counts[1]}")
     if tv is not None:
-        print(f"TV distance to exact decoded statistics: {tv:.4f}")
+        print(f"TV distance to exact decoded statistics: {_num(tv, '.4f')}")
     return EXIT_OK
 
 
@@ -883,29 +889,13 @@ def _check(name: str, value: float, requirement: str, passed: bool) -> dict:
     return {"name": name, "value": value, "requirement": requirement, "pass": bool(passed)}
 
 
-def _curve_rows(points) -> list[list]:
-    return [
-        [p.control, p.median_distance, p.q25, p.q75, p.gap, p.smallest_singular_value]
-        for p in points
-    ]
-
-
-def _curve_dicts(points) -> list[dict]:
-    return [
-        {
-            "control": p.control,
-            "median_distance": p.median_distance,
-            "q25": p.q25,
-            "q75": p.q75,
-            "gap": p.gap,
-            "smallest_singular_value": p.smallest_singular_value,
-            "n_seeds": p.n_seeds,
-        }
-        for p in points
-    ]
-
-
 _CURVE_COLUMNS = ["control", "median_distance", "q25", "q75", "gap", "smallest_singular_value"]
+
+
+def _curve_table(points) -> tuple[list[list], list[dict]]:
+    """CSV rows and JSON records of a learning curve."""
+    records = [{c: getattr(p, c) for c in _CURVE_COLUMNS + ["n_seeds"]} for p in points]
+    return [[r[c] for c in _CURVE_COLUMNS] for r in records], records
 
 
 def _fig1b(seed: int):
@@ -926,9 +916,10 @@ def _fig1b(seed: int):
     checks = [
         _check("loglog-slope", float(slope), "|slope - (-0.5)| <= 0.15", abs(slope + 0.5) <= 0.15)
     ]
-    body = {"shot_grid": grid, "slope": float(slope), "points": _curve_dicts(points)}
-    human = [f"median-distance vs shots log-log slope: {slope:.3f} (want -0.5 +/- 0.15)"]
-    return _CURVE_COLUMNS, _curve_rows(points), body, checks, human
+    rows, records = _curve_table(points)
+    body = {"shot_grid": grid, "slope": float(slope), "points": records}
+    human = [f"median-distance vs shots log-log slope: {_num(slope, '.3f')} (want -0.5 +/- 0.15)"]
+    return _CURVE_COLUMNS, rows, body, checks, human
 
 
 def _fig1c(seed: int):
@@ -945,12 +936,13 @@ def _fig1c(seed: int):
         _check("median-monotone", float(medians[0] - medians[-1]), "median non-increasing in N_C", monotone),
         _check("endpoint-exact", float(medians[-1]), "median at N_C = M below 1e-6", medians[-1] < 1e-6),
     ]
-    body = {"constraint_grid": grid, "points": _curve_dicts(points)}
+    rows, records = _curve_table(points)
+    body = {"constraint_grid": grid, "points": records}
     human = [
         "median reconstruction distance by constraint count: "
-        + ", ".join(f"{n}:{m:.2e}" for n, m in zip(grid, medians))
+        + ", ".join(f"{n}:{_num(m, '.2e')}" for n, m in zip(grid, medians))
     ]
-    return _CURVE_COLUMNS, _curve_rows(points), body, checks, human
+    return _CURVE_COLUMNS, rows, body, checks, human
 
 
 def _fig2c(seed: int):
@@ -1002,7 +994,7 @@ def _fig2c(seed: int):
     body = {"n_u": n_u, "n_m": n_m, "num_qubits": n, "estimates": estimates}
     human = [
         f"GHZ({n}) devices a vs b, NU={n_u}, NM={n_m}: full-system Fmax = "
-        f"{rows[-1][2]:.4f} +/- {rows[-1][3]:.4f} (exact 1)"
+        f"{_num(rows[-1][2], '.4f')} +/- {_num(rows[-1][3], '.4f')} (exact 1)"
     ]
     return columns, rows, body, checks, human
 
@@ -1042,7 +1034,7 @@ def _fig3(seed: int):
         "test_failures": failures,
     }
     human = [
-        f"max TV(decoded, Born) over {{z, x}} x 17 theta values: {max_tv:.4f} "
+        f"max TV(decoded, Born) over {{z, x}} x 17 theta values: {_num(max_tv, '.4f')} "
         f"({n_rounds} rounds each); {failures} test-round failures"
     ]
     return columns, rows, body, checks, human
@@ -1067,7 +1059,7 @@ def _cmd_reproduce(args, argv) -> int:
         print(line)
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
-        print(f"  [{status}] {c['name']}: {c['value']:.6g} ({c['requirement']})")
+        print(f"  [{status}] {c['name']}: {_num(c['value'], '.6g')} ({c['requirement']})")
     print(("PASS" if all_pass else "FAIL") + f": {args.figure}")
     if not all_pass:
         raise CheckFailed(f"{args.figure}: {sum(not c['pass'] for c in checks)} check(s) failed")

@@ -24,16 +24,6 @@ class CurvePoint:
     n_seeds: int
     extra: dict = field(default_factory=dict)
 
-    def as_row(self) -> dict:
-        return {
-            "control": self.control,
-            "median_distance": self.median_distance,
-            "q25": self.q25,
-            "q75": self.q75,
-            "gap": self.gap,
-            "smallest_singular_value": self.smallest_singular_value,
-        }
-
 
 def _aggregate(control, dists, gaps, sigmas) -> CurvePoint:
     d = np.asarray(dists, dtype=float)

@@ -21,6 +21,12 @@ PAULI_1Q = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+S_GATE = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
+
+# i^k, exact in complex arithmetic
+_I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+
 
 @dataclass(frozen=True)
 class QubitBasis:
@@ -53,21 +59,34 @@ class PauliTerm:
     def support(self) -> tuple[int, ...]:
         return tuple(q for q, f in enumerate(self.factors) if f != "I")
 
+    def masks(self) -> tuple[int, int, int]:
+        """(x_mask, z_mask, number of Y factors), qubit 0 as the high bit.
+
+        The term maps basis column c to row c ^ x_mask with amplitude
+        coeff * i^{#Y} * (-1)^{popcount(c & z_mask)}.
+        """
+        x = z = 0
+        for f in self.factors:
+            x = (x << 1) | (f in "XY")
+            z = (z << 1) | (f in "ZY")
+        return x, z, self.factors.count("Y")
+
 
 def index_to_bitstring(i: int, n: int) -> str:
     return format(i, f"0{n}b")
 
 
-def bitstring_to_index(s: str) -> int:
-    return int(s, 2)
+def pauli_entries(term: PauliTerm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the one nonzero entry per column of a term."""
+    x, z, n_y = term.masks()
+    cols = np.arange(1 << term.n)
+    signs = np.where(np.bitwise_count(cols & z) & 1, -1.0, 1.0)
+    return cols ^ x, cols, (complex(term.coeff) * _I_POWERS[n_y % 4]) * signs
 
 
 def pauli_term_matrix(term: PauliTerm) -> np.ndarray:
     """Dense matrix of one Pauli term (qubit 0 = most significant factor)."""
-    out = np.array([[term.coeff]], dtype=complex)
-    for f in term.factors:
-        out = np.kron(out, PAULI_1Q[f])
-    return out
+    return assemble_pauli_operator(term.n, [term])
 
 
 def assemble_pauli_operator(
@@ -77,17 +96,16 @@ def assemble_pauli_operator(
     for t in terms:
         if t.n != n:
             raise ValueError(f"term {t.factors!r} does not act on {n} qubits")
+    dim = 1 << n
+    entries = [pauli_entries(t) for t in terms]
     if sparse:
-        out = sp.csr_matrix((1 << n, 1 << n), dtype=complex)
-        for t in terms:
-            m = sp.identity(1, dtype=complex, format="csr") * t.coeff
-            for f in t.factors:
-                m = sp.kron(m, sp.csr_matrix(PAULI_1Q[f]), format="csr")
-            out = out + m
-        return out
-    out = np.zeros((1 << n, 1 << n), dtype=complex)
-    for t in terms:
-        out += pauli_term_matrix(t)
+        if not entries:
+            return sp.csr_matrix((dim, dim), dtype=complex)
+        rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    out = np.zeros((dim, dim), dtype=complex)
+    for rows, cols, vals in entries:
+        out[rows, cols] += vals
     return out
 
 

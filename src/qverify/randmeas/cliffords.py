@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
+from ..qsim.qubit import HADAMARD, S_GATE
 
 _PHASE_TOL = 1e-9
 
@@ -50,7 +49,7 @@ def _generate_table() -> np.ndarray:
     while frontier:
         nxt: list[np.ndarray] = []
         for u in frontier:
-            for g in (_H, _S):
+            for g in (HADAMARD, S_GATE):
                 v = phase_normalize(g @ u)
                 key = _canonical_key(v)
                 if key not in seen:

@@ -111,17 +111,6 @@ class Repository:
             self._log({"op": "ingest", "id": ds_id, "duplicate": duplicate})
         return ds_id
 
-    def ingest_dataset(self, ds: RandMeasDataset) -> str:
-        """Serialize in place and ingest without an external file."""
-        from .format import serialize_dataset
-
-        tmp = self.root / ".staging.json"
-        atomic_write_text(tmp, serialize_dataset(ds))
-        try:
-            return self.ingest(tmp)
-        finally:
-            tmp.unlink(missing_ok=True)
-
     def list_datasets(self) -> list[dict]:
         index = self._read_index()
         return [

@@ -16,16 +16,19 @@ generally contains Y factors).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..qsim import PauliTerm, QuantumState, QubitBasis
-from ..qsim.qubit import PAULI_1Q, apply_single_qubit_gate, apply_two_qubit_gate
+from ..qsim.qubit import (
+    HADAMARD,
+    PAULI_1Q,
+    S_GATE,
+    apply_single_qubit_gate,
+    apply_two_qubit_gate,
+)
 
-_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
@@ -36,8 +39,8 @@ GATE_MATRICES: dict[str, np.ndarray] = {
     "x": PAULI_1Q["X"],
     "y": PAULI_1Q["Y"],
     "z": PAULI_1Q["Z"],
-    "h": _H,
-    "s": _S,
+    "h": HADAMARD,
+    "s": S_GATE,
     "cnot": _CNOT,
     "cz": _CZ,
 }
@@ -116,20 +119,35 @@ def build_clock_state(circuit, n_comp: int) -> QuantumState:
 
 
 def pauli_expansion(matrix: np.ndarray, n: int, atol: float = 1e-12) -> tuple[PauliTerm, ...]:
-    """Expansion of a 2^n x 2^n Hermitian matrix over Pauli strings."""
+    """Expansion of a 2^n x 2^n Hermitian matrix over Pauli strings.
+
+    The string with masks (x, z) has coefficient
+    i^{popcount(x & z)} / 2^n * sum_c (-1)^{popcount(c & z)} M[c, c ^ x],
+    so gathering M[c, c ^ x] for every x and applying one Walsh-Hadamard
+    transform over c yields all 4^n coefficients.  Terms come out in
+    ``itertools.product("IXYZ", repeat=n)`` order.
+    """
     if matrix.shape != (1 << n, 1 << n):
         raise ValueError("matrix shape does not match qubit count")
     if n > _DECOMPOSE_QUBITS:
         raise ValueError(f"expansion limited to {_DECOMPOSE_QUBITS} qubits")
-    terms = []
-    for letters in itertools.product("IXYZ", repeat=n):
-        p = np.array([[1.0]], dtype=complex)
-        for f in letters:
-            p = np.kron(p, PAULI_1Q[f])
-        coeff = np.sum(p * matrix.T) / (1 << n)  # Tr[P M] / 2^n
-        if abs(coeff) > atol:
-            terms.append(PauliTerm(complex(coeff), "".join(letters)))
-    return tuple(terms)
+    dim = 1 << n
+    cols = np.arange(dim)
+    xs = cols[:, None]
+    coef = np.asarray(matrix, dtype=complex)[cols, cols ^ xs].reshape((dim,) + (2,) * n)
+    for axis in range(1, n + 1):
+        even, odd = np.split(coef, 2, axis=axis)
+        coef = np.concatenate((even + odd, even - odd), axis=axis)
+    i_powers = np.array([1, 1j, -1, -1j])[np.bitwise_count(xs & cols) % 4]
+    coef = coef.reshape(dim, dim) * i_powers / dim  # [x_mask, z_mask]
+    # base-4 digit d of a string's index is its letter "IXYZ"[d] on that qubit
+    digits = (np.arange(dim * dim)[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
+    weights = 1 << np.arange(n - 1, -1, -1)
+    values = coef[((digits == 1) | (digits == 2)) @ weights, (digits >= 2) @ weights]
+    return tuple(
+        PauliTerm(complex(values[k]), "".join("IXYZ"[d] for d in digits[k]))
+        for k in np.flatnonzero(np.abs(values) > atol)
+    )
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ threshold midpoint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..qsim import PauliTerm, QuantumState, assemble_pauli_operator
+from ..qsim import PauliTerm, QuantumState, assemble_pauli_operator, expectation
+from ..randmeas.estimators import _jackknife_se, _loo_means
 from ..repostore.format import (
     FORMAT_VERSION,
     MalformedDatasetError,
@@ -26,12 +27,7 @@ from ..repostore.format import (
 )
 from ..rng import make_rng
 from .functions import keygen
-from .protocol import (
-    MEASUREMENT_ROUND,
-    TEST_ROUND,
-    ProtocolTranscript,
-    decode,
-)
+from .protocol import MEASUREMENT_ROUND, TEST_ROUND, ProtocolTranscript, finish_round
 
 _XZ_LETTERS = frozenset("IXZ")
 
@@ -75,8 +71,8 @@ class HamiltonianInstance:
         return assemble_pauli_operator(self.num_qubits, self.terms)
 
     def exact_expectation(self, state: QuantumState) -> float:
-        rho = state.as_density()
-        return float(np.real(np.trace(self.matrix() @ rho)))
+        op = assemble_pauli_operator(self.num_qubits, self.terms, sparse=True)
+        return expectation(state, op)
 
 
 @dataclass(frozen=True)
@@ -94,16 +90,6 @@ class VerificationResult:
     test_pass_rate: float
     failure: ProtocolTranscript | None
     commit_qubits: int
-
-
-def _jackknife_se(values: np.ndarray) -> float:
-    n = values.size
-    if n < 2:
-        return float("nan")
-    total = values.sum()
-    loo = (total - values) / (n - 1)
-    center = loo.mean()
-    return float(np.sqrt((n - 1) / n * np.sum((loo - center) ** 2)))
 
 
 def verify_energy(
@@ -141,6 +127,12 @@ def verify_energy(
     weights = np.abs(coeffs)
     probs = weights / weights.sum()
     one_norm = float(weights.sum())
+    # per term: delegated qubit and basis (the first non-identity factor),
+    # the directly measured rest of the support, and the sign of its value
+    plans = []
+    for term, c in zip(sampled, coeffs):
+        support = [(q, "x" if term.factors[q] == "X" else "z") for q in term.support()]
+        plans.append((term.factors, *support[0], tuple(support[1:]), 1.0 if c > 0 else -1.0))
 
     values: list[float] = []
     n_test = 0
@@ -148,87 +140,44 @@ def verify_energy(
     for r in range(n_rounds):
         vrng = make_rng(seed, "verifier", r)
         prng = make_rng(seed, "prover", r)
-        j = int(vrng.choice(len(sampled), p=probs))
-        term = sampled[j]
-        support = [
-            (q, "x" if term.factors[q] == "X" else "z") for q in term.support()
-        ]
-        (dq, dbasis), others = support[0], support[1:]
+        factors, dq, dbasis, others, sign = plans[int(vrng.choice(len(sampled), p=probs))]
         key = keygen(dbasis, rng=vrng)
-        session = prover.open_round(tuple(key.table), dq, tuple(others), prng)
-        y = int(session.image)
-        if vrng.random() < test_fraction:
+        session = prover.open_round(tuple(key.table), dq, others, prng)
+        kind = TEST_ROUND if vrng.random() < test_fraction else MEASUREMENT_ROUND
+        transcript, direct = finish_round(kind, key, session, seed)
+        record = {
+            "round": r,
+            "type": kind,
+            "term": factors,
+            "qubit": dq,
+            "basis": dbasis,
+            "key": key.label,
+            "image": transcript.image,
+        }
+        if kind == TEST_ROUND:
             n_test += 1
-            b, x = session.reveal_test()
-            ok = key.table[2 * b + x] == y
-            if transcript_sink is not None:
-                transcript_sink(
-                    {
-                        "round": r,
-                        "type": TEST_ROUND,
-                        "term": term.factors,
-                        "qubit": dq,
-                        "basis": dbasis,
-                        "key": key.label,
-                        "image": y,
-                        "preimage": [int(b), int(x)],
-                        "verdict": bool(ok),
-                    }
-                )
-            if not ok:
-                failure = ProtocolTranscript(
-                    TEST_ROUND, key.label, y, (b, x), False, None, seed
-                )
-                break
+            record["preimage"] = [int(o) for o in transcript.outcomes]
+            record["verdict"] = bool(transcript.verdict)
         else:
-            (u, v), direct = session.reveal_measurement()
-            transcript = ProtocolTranscript(
-                MEASUREMENT_ROUND, key.label, y, (int(u), int(v)), None, None, seed
-            )
-            if not key.in_image(y):
-                # the verifier holds the inversion data, so an announced
-                # image with no preimage is cheating evidence on its own
-                failure = replace(transcript, verdict=False)
-                if transcript_sink is not None:
-                    transcript_sink(
-                        {
-                            "round": r,
-                            "type": MEASUREMENT_ROUND,
-                            "term": term.factors,
-                            "qubit": dq,
-                            "basis": dbasis,
-                            "key": key.label,
-                            "image": y,
-                            "equation": [int(u), int(v)],
-                            "verdict": False,
-                        }
-                    )
-                break
-            outcome = decode(transcript, key)
-            parity = outcome ^ (sum(int(d) for d in direct) & 1)
-            sign = 1.0 if coeffs[j] > 0 else -1.0
-            values.append(one_norm * sign * (1.0 - 2.0 * parity))
-            if transcript_sink is not None:
-                transcript_sink(
-                    {
-                        "round": r,
-                        "type": MEASUREMENT_ROUND,
-                        "term": term.factors,
-                        "qubit": dq,
-                        "basis": dbasis,
-                        "key": key.label,
-                        "image": y,
-                        "equation": [int(u), int(v)],
-                        "direct": [int(d) for d in direct],
-                        "decoded": int(outcome),
-                        "value": float(values[-1]),
-                    }
-                )
+            record["equation"] = list(transcript.outcomes)
+            if transcript.verdict is False:
+                record["verdict"] = False
+            else:
+                parity = transcript.decoded ^ (sum(int(d) for d in direct) & 1)
+                values.append(one_norm * sign * (1.0 - 2.0 * parity))
+                record["direct"] = [int(d) for d in direct]
+                record["decoded"] = int(transcript.decoded)
+                record["value"] = float(values[-1])
+        if transcript_sink is not None:
+            transcript_sink(record)
+        if transcript.verdict is False:
+            failure = transcript
+            break
 
     varr = np.array(values)
     n_meas = varr.size
     estimate = offset + float(varr.mean()) if n_meas else float("nan")
-    se = _jackknife_se(varr)
+    se = _jackknife_se(_loo_means(varr))
     n_fail = 1 if failure is not None and failure.round_type == TEST_ROUND else 0
     aborted_meas = 1 if failure is not None and failure.round_type == MEASUREMENT_ROUND else 0
     accepted = failure is None and n_meas > 0 and estimate < instance.midpoint

@@ -10,18 +10,18 @@ inverse data can be turned into the delegated outcome.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..qsim import QuantumState, QubitBasis
+from ..qsim.qubit import HADAMARD
 from ..rng import make_rng
 from .functions import ONE_TO_ONE, TrapdoorKey, enumerate_functions
 
 TEST_ROUND = "test"
 MEASUREMENT_ROUND = "measurement"
-
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def _as_rng(rng, *path) -> np.random.Generator:
@@ -128,13 +128,73 @@ def sample_bits(state: QuantumState, ops, rng) -> tuple[int, ...]:
     units: list[np.ndarray | None] = [None] * n
     for q, basis in ops:
         if basis == "x":
-            units[q] = _HADAMARD
+            units[q] = HADAMARD
         elif basis != "z":
             raise ValueError(f"unsupported measurement basis {basis!r}")
     rotated = state.rotated(units) if any(u is not None for u in units) else state
     p = rotated.probabilities()
     i = int(rng.choice(p.size, p=p))
     return tuple((i >> (n - 1 - q)) & 1 for q, _ in ops)
+
+
+class HonestSession:
+    """One faithfully played round after the image announcement.
+
+    The image register is measured on construction; the round kind is only
+    disclosed through which reveal method gets called, mirroring the
+    message order of the interaction: the prover commits and announces the
+    image before learning whether it is being tested.  ``other_ops`` lists
+    (qubit, basis) pairs measured directly in measurement rounds.
+    """
+
+    def __init__(self, committed: CommittedState, other_ops, rng):
+        self.image, self._residual = commit_measure_image(committed, rng)
+        self._qubit = committed.system_qubit
+        self._preimage = committed.preimage_qubit
+        self._other_ops = tuple(other_ops)
+        self._rng = rng
+
+    def reveal_test(self) -> tuple[int, int]:
+        """Open the committed registers in Z."""
+        return sample_bits(
+            self._residual, [(self._qubit, "z"), (self._preimage, "z")], self._rng
+        )
+
+    def reveal_measurement(self) -> tuple[tuple[int, int], tuple[int, ...]]:
+        """X outcomes of the committed registers plus direct outcomes.
+
+        Everything is drawn in a single joint Born sample so correlations
+        between the delegated qubit and the directly measured ones are
+        exact.
+        """
+        ops = [(self._qubit, "x"), (self._preimage, "x")] + list(self._other_ops)
+        bits = sample_bits(self._residual, ops, self._rng)
+        return (bits[0], bits[1]), tuple(bits[2:])
+
+
+def finish_round(
+    kind: str, key: TrapdoorKey, session, seed: int | None = None
+) -> tuple[ProtocolTranscript, tuple[int, ...]]:
+    """Verifier side of one round once the prover has announced its image.
+
+    Test rounds open the committed registers in Z and check them against
+    the key's table.  Measurement rounds collect the X outcomes and the
+    direct outcomes; an announced image with no preimage is cheating
+    evidence on its own (verdict False), otherwise the delegated outcome is
+    decoded.  Returns the transcript and the direct outcomes.
+    """
+    y = int(session.image)
+    if kind == TEST_ROUND:
+        b, x = session.reveal_test()
+        verdict = key.table[2 * b + x] == y
+        return ProtocolTranscript(kind, key.label, y, (b, x), verdict, None, seed), ()
+    if kind != MEASUREMENT_ROUND:
+        raise ValueError(f"unknown round type {kind!r}")
+    (u, v), direct = session.reveal_measurement()
+    transcript = ProtocolTranscript(kind, key.label, y, (int(u), int(v)), None, None, seed)
+    if not key.in_image(y):
+        return replace(transcript, verdict=False), direct
+    return replace(transcript, decoded=decode(transcript, key)), direct
 
 
 def run_round(
@@ -152,31 +212,10 @@ def run_round(
     """
     if rng is None:
         rng = make_rng(seed, "round", kind)
-    y, residual = commit_measure_image(committed, rng)
-    q, p = committed.system_qubit, committed.preimage_qubit
-    if kind == TEST_ROUND:
-        b, x = sample_bits(residual, [(q, "z"), (p, "z")], rng)
-        return ProtocolTranscript(
-            round_type=kind,
-            key_label=key.label,
-            image=y,
-            outcomes=(b, x),
-            verdict=key.table[2 * b + x] == y,
-            decoded=None,
-            seed=seed,
-        )
+    transcript, _ = finish_round(kind, key, HonestSession(committed, (), rng), seed)
     if kind == MEASUREMENT_ROUND:
-        u, v = sample_bits(residual, [(q, "x"), (p, "x")], rng)
-        return ProtocolTranscript(
-            round_type=kind,
-            key_label=key.label,
-            image=y,
-            outcomes=(u, v),
-            verdict=None,
-            decoded=None,
-            seed=seed,
-        )
-    raise ValueError(f"unknown round type {kind!r}")
+        transcript = replace(transcript, verdict=None, decoded=None)
+    return transcript
 
 
 def decode(transcript: ProtocolTranscript, key: TrapdoorKey) -> int:
@@ -222,25 +261,34 @@ def _round_atoms(state: QuantumState, key: TrapdoorKey, round_type: str) -> np.n
     for y in range(4):
         block = vec[:, :, y]
         if round_type == MEASUREMENT_ROUND:
-            block = _HADAMARD @ block @ _HADAMARD
+            block = HADAMARD @ block @ HADAMARD
         atoms[y] = np.abs(block) ** 2
     return atoms
 
 
+def _atom_outcomes(state: QuantumState, key: TrapdoorKey, round_type: str):
+    """Nonzero-probability atoms of one round as (probability, outcome).
+
+    The outcome is the decoded bit of a measurement round and the verdict
+    of a test round.
+    """
+    atoms = _round_atoms(state, key, round_type)
+    for y, b1, b2 in itertools.product(range(4), (0, 1), (0, 1)):
+        p = atoms[y, b1, b2]
+        if p <= 0.0:
+            continue
+        if round_type == MEASUREMENT_ROUND:
+            t = ProtocolTranscript(round_type, key.label, y, (b1, b2), None, None, None)
+            yield p, decode(t, key)
+        else:
+            yield p, key.table[2 * b1 + b2] == y
+
+
 def key_decoded_distribution(state: QuantumState, key: TrapdoorKey) -> np.ndarray:
     """Exact decoded-outcome distribution of measurement rounds, one key."""
-    atoms = _round_atoms(state, key, MEASUREMENT_ROUND)
     out = np.zeros(2)
-    for y in range(4):
-        for u in (0, 1):
-            for v in (0, 1):
-                p = atoms[y, u, v]
-                if p <= 0.0:
-                    continue
-                t = ProtocolTranscript(
-                    MEASUREMENT_ROUND, key.label, y, (u, v), None, None, None
-                )
-                out[decode(t, key)] += p
+    for p, bit in _atom_outcomes(state, key, MEASUREMENT_ROUND):
+        out[bit] += p
     return out
 
 
@@ -274,61 +322,30 @@ def delegate_rounds(
         raise ValueError(f"unknown round type {round_type!r}")
     ones, twos = enumerate_functions()
     keys = ones if basis.lower() == "z" else twos
-
-    probs: list[float] = []
-    decoded_of_atom: list[int] = []
-    pass_of_atom: list[bool] = []
-    for key in keys:
-        atoms = _round_atoms(state, key, round_type)
-        for y in range(4):
-            for b1 in (0, 1):
-                for b2 in (0, 1):
-                    p = atoms[y, b1, b2] / len(keys)
-                    if p <= 0.0:
-                        continue
-                    probs.append(p)
-                    if round_type == MEASUREMENT_ROUND:
-                        t = ProtocolTranscript(
-                            MEASUREMENT_ROUND, key.label, y, (b1, b2), None, None, None
-                        )
-                        decoded_of_atom.append(decode(t, key))
-                        pass_of_atom.append(True)
-                    else:
-                        decoded_of_atom.append(-1)
-                        pass_of_atom.append(key.table[2 * b1 + b2] == y)
-
-    pvec = np.array(probs)
+    atoms = [
+        (p / len(keys), outcome)
+        for key in keys
+        for p, outcome in _atom_outcomes(state, key, round_type)
+    ]
+    pvec = np.array([p for p, _ in atoms])
     pvec = pvec / pvec.sum()
     rng = make_rng(seed, "delegate", basis.lower(), round_type)
     counts = rng.multinomial(n_rounds, pvec)
 
+    decoded_counts = n_pass = n_fail = None
     if round_type == MEASUREMENT_ROUND:
         decoded_counts = {0: 0, 1: 0}
-        for c, m in zip(counts, decoded_of_atom):
-            decoded_counts[m] += int(c)
-        return DelegationSummary(
-            basis=basis.lower(),
-            round_type=round_type,
-            n_rounds=n_rounds,
-            decoded_counts=decoded_counts,
-            n_pass=None,
-            n_fail=None,
-            seed=seed,
-        )
-    n_pass = int(sum(c for c, ok in zip(counts, pass_of_atom) if ok))
+        for c, (_, bit) in zip(counts, atoms):
+            decoded_counts[bit] += int(c)
+    else:
+        n_pass = int(sum(c for c, (_, ok) in zip(counts, atoms) if ok))
+        n_fail = n_rounds - n_pass
     return DelegationSummary(
         basis=basis.lower(),
         round_type=round_type,
         n_rounds=n_rounds,
-        decoded_counts=None,
+        decoded_counts=decoded_counts,
         n_pass=n_pass,
-        n_fail=n_rounds - n_pass,
+        n_fail=n_fail,
         seed=seed,
     )
-
-
-def transcript_with_decoded(
-    transcript: ProtocolTranscript, key: TrapdoorKey
-) -> ProtocolTranscript:
-    """Copy of a measurement transcript with the decoded bit filled in."""
-    return replace(transcript, decoded=decode(transcript, key))

@@ -1,10 +1,9 @@
 """Prover strategies for delegated energy verification.
 
 A prover exposes ``open_round(table, qubit, other_ops, rng)`` and returns
-a session carrying the announced image ``y`` plus two reveal methods.  The
-round kind is only disclosed through which reveal method gets called,
-mirroring the message order of the interaction: the prover commits and
-announces the image before learning whether it is being tested.
+a session carrying the announced image ``image`` plus the two reveal
+methods of ``protocol.HonestSession``.  The verifier closes every round
+with ``protocol.finish_round``.
 """
 
 from __future__ import annotations
@@ -12,51 +11,24 @@ from __future__ import annotations
 import numpy as np
 
 from ..qsim import QuantumState, QubitBasis
-from .protocol import commit, commit_measure_image, sample_bits
-
-
-class HonestSession:
-    """State of one honest round after the image announcement."""
-
-    def __init__(self, image, residual, qubit, preimage_qubit, other_ops, rng):
-        self.image = image
-        self._residual = residual
-        self._qubit = qubit
-        self._preimage = preimage_qubit
-        self._other_ops = tuple(other_ops)
-        self._rng = rng
-
-    def reveal_test(self) -> tuple[int, int]:
-        """Open the committed registers in Z."""
-        return sample_bits(
-            self._residual, [(self._qubit, "z"), (self._preimage, "z")], self._rng
-        )
-
-    def reveal_measurement(self) -> tuple[tuple[int, int], tuple[int, ...]]:
-        """X outcomes of the committed registers plus direct outcomes.
-
-        Everything is drawn in a single joint Born sample so correlations
-        between the delegated qubit and the directly measured ones are
-        exact.
-        """
-        ops = [(self._qubit, "x"), (self._preimage, "x")] + list(self._other_ops)
-        bits = sample_bits(self._residual, ops, self._rng)
-        return (bits[0], bits[1]), tuple(bits[2:])
+from .protocol import HonestSession, commit, sample_bits
 
 
 class HonestProver:
     """Runs the delegation instructions faithfully on a fixed pure state."""
 
+    session_class = HonestSession
+
     def __init__(self, state: QuantumState):
         state.validate()
         self.state = state
 
+    def _committed_table(self, table):
+        return table
+
     def open_round(self, table, qubit, other_ops, rng) -> HonestSession:
-        committed = commit(self.state, qubit, table)
-        y, residual = commit_measure_image(committed, rng)
-        return HonestSession(
-            y, residual, qubit, committed.preimage_qubit, other_ops, rng
-        )
+        committed = commit(self.state, qubit, self._committed_table(table))
+        return self.session_class(committed, other_ops, rng)
 
 
 class MixedStateProver:
@@ -86,7 +58,7 @@ class _BasisGuessSession(HonestSession):
         return fabricated, tuple(bits[2:])
 
 
-class BasisGuessProver:
+class BasisGuessProver(HonestProver):
     """Cheater that prepares and tests honestly but fabricates X data.
 
     In measurement rounds it measures the committed registers in Z and
@@ -95,33 +67,15 @@ class BasisGuessProver:
     collapse to coin flips.
     """
 
-    def __init__(self, state: QuantumState):
-        state.validate()
-        self.state = state
-
-    def open_round(self, table, qubit, other_ops, rng) -> _BasisGuessSession:
-        committed = commit(self.state, qubit, table)
-        y, residual = commit_measure_image(committed, rng)
-        return _BasisGuessSession(
-            y, residual, qubit, committed.preimage_qubit, other_ops, rng
-        )
+    session_class = _BasisGuessSession
 
 
-class WrongTableProver:
+class WrongTableProver(HonestProver):
     """Cheater that commits with a corrupted copy of the announced table.
 
     Every image bit is flipped, so honestly opened test rounds can never
     satisfy the verifier's consistency check.
     """
 
-    def __init__(self, state: QuantumState):
-        state.validate()
-        self.state = state
-
-    def open_round(self, table, qubit, other_ops, rng) -> HonestSession:
-        corrupted = tuple(int(t) ^ 1 for t in table)
-        committed = commit(self.state, qubit, corrupted)
-        y, residual = commit_measure_image(committed, rng)
-        return HonestSession(
-            y, residual, qubit, committed.preimage_qubit, other_ops, rng
-        )
+    def _committed_table(self, table):
+        return tuple(int(t) ^ 1 for t in table)

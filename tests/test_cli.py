@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from qverify.cli import dispatch
 from qverify.qsim import PauliTerm
+from qverify.repostore import canonical_json
 from qverify.verifyproto import HamiltonianInstance, serialize_instance
 
 
@@ -225,6 +227,28 @@ class TestRandmeasCommands:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
 
+    def test_compare_single_setting_reports_nan_error_bar(self, tmp_path, capsys):
+        # one shared setting leaves the jackknife standard error undefined;
+        # it is data (null in JSON, "nan" on stdout), not a crash
+        out = tmp_path / "one"
+        for device, seed in (("alpha", "1"), ("beta", "2")):
+            argv = ["randmeas", "collect", "--state", "ghz:3", "--nu", "1", "--nm", "32"]
+            argv += ["--device-id", device, "--settings-seed", "5", "--seed", seed]
+            assert dispatch(argv + ["--out", str(out)]) == 0
+        code = dispatch(
+            [
+                "randmeas",
+                "compare",
+                str(out / "dataset-alpha.json"),
+                str(out / "dataset-beta.json"),
+                "--out",
+                str(out / "cmp"),
+            ]
+        )
+        assert code == 0
+        assert _read_json(out / "cmp" / "randmeas_compare.json")["estimate"]["se_fmax"] is None
+        assert "+/- nan" in capsys.readouterr().out
+
     def test_exact_self_overlap_is_one(self, tmp_path):
         out = tmp_path / "ex"
         code = dispatch(["randmeas", "exact", "--state", "ghz:2", "--out", str(out)])
@@ -311,6 +335,18 @@ class TestRepoCommands:
         matrix = _read_json(out / "repo_matrix.json")["matrix"]
         assert matrix[0][0] == 1.0 and matrix[1][1] == 1.0
         assert matrix[0][1] == matrix[1][0]
+
+    def test_matrix_over_mismatched_widths_prints_missing_cells(self, repo_env, capsys):
+        _, out, ids = repo_env
+        argv = ["randmeas", "collect", "--state", "ghz:3", "--nu", "30", "--nm", "32"]
+        assert dispatch(argv + ["--device-id", "gamma", "--out", str(out)]) == 0
+        assert dispatch(["repo", "ingest", str(out / "dataset-gamma.json"), "--out", str(out)]) == 0
+        wide = _read_json(out / "repo_ingest.json")["id"]
+        code = dispatch(["repo", "matrix", ids[0], wide, "--out", str(out)])
+        assert code == 0
+        report = _read_json(out / "repo_matrix.json")
+        assert report["matrix"][0][1] is None and report["errors"]
+        assert "nan" in capsys.readouterr().out
 
     def test_compare_unknown_id_is_invalid_input(self, repo_env, capsys):
         root, out, ids = repo_env
@@ -512,3 +548,75 @@ class TestReproduce:
         assert json.loads(capsys.readouterr().err)["error"]["category"] == "check-failed"
         # the data and verdict are still written before the nonzero exit
         assert _read_json(out / "reproduce_fig1b.json")["pass"] is False
+
+
+def _output_digest(out: Path, stem: str) -> str:
+    """SHA-256 over a run's data files, leaving out the ``config`` headers
+    (they echo the ``--out`` path): the JSON body, the CSV rows and the
+    JSON-lines records."""
+    h = hashlib.sha256()
+    body = _read_json(out / f"{stem}.json")
+    body.pop("config")
+    h.update(canonical_json(body).encode())
+    for suffix in (".csv", ".jsonl"):
+        path = out / f"{stem}{suffix}"
+        if path.exists():
+            for line in path.read_text().splitlines()[1:]:
+                h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+# Seeded output pinned by digest: rewriting the round engine, the Pauli
+# operators or the estimators beneath these commands must not move a byte.
+_PINNED_RUNS = {
+    "verify-run-honest": (
+        ["verify", "run", "--rounds", "400", "--seed", "7"],
+        "verify_run",
+        "6d9488b6fbe81fd5bbcd677d89d63497a17856aeff1080bf8537e23f1ef37f55",
+    ),
+    "verify-run-mixed": (
+        ["verify", "run", "--rounds", "400", "--prover", "mixed", "--seed", "7"],
+        "verify_run",
+        "91d519330d0903193a7bf7faba29698962385f6e1d8789a0ff584edc680e79ff",
+    ),
+    "verify-run-basis-guess": (
+        ["verify", "run", "--rounds", "400", "--prover", "basis-guess", "--seed", "7"],
+        "verify_run",
+        "b90a84eb44aa9a3a18838c588954804be35fd8f4f0ada7715ad9cc4f5eb5c119",
+    ),
+    "verify-delegate-x-q0": (
+        ["verify", "delegate", "--state", "theta:0.7", "--basis", "x", "--rounds", "300", "--seed", "4"],
+        "verify_delegate",
+        "1af950e1826fde81349795dd62eb71ef3e20fd54e8866e82ad8934b88e1fec48",
+    ),
+    "verify-delegate-z-q0": (
+        ["verify", "delegate", "--state", "theta:0.7", "--basis", "z", "--rounds", "300", "--seed", "4"],
+        "verify_delegate",
+        "1353d8fd548fa5075b86ed8e588d5b597eec8d97730714663456eb00c4eb8c95",
+    ),
+    "verify-delegate-x-q1": (
+        ["verify", "delegate", "--state", "ghz:3", "--qubit", "1", "--basis", "x", "--rounds", "300", "--seed", "4"],
+        "verify_delegate",
+        "249736dca6036e90d06ad2c77ec7d6c80ce2855f1b666d5e07edee48bc1d61ef",
+    ),
+    "verify-delegate-z-q1": (
+        ["verify", "delegate", "--state", "ghz:3", "--qubit", "1", "--basis", "z", "--rounds", "300", "--seed", "4"],
+        "verify_delegate",
+        "060fa4f045255667c6e3f14afc4d03edb67effb5df89a0481440b1be3662cb2d",
+    ),
+    "reproduce-fig3-demo": (
+        ["reproduce", "fig3-demo"],
+        "reproduce_fig3_demo",
+        "419105d6db96de9680009ef4f550b86b52f66e7b4efee8ebc39d208c49a382cf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_seeded_output_matches_pinned_digest(name, instance_file, tmp_path):
+    argv, stem, expected = _PINNED_RUNS[name]
+    if argv[:2] == ["verify", "run"]:
+        argv = argv + ["--instance", str(instance_file)]
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    assert _output_digest(out, stem) == expected

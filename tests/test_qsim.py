@@ -1,5 +1,7 @@
 """States, solvers, rotations, partial traces, Born sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -36,9 +38,17 @@ from qverify.rng import make_rng
 
 
 def test_pauli_term_matrix_matches_kron_oracle():
-    for factors in ("X", "ZZ", "XIZ", "YXZY"):
-        got = pauli_term_matrix(PauliTerm(1.0, factors))
-        assert np.allclose(got, kron_chain(factors))
+    # every Pauli string on 1-4 qubits, bit for bit (multiplying by +-1 and
+    # +-i is exact, so the mask-built entries must equal the kron products)
+    rng = make_rng(12, "pauli-oracle")
+    for n in range(1, 5):
+        for letters in itertools.product("IXYZ", repeat=n):
+            factors = "".join(letters)
+            coeff = complex(rng.normal(), rng.normal())
+            expected = coeff * kron_chain(factors)
+            assert np.array_equal(pauli_term_matrix(PauliTerm(coeff, factors)), expected)
+            sparse = assemble_pauli_operator(n, [PauliTerm(coeff, factors)], sparse=True)
+            assert np.array_equal(sparse.toarray(), expected)
 
 
 def test_assemble_pauli_sparse_dense_agree():

@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from oracle_helpers import kron_chain
 from qverify.qsim import (
     PauliTerm,
     QuantumState,
@@ -607,6 +608,21 @@ class TestClockStates:
         circuit = (("x", 0), ("x", 1), ("x", 2))  # T=3 -> 2 clock qubits
         with pytest.raises(ValueError, match="simulability"):
             build_clock_instance(circuit, n_comp=11)
+
+    def test_pauli_expansion_matches_kron_trace_oracle(self):
+        rng = make_rng(14, "expansion-oracle")
+        for n in range(1, 5):
+            g = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+            h = g + g.conj().T
+            expected = []
+            for letters in itertools.product("IXYZ", repeat=n):
+                p = kron_chain("".join(letters))
+                expected.append(("".join(letters), np.trace(p @ h) / (1 << n)))
+            got = pauli_expansion(h, n)
+            # a generic Hermitian matrix has all 4^n strings, in IXYZ order
+            assert [t.factors for t in got] == [f for f, _ in expected]
+            for t, (_, c) in zip(got, expected):
+                assert abs(t.coeff - c) < 1e-12
 
     def test_expansion_size_guard(self):
         with pytest.raises(ValueError, match="limited"):
