@@ -87,10 +87,8 @@ from .repostore import (
     Repository,
     canonical_json,
     dataset_to_document,
-    document_digest,
     fidelity_to_dict,
     load_dataset_text,
-    serialize_dataset,
 )
 from .rng import GENERATOR_ID, make_rng
 from .verifyproto import (
@@ -407,9 +405,10 @@ def _cmd_randmeas_collect(args, argv) -> int:
         device_id=args.device_id,
         state_label=args.state,
     )
-    digest = document_digest(dataset_to_document(ds))
+    doc = dataset_to_document(ds)
+    digest = doc["digest"]
     ds_path = Path(args.out) / f"dataset-{args.device_id}.json"
-    atomic_write_text(ds_path, serialize_dataset(ds))
+    atomic_write_text(ds_path, canonical_json(doc) + "\n")
     print(f"wrote {ds_path}")
     body = {
         "dataset": str(ds_path),
@@ -823,7 +822,7 @@ def _cmd_verify_delegate(args, argv) -> int:
         )
     n_meas = args.rounds - n_test
     born = tv = None
-    if args.qubit == 0:
+    if state.num_qubits == 1:  # exact decoded statistics exist for one-qubit states only
         dist = decoded_distribution(state, basis)
         born = [float(dist[0]), float(dist[1])]
         if n_meas:

@@ -72,10 +72,6 @@ class PauliTerm:
         return x, z, self.factors.count("Y")
 
 
-def index_to_bitstring(i: int, n: int) -> str:
-    return format(i, f"0{n}b")
-
-
 def pauli_entries(term: PauliTerm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, values) of the one nonzero entry per column of a term."""
     x, z, n_y = term.masks()

@@ -1,20 +1,17 @@
-"""Eigensolvers, propagation, expectations, and Born sampling.
+"""Eigensolvers, expectations, and Born sampling.
 
 Dense linear algebra below DENSE_CUTOFF dimensions, iterative sparse
-(Lanczos / Krylov propagation) above.  Every ground-state call verifies
+(Lanczos) above.  Every ground-state call verifies
 its residual against the operator norm before returning.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .qubit import index_to_bitstring
 from .state import Basis, QuantumState
 
 DENSE_CUTOFF = 4096
@@ -57,37 +54,6 @@ def ground_state(op, basis: Basis, maxiter: int = 2000) -> tuple[float, QuantumS
     return energy, QuantumState(vec, basis)
 
 
-def thermal_state(op, basis: Basis, beta: float) -> QuantumState:
-    """exp(-beta H) / Z, dense-feasible systems only."""
-    dim = basis.dim
-    if dim > DENSE_CUTOFF:
-        raise ValueError(f"thermal_state is dense-only (dim {dim} > {DENSE_CUTOFF})")
-    w, v = scipy.linalg.eigh(_as_dense(op))
-    p = np.exp(-beta * (w - w.min()))
-    p /= p.sum()
-    rho = (v * p) @ v.conj().T
-    return QuantumState(rho, basis)
-
-
-def time_evolve(state: QuantumState, op, t: float) -> QuantumState:
-    """exp(-i H t) |psi> (or U rho U+ for mixed dense states)."""
-    dim = state.dim
-    if state.is_pure:
-        if dim <= DENSE_CUTOFF:
-            w, v = scipy.linalg.eigh(_as_dense(op))
-            phases = np.exp(-1j * w * t)
-            out = v @ (phases * (v.conj().T @ state.data))
-        else:
-            h = op if sp.issparse(op) else sp.csr_matrix(op)
-            out = spla.expm_multiply((-1j * t) * h.astype(complex), state.data.astype(complex))
-        return QuantumState(out, state.basis)
-    if dim > DENSE_CUTOFF:
-        raise ValueError("mixed-state evolution is dense-only")
-    w, v = scipy.linalg.eigh(_as_dense(op))
-    u = v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
-    return QuantumState(u @ state.data @ u.conj().T, state.basis)
-
-
 def expectation(state: QuantumState, op) -> float:
     """<O> for a Hermitian operator; the imaginary residue must vanish."""
     if state.is_pure:
@@ -99,62 +65,8 @@ def expectation(state: QuantumState, op) -> float:
     return float(val.real)
 
 
-def observable_variance(state: QuantumState, op) -> float:
-    """Var(O) = <O^2> - <O>^2 on the state (op Hermitian)."""
-    if state.is_pure:
-        ov = op @ state.data
-        mean = float(np.real(np.vdot(state.data, ov)))
-        second = float(np.real(np.vdot(ov, ov)))
-    else:
-        orho = op @ state.data
-        mean = float(np.real(np.trace(orho)))
-        second = float(np.real(np.trace(op @ orho)))
-    return max(second - mean * mean, 0.0)
-
-
-def sample_bitstrings(
-    state: QuantumState, n_shots: int, rng: np.random.Generator
-) -> dict[str, int]:
-    """Multinomial computational-basis counts, {bitstring: count}, zeros omitted."""
-    n = state.num_qubits
-    probs = state.probabilities()
-    counts = rng.multinomial(n_shots, probs)
-    nz = np.nonzero(counts)[0]
-    return {index_to_bitstring(int(i), n): int(counts[i]) for i in nz}
-
-
-@dataclass(frozen=True)
-class SampleStats:
-    """Sample mean and (ddof=1) variance of Born-sampled eigenvalues."""
-
-    mean: float
-    variance: float
-    n_shots: int
-
-
-def sample_observable(
-    state: QuantumState, op, n_shots: int, rng: np.random.Generator
-) -> SampleStats:
-    """Projective measurement statistics of a Hermitian observable.
-
-    Requires a dense-feasible eigendecomposition of ``op``.
-    """
-    if n_shots < 1:
-        raise ValueError("need at least one shot")
-    dim = state.dim
-    if dim > DENSE_CUTOFF:
-        raise ValueError("sample_observable needs a dense-feasible operator")
-    w, v = scipy.linalg.eigh(_as_dense(op))
-    if state.is_pure:
-        probs = np.abs(v.conj().T @ state.data) ** 2
-    else:
-        probs = np.real(np.einsum("ij,jk,ki->i", v.conj().T, state.data, v))
-        probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    counts = rng.multinomial(n_shots, probs)
-    mean = float(counts @ w) / n_shots
-    if n_shots == 1:
-        var = 0.0
-    else:
-        var = float(counts @ (w - mean) ** 2) / (n_shots - 1)
-    return SampleStats(mean=mean, variance=var, n_shots=n_shots)
+def sample_counts(state: QuantumState, n_shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Born-sampled int64 (outcome index, count) rows, outcomes ascending, zeros omitted."""
+    counts = rng.multinomial(n_shots, state.probabilities())
+    seen = np.flatnonzero(counts)
+    return np.column_stack((seen, counts[seen])).astype(np.int64, copy=False)

@@ -15,7 +15,6 @@ from .estimators import (
     estimate_overlap,
     estimate_purity,
     exact_mode_overlap,
-    hamming_kernel,
     marginal_probabilities,
 )
 from .scaling import ScalingPoint, ScalingResult, scaling_probe
@@ -37,7 +36,6 @@ __all__ = [
     "estimate_overlap",
     "estimate_purity",
     "exact_mode_overlap",
-    "hamming_kernel",
     "haar_unitary",
     "marginal_probabilities",
     "phase_normalize",

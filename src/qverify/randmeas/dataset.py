@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..qsim import QuantumState, sample_bitstrings
+import numpy as np
+
+from ..qsim import QuantumState, sample_counts
 from ..rng import GENERATOR_ID, make_rng
 from .settings import MeasurementSetting
 
@@ -15,27 +17,30 @@ class RandMeasDataset:
     state_label: str
     num_qubits: int
     settings: list[MeasurementSetting]
-    counts: list[dict[str, int]]
+    # per setting, int64 (outcome index, count) rows; indices ascending, qubit 0 the high bit
+    counts: list[np.ndarray]
     shots_per_setting: int
     provenance: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if len(self.settings) != len(self.counts):
-            raise ValueError("one counts map per setting required")
+            raise ValueError("one counts array per setting required")
         ids = [s.setting_id for s in self.settings]
         if len(set(ids)) != len(ids):
             raise ValueError("setting ids must be unique")
         for s in self.settings:
             if s.num_qubits != self.num_qubits:
                 raise ValueError("setting width does not match qubit count")
-        for c in self.counts:
-            total = 0
-            for bits, n in c.items():
-                if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
-                    raise ValueError(f"malformed bitstring {bits!r}")
-                if n < 0:
-                    raise ValueError("negative count")
-                total += n
+        for u, c in enumerate(self.counts):
+            if not (isinstance(c, np.ndarray) and c.dtype == np.int64 and c.shape[1:] == (2,)):
+                raise ValueError(f"setting {u}: counts must be an int64 (K, 2) array")
+            outcomes, n = c[:, 0], c[:, 1]
+            inside = (outcomes >= 0) & (outcomes >> self.num_qubits == 0)
+            if np.any(np.diff(outcomes) <= 0) or not inside.all():
+                raise ValueError(f"setting {u}: outcomes must ascend strictly within the register")
+            if np.any(n < 0):
+                raise ValueError(f"setting {u}: negative count")
+            total = int(n.sum())
             if total != self.shots_per_setting:
                 raise ValueError(
                     f"counts sum {total} != shots_per_setting {self.shots_per_setting}"
@@ -62,7 +67,7 @@ def collect(
     counts = []
     for u, setting in enumerate(settings):
         rotated = state.rotated(setting.unitaries())
-        counts.append(sample_bitstrings(rotated, shots_per_setting, make_rng(seed, "measure", u)))
+        counts.append(sample_counts(rotated, shots_per_setting, make_rng(seed, "measure", u)))
     ds = RandMeasDataset(
         device_id=device_id,
         state_label=state_label,

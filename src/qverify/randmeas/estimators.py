@@ -20,14 +20,6 @@ from .dataset import RandMeasDataset
 from .settings import MeasurementSetting, sample_settings
 
 
-def hamming_kernel(s: str, t: str) -> float:
-    """(-2)^(-D) for the Hamming distance D between equal-length strings."""
-    if len(s) != len(t):
-        raise ValueError(f"length mismatch: {len(s)} vs {len(t)}")
-    d = sum(a != b for a, b in zip(s, t))
-    return (-0.5) ** d
-
-
 @dataclass(frozen=True)
 class Estimate:
     value: float
@@ -77,10 +69,9 @@ def marginal_probabilities(
 
 
 def _counts_arrays(
-    counts_map: dict[str, int], num_qubits: int, subsystem: tuple[int, ...] | None
+    counts: np.ndarray, num_qubits: int, subsystem: tuple[int, ...] | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    ints = np.array([int(b, 2) for b in counts_map], dtype=np.int64)
-    cnt = np.array(list(counts_map.values()), dtype=float)
+    ints, cnt = counts[:, 0], counts[:, 1].astype(float)
     if subsystem is not None:
         sub = _marginal_index(ints, num_qubits, subsystem)
         uniq, inv = np.unique(sub, return_inverse=True)
@@ -191,8 +182,13 @@ def estimate_purity(
 def _canonical_pair(
     ds1: RandMeasDataset, ds2: RandMeasDataset
 ) -> tuple[RandMeasDataset, RandMeasDataset]:
-    key1 = (ds1.device_id, ds1.state_label, repr(ds1.counts))
-    key2 = (ds2.device_id, ds2.state_label, repr(ds2.counts))
+    key1, key2 = (ds1.device_id, ds1.state_label), (ds2.device_id, ds2.state_label)
+    if key1 == key2:
+        # break ties as bitstring-keyed counts did, so purity_1/purity_2 keep their order
+        key1, key2 = (
+            repr([{format(i, f"0{ds.num_qubits}b"): c for i, c in b.tolist()} for b in ds.counts])
+            for ds in (ds1, ds2)
+        )
     return (ds1, ds2) if key1 <= key2 else (ds2, ds1)
 
 
@@ -205,10 +201,11 @@ def estimate_fmax(
     a, b = _canonical_pair(ds1, ds2)
     _align(a, b, sub)
     pa = _purity_terms(a, sub)
-    pb = _purity_terms(b, sub)
+    pb = pa if b is a else _purity_terms(b, sub)
     # comparing a dataset with itself: the cross product of identical counts
     # is biased by same-shot pairs, so the overlap IS the purity there
-    same = a is b or (a.device_id == b.device_id and a.counts == b.counts)
+    # (_align has matched the number of settings)
+    same = a is b or (a.device_id == b.device_id and all(map(np.array_equal, a.counts, b.counts)))
     o = pa.copy() if same else _cross_terms(a, b, sub)
 
     def fmax_of(om: float, pam: float, pbm: float) -> float:

@@ -20,6 +20,7 @@ from ..randmeas.dataset import RandMeasDataset
 from ..randmeas.settings import MeasurementSetting
 
 FORMAT_VERSION = 1
+MAX_QUBITS = 63  # outcome indices are held as int64
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -94,11 +95,13 @@ def _matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
 
 
 def _pairs_to_matrix(pairs) -> np.ndarray:
-    if len(pairs) != 4:
+    if not isinstance(pairs, list) or len(pairs) != 4:
         raise MalformedDatasetError("explicit setting needs 4 [re, im] entries")
     vals = []
     for p in pairs:
-        if not isinstance(p, list) or len(p) != 2:
+        if not isinstance(p, list) or len(p) != 2 or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in p
+        ):
             raise MalformedDatasetError("matrix entries must be [re, im] pairs")
         vals.append(float(p[0]) + 1j * float(p[1]))
     return np.array(vals, dtype=complex).reshape(2, 2)
@@ -119,7 +122,7 @@ def dataset_to_document(ds: RandMeasDataset) -> dict:
         settings = [list(s.clifford_indices) for s in ds.settings]
     else:
         settings = [[_matrix_to_pairs(m) for m in s.matrices] for s in ds.settings]
-    counts = [sorted((bits, int(n)) for bits, n in c.items()) for c in ds.counts]
+    fmt = f"0{ds.num_qubits}b"
     doc = {
         "format_version": FORMAT_VERSION,
         "device_id": ds.device_id,
@@ -127,7 +130,7 @@ def dataset_to_document(ds: RandMeasDataset) -> dict:
         "num_qubits": ds.num_qubits,
         "ensemble": ensemble,
         "settings": settings,
-        "counts": [[list(pair) for pair in c] for c in counts],
+        "counts": [[[format(i, fmt), c] for i, c in block.tolist()] for block in ds.counts],
         "shots_per_setting": ds.shots_per_setting,
         "provenance": dict(ds.provenance),
     }
@@ -152,38 +155,64 @@ _REQUIRED_KEYS = (
     "digest",
 )
 
+_FIELD_TYPES = (
+    ("device_id", str),
+    ("state_label", str),
+    ("provenance", dict),
+    ("settings", list),
+    ("counts", list),
+)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
 
 def validate_document(doc: dict) -> None:
+    """Check every field's type and the counts invariants, then the digest."""
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise MalformedDatasetError(f"missing key {key!r}")
-    if doc["format_version"] != FORMAT_VERSION:
+    if not _is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"format_version {doc['format_version']!r} unsupported (expected {FORMAT_VERSION})"
         )
+    for key, kind in _FIELD_TYPES:
+        if not isinstance(doc[key], kind):
+            got = type(doc[key]).__name__
+            raise MalformedDatasetError(f"{key} must be a {kind.__name__}, not {got}")
     if doc["ensemble"] not in ("clifford", "haar"):
         raise MalformedDatasetError(f"unknown ensemble tag {doc['ensemble']!r}")
     n = doc["num_qubits"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or not 1 <= n <= MAX_QUBITS:
         raise MalformedDatasetError(f"bad num_qubits {n!r}")
+    shots = doc["shots_per_setting"]
+    if not _is_int(shots):
+        raise MalformedDatasetError(f"bad shots_per_setting {shots!r}")
     if len(doc["settings"]) != len(doc["counts"]):
         raise MalformedDatasetError(
             f"{len(doc['settings'])} settings but {len(doc['counts'])} counts blocks"
         )
-    shots = doc["shots_per_setting"]
+    for u, spec in enumerate(doc["settings"]):
+        if not isinstance(spec, list) or (
+            doc["ensemble"] == "clifford" and not all(_is_int(i) for i in spec)
+        ):
+            raise MalformedDatasetError(f"setting {u}: malformed spec {spec!r}")
     for u, block in enumerate(doc["counts"]):
+        if not isinstance(block, list):
+            raise MalformedDatasetError(f"setting {u}: counts block {block!r}")
         total = 0
         seen = set()
         for entry in block:
-            if len(entry) != 2:
+            if not isinstance(entry, list) or len(entry) != 2:
                 raise MalformedDatasetError(f"setting {u}: counts entry {entry!r}")
             bits, cnt = entry
-            if len(bits) != n or set(bits) - {"0", "1"}:
+            if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
                 raise MalformedDatasetError(f"setting {u}: malformed bitstring {bits!r}")
             if bits in seen:
                 raise MalformedDatasetError(f"setting {u}: duplicate bitstring {bits!r}")
             seen.add(bits)
-            if not isinstance(cnt, int) or cnt < 0:
+            if not _is_int(cnt) or cnt < 0:
                 raise MalformedDatasetError(f"setting {u}: bad count {cnt!r}")
             total += cnt
         if total != shots:
@@ -210,22 +239,18 @@ def document_to_dataset(doc: dict) -> RandMeasDataset:
     n = doc["num_qubits"]
     settings = []
     for u, spec in enumerate(doc["settings"]):
-        if doc["ensemble"] == "clifford":
-            try:
-                setting = MeasurementSetting(u, clifford_indices=tuple(int(i) for i in spec))
-            except ValueError as exc:
-                raise MalformedDatasetError(f"setting {u}: {exc}") from None
-        else:
-            try:
-                setting = MeasurementSetting(
-                    u, matrices=tuple(_pairs_to_matrix(q) for q in spec)
-                )
-            except ValueError as exc:
-                raise MalformedDatasetError(f"setting {u}: {exc}") from None
+        try:
+            if doc["ensemble"] == "clifford":
+                setting = MeasurementSetting(u, clifford_indices=tuple(spec))
+            else:
+                setting = MeasurementSetting(u, matrices=tuple(_pairs_to_matrix(q) for q in spec))
+        except ValueError as exc:
+            raise MalformedDatasetError(f"setting {u}: {exc}") from None
         if setting.num_qubits != n:
             raise MalformedDatasetError(f"setting {u}: width {setting.num_qubits} != {n}")
         settings.append(setting)
-    counts = [{bits: int(cnt) for bits, cnt in block} for block in doc["counts"]]
+    rows = [sorted((int(b, 2), c) for b, c in block) for block in doc["counts"]]
+    counts = [np.array(r, dtype=np.int64).reshape(-1, 2) for r in rows]
     ds = RandMeasDataset(
         device_id=doc["device_id"],
         state_label=doc["state_label"],

@@ -171,18 +171,23 @@ class Repository:
         n = len(ids)
         matrix: list[list[float | None]] = [[None] * n for _ in range(n)]
         errors: dict[str, str] = {}
+        # each id is loaded once; a pair records the error of its first failed id
+        loaded, failed = {}, {}
+        for ds_id in dict.fromkeys(ids):
+            try:
+                loaded[ds_id] = self.load(ds_id)
+            except (ValueError, KeyError) as exc:
+                failed[ds_id] = exc
         for i in range(n):
             for j in range(i, n):
                 try:
-                    ds_i, doc_i = self.load(ids[i])
-                    if j == i:
-                        est = estimate_fmax(ds_i, ds_i, subsystem)
-                    else:
-                        ds_j, doc_j = self.load(ids[j])
-                        if doc_i["ensemble"] != doc_j["ensemble"]:
-                            raise MalformedDatasetError("ensemble mismatch")
-                        est = estimate_fmax(ds_i, ds_j, subsystem)
-                    matrix[i][j] = matrix[j][i] = est.fmax
+                    for ds_id in (ids[i], ids[j]):
+                        if ds_id in failed:
+                            raise failed[ds_id]
+                    (ds_i, doc_i), (ds_j, doc_j) = loaded[ids[i]], loaded[ids[j]]
+                    if doc_i["ensemble"] != doc_j["ensemble"]:
+                        raise MalformedDatasetError("ensemble mismatch")
+                    matrix[i][j] = matrix[j][i] = estimate_fmax(ds_i, ds_j, subsystem).fmax
                 except (ValueError, KeyError) as exc:
                     errors[f"{ids[i]},{ids[j]}"] = str(exc)
         report = {

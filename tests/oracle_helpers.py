@@ -7,7 +7,18 @@ real cross-check rather than a tautology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from qverify.qsim import QuantumState
+from qverify.qsim import solve as qsolve
+from qverify.randmeas import Estimate, FidelityEstimate
+from qverify.randmeas.estimators import _jackknife_se, _loo_means, _mean_with_jackknife
+from qverify.repostore import dataset_to_document
 
 # ---------------------------------------------------------------- fermions
 # Fock space of n_modes modes; basis index = occupation bitmask (bit m = mode m).
@@ -105,3 +116,173 @@ def dense_overlap(rho1: np.ndarray, rho2: np.ndarray) -> float:
 def dense_fmax(rho1: np.ndarray, rho2: np.ndarray) -> float:
     o = dense_overlap(rho1, rho2)
     return o / max(dense_overlap(rho1, rho1), dense_overlap(rho2, rho2))
+
+
+# ---------------------------------------------------------------- dynamics
+# Dense-feasible reference routines that only the tests call.
+
+
+def _dense(op) -> np.ndarray:
+    return op.toarray() if sp.issparse(op) else np.asarray(op)
+
+
+def thermal_state(op, basis, beta: float) -> QuantumState:
+    """exp(-beta H) / Z, dense-feasible systems only."""
+    if basis.dim > qsolve.DENSE_CUTOFF:
+        raise ValueError(f"thermal_state is dense-only (dim {basis.dim} > {qsolve.DENSE_CUTOFF})")
+    w, v = scipy.linalg.eigh(_dense(op))
+    p = np.exp(-beta * (w - w.min()))
+    p /= p.sum()
+    return QuantumState((v * p) @ v.conj().T, basis)
+
+
+def time_evolve(state: QuantumState, op, t: float) -> QuantumState:
+    """exp(-i H t) |psi> (or U rho U+ for mixed dense states); Krylov
+    propagation above the package's dense cutoff."""
+    if state.is_pure:
+        if state.dim <= qsolve.DENSE_CUTOFF:
+            w, v = scipy.linalg.eigh(_dense(op))
+            out = v @ (np.exp(-1j * w * t) * (v.conj().T @ state.data))
+        else:
+            h = op if sp.issparse(op) else sp.csr_matrix(op)
+            out = spla.expm_multiply((-1j * t) * h.astype(complex), state.data.astype(complex))
+        return QuantumState(out, state.basis)
+    if state.dim > qsolve.DENSE_CUTOFF:
+        raise ValueError("mixed-state evolution is dense-only")
+    w, v = scipy.linalg.eigh(_dense(op))
+    u = v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
+    return QuantumState(u @ state.data @ u.conj().T, state.basis)
+
+
+def observable_variance(state: QuantumState, op) -> float:
+    """Var(O) = <O^2> - <O>^2 on the state (op Hermitian)."""
+    if state.is_pure:
+        ov = op @ state.data
+        mean = float(np.real(np.vdot(state.data, ov)))
+        second = float(np.real(np.vdot(ov, ov)))
+    else:
+        orho = op @ state.data
+        mean = float(np.real(np.trace(orho)))
+        second = float(np.real(np.trace(op @ orho)))
+    return max(second - mean * mean, 0.0)
+
+
+@dataclass(frozen=True)
+class SampleStats:
+    """Sample mean and (ddof=1) variance of Born-sampled eigenvalues."""
+
+    mean: float
+    variance: float
+    n_shots: int
+
+
+def sample_observable(
+    state: QuantumState, op, n_shots: int, rng: np.random.Generator
+) -> SampleStats:
+    """Projective measurement statistics of a dense-feasible Hermitian observable."""
+    if n_shots < 1:
+        raise ValueError("need at least one shot")
+    if state.dim > qsolve.DENSE_CUTOFF:
+        raise ValueError("sample_observable needs a dense-feasible operator")
+    w, v = scipy.linalg.eigh(_dense(op))
+    if state.is_pure:
+        probs = np.abs(v.conj().T @ state.data) ** 2
+    else:
+        probs = np.real(np.einsum("ij,jk,ki->i", v.conj().T, state.data, v))
+        probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    counts = rng.multinomial(n_shots, probs)
+    mean = float(counts @ w) / n_shots
+    var = 0.0 if n_shots == 1 else float(counts @ (w - mean) ** 2) / (n_shots - 1)
+    return SampleStats(mean=mean, variance=var, n_shots=n_shots)
+
+
+# ---------------------------------------------------------------- randomized measurements
+# The string-keyed estimators: every outcome is a bitstring key, read back
+# from the dataset's file document and parsed with int(b, 2) on each call,
+# with the kernel evaluated string against string.
+
+
+def hamming_kernel(s: str, t: str) -> float:
+    """(-2)^(-D) for the Hamming distance D between equal-length strings."""
+    if len(s) != len(t):
+        raise ValueError(f"length mismatch: {len(s)} vs {len(t)}")
+    return (-0.5) ** sum(a != b for a, b in zip(s, t))
+
+
+def bitstring_counts(ds) -> list[dict[str, int]]:
+    """One {bitstring: count} map per setting, in file order."""
+    return [{bits: cnt for bits, cnt in block} for block in dataset_to_document(ds)["counts"]]
+
+
+def _string_marginal(counts_map: dict[str, int], subsystem) -> tuple[list[str], np.ndarray]:
+    if subsystem is not None:
+        marginal: dict[str, int] = {}
+        for bits, cnt in counts_map.items():
+            key = "".join(bits[q] for q in subsystem)
+            marginal[key] = marginal.get(key, 0) + cnt
+        counts_map = {k: marginal[k] for k in sorted(marginal)}
+    return list(counts_map), np.array(list(counts_map.values()), dtype=float)
+
+
+def _string_kernel(keys1: list[str], keys2: list[str]) -> np.ndarray:
+    return np.array([[hamming_kernel(s, t) for t in keys2] for s in keys1])
+
+
+def string_cross_terms(ds1, ds2, subsystem=None) -> np.ndarray:
+    scale = 2.0 ** (ds1.num_qubits if subsystem is None else len(subsystem))
+    out = []
+    for m1, m2 in zip(bitstring_counts(ds1), bitstring_counts(ds2)):
+        k1, c1 = _string_marginal(m1, subsystem)
+        k2, c2 = _string_marginal(m2, subsystem)
+        f1, f2 = c1 / ds1.shots_per_setting, c2 / ds2.shots_per_setting
+        out.append(scale * (f1 @ _string_kernel(k1, k2) @ f2))
+    return np.array(out)
+
+
+def string_purity_terms(ds, subsystem=None) -> np.ndarray:
+    scale = 2.0 ** (ds.num_qubits if subsystem is None else len(subsystem))
+    n_m = ds.shots_per_setting
+    out = []
+    for m in bitstring_counts(ds):
+        keys, cnt = _string_marginal(m, subsystem)
+        total = cnt @ _string_kernel(keys, keys) @ cnt
+        out.append(scale * (total - n_m) / (n_m * (n_m - 1.0)))
+    return np.array(out)
+
+
+def string_overlap(ds1, ds2, subsystem=None) -> Estimate:
+    if ds1 is ds2:
+        return _mean_with_jackknife(string_purity_terms(ds1, subsystem))
+    return _mean_with_jackknife(string_cross_terms(ds1, ds2, subsystem))
+
+
+def string_fmax(ds1, ds2, subsystem=None) -> FidelityEstimate:
+    """F_max with the datasets ordered by (device id, state label, repr of
+    the bitstring-keyed counts)."""
+    key1, key2 = ((d.device_id, d.state_label, repr(bitstring_counts(d))) for d in (ds1, ds2))
+    a, b = (ds1, ds2) if key1 <= key2 else (ds2, ds1)
+    pa, pb = string_purity_terms(a, subsystem), string_purity_terms(b, subsystem)
+    same = a is b or (a.device_id == b.device_id and bitstring_counts(a) == bitstring_counts(b))
+    o = pa.copy() if same else string_cross_terms(a, b, subsystem)
+
+    def fmax_of(om, pam, pbm):
+        denom = max(pam, pbm)
+        return om / denom if denom != 0.0 else float("nan")
+
+    o_m, pa_m, pb_m = float(o.mean()), float(pa.mean()), float(pb.mean())
+    loo = np.array([fmax_of(*x) for x in zip(_loo_means(o), _loo_means(pa), _loo_means(pb))])
+    return FidelityEstimate(
+        overlap=o_m,
+        purity_1=pa_m,
+        purity_2=pb_m,
+        fmax=fmax_of(o_m, pa_m, pb_m),
+        se_overlap=_jackknife_se(_loo_means(o)),
+        se_purity_1=_jackknife_se(_loo_means(pa)),
+        se_purity_2=_jackknife_se(_loo_means(pb)),
+        se_fmax=_jackknife_se(loo),
+        devices=(a.device_id, b.device_id),
+        subsystem=subsystem,
+        n_settings=len(o),
+        unreliable=not (max(pa_m, pb_m) > 0.0),
+    )

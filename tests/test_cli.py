@@ -11,7 +11,7 @@ import pytest
 
 from qverify.cli import dispatch
 from qverify.qsim import PauliTerm
-from qverify.repostore import canonical_json
+from qverify.repostore import canonical_json, document_digest
 from qverify.verifyproto import HamiltonianInstance, serialize_instance
 
 
@@ -353,6 +353,28 @@ class TestRepoCommands:
         code = dispatch(["repo", "compare", ids[0], "0" * 16, "--out", str(out)])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "field,value", [("device_id", 7), ("provenance", [1, 2]), ("num_qubits", True)]
+    )
+    def test_mistyped_dataset_field_is_invalid_input(self, repo_env, field, value, capsys):
+        # with the digest recomputed, each of these used to be ingested
+        # (exit 0) or to crash the ingest (exit 1)
+        root, out, _ = repo_env
+        argv = ["randmeas", "collect", "--state", "zero:1", "--nu", "4", "--nm", "8"]
+        assert dispatch(argv + ["--device-id", "one", "--out", str(out)]) == 0
+        doc = _read_json(out / "dataset-one.json")
+        doc[field] = value
+        doc["digest"] = document_digest(doc)
+        bad = out / "mistyped.json"
+        bad.write_text(canonical_json(doc) + "\n")
+        before = sorted(root.rglob("*"))
+        capsys.readouterr()
+        code = dispatch(["repo", "ingest", str(bad), "--out", str(out / "rejected")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
+        assert sorted(root.rglob("*")) == before
+        assert not (out / "rejected").exists()
+
     def test_root_flag_overrides_env(self, repo_env, tmp_path, capsys):
         _, out, _ = repo_env
         other = tmp_path / "other-root"
@@ -450,6 +472,18 @@ class TestVerifyCommands:
         lines = (out / "verify_delegate.jsonl").read_text().splitlines()
         assert len(lines) == 61
         assert body["tv_distance"] is not None
+
+    def test_delegate_on_qubit_0_of_a_wider_state(self, tmp_path):
+        # exact decoded statistics exist for one-qubit states only; a wider
+        # state on the default qubit 0 used to exit 3 after playing every round
+        out = tmp_path / "vd"
+        argv = ["verify", "delegate", "--state", "ghz:3", "--basis", "x", "--rounds", "40"]
+        assert dispatch(argv + ["--seed", "1", "--out", str(out)]) == 0
+        body = _read_json(out / "verify_delegate.json")
+        assert body["qubit"] == 0
+        assert body["born"] is None and body["tv_distance"] is None
+        counts = body["decoded_counts"]
+        assert counts["0"] + counts["1"] == body["n_measurement_rounds"]
 
     def test_delegate_state_spec_forms_agree(self, tmp_path):
         results = []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle_helpers import observable_variance, thermal_state
 from qverify.hamlearn import (
     KRowEngine,
     KSampler,
@@ -22,8 +23,6 @@ from qverify.qsim import (
     assemble_operator,
     ground_state,
     hubbard_terms,
-    observable_variance,
-    thermal_state,
 )
 from qverify.rng import make_rng
 

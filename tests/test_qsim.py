@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from oracle_helpers import kron_chain
+from oracle_helpers import (
+    kron_chain,
+    observable_variance,
+    sample_observable,
+    thermal_state,
+    time_evolve,
+)
 from qverify.qsim import (
     FermionBasis,
     LatticeSpec,
@@ -20,18 +26,14 @@ from qverify.qsim import (
     ghz_state,
     ground_state,
     hubbard_terms,
-    observable_variance,
     pauli_term_matrix,
     parse_state_spec,
     plus_state,
     random_density_state,
     random_pure_state,
     reduced_density,
-    sample_bitstrings,
-    sample_observable,
+    sample_counts,
     theta_state,
-    thermal_state,
-    time_evolve,
     zero_state,
 )
 from qverify.rng import make_rng
@@ -131,23 +133,26 @@ def test_observable_variance_matches_dense():
     assert abs(observable_variance(st, op) - want) < 1e-10
 
 
-def test_sample_bitstrings_chi_square():
+def test_sample_counts_chi_square():
     st = theta_state(np.pi / 5)
     big = ghz_state(2)
     for state, probs in [
         (st, np.array([np.cos(np.pi / 5) ** 2, np.sin(np.pi / 5) ** 2])),
         (big, np.array([0.5, 0.0, 0.0, 0.5])),
     ]:
-        counts = sample_bitstrings(state, 20000, make_rng(3, "chi"))
+        rows = sample_counts(state, 20000, make_rng(3, "chi"))
+        assert rows.dtype == np.int64 and rows.shape[1] == 2
+        assert np.all(np.diff(rows[:, 0]) > 0)
+        counts = dict(rows.tolist())
         total = sum(counts.values())
         assert total == 20000
         stat = 0.0
         dof = 0
         for i, p in enumerate(probs):
             if p == 0:
-                assert format(i, f"0{state.num_qubits}b") not in counts
+                assert i not in counts
                 continue
-            obs = counts.get(format(i, f"0{state.num_qubits}b"), 0)
+            obs = counts.get(i, 0)
             stat += (obs - total * p) ** 2 / (total * p)
             dof += 1
         assert stat < chi2.ppf(0.999, dof - 1)

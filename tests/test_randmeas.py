@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from oracle_helpers import dense_fmax, dense_overlap
+from oracle_helpers import (
+    bitstring_counts,
+    dense_fmax,
+    dense_overlap,
+    hamming_kernel,
+    string_fmax,
+    string_overlap,
+    string_purity_terms,
+)
 from qverify.qsim import (
     QuantumState,
     QubitBasis,
@@ -21,18 +30,19 @@ from qverify.randmeas import (
     CLIFFORD_TABLE,
     NUM_CLIFFORDS,
     MeasurementSetting,
+    RandMeasDataset,
     clifford_index,
     collect,
     estimate_fmax,
     estimate_overlap,
     estimate_purity,
     exact_mode_overlap,
-    hamming_kernel,
     marginal_probabilities,
     sample_settings,
     scaling_probe,
 )
 from qverify.randmeas.cliffords import _generate_table
+from qverify.randmeas.estimators import _purity_terms
 from qverify.rng import make_rng
 
 
@@ -134,14 +144,15 @@ class TestCollect:
         ident = clifford_index(np.eye(2))
         settings = [MeasurementSetting(0, clifford_indices=(ident, ident, ident))]
         ds = collect(zero_state(3), settings, 100, seed=0)
-        assert ds.counts == [{"000": 100}]
+        assert len(ds.counts) == 1 and ds.counts[0].dtype == np.int64
+        assert ds.counts[0].tolist() == [[0, 100]]
 
     def test_dataset_invariants(self):
         settings = sample_settings(2, 8, seed=1)
         ds = collect(ghz_state(2), settings, 64, seed=2)
         ds.validate()
         assert ds.n_settings == 8
-        assert all(sum(c.values()) == 64 for c in ds.counts)
+        assert all(c[:, 1].sum() == 64 for c in ds.counts)
 
     def test_empirical_matches_exact_probabilities(self):
         state = random_pure_state(2, make_rng(0, "chi2-state"))
@@ -155,7 +166,7 @@ class TestCollect:
             exp = p * shots
             if exp < 5:
                 continue
-            obs = ds.counts[0].get(format(i, "02b"), 0)
+            obs = dict(ds.counts[0].tolist()).get(i, 0)
             chi2 += (obs - exp) ** 2 / exp
             dof += 1
         assert chi2 < (dof - 1) + 5 * np.sqrt(2 * (dof - 1))
@@ -164,7 +175,8 @@ class TestCollect:
         settings = sample_settings(2, 5, seed=8)
         a = collect(ghz_state(2), settings, 32, seed=9)
         b = collect(ghz_state(2), settings, 32, seed=9)
-        assert a.counts == b.counts
+        assert len(a.counts) == len(b.counts)
+        assert all(np.array_equal(x, y) for x, y in zip(a.counts, b.counts))
 
 
 class TestHammingKernel:
@@ -294,14 +306,12 @@ class TestEstimatePurity:
         # shots {0,1} in one setting: ordered distinct pairs give -1/2 each,
         # so the single-qubit U-statistic is 2 * (-1/2) = -1
         ident = clifford_index(np.eye(2))
-        from qverify.randmeas import RandMeasDataset
-
         ds = RandMeasDataset(
             device_id="d",
             state_label="s",
             num_qubits=1,
             settings=[MeasurementSetting(0, clifford_indices=(ident,))],
-            counts=[{"0": 1, "1": 1}],
+            counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)],
             shots_per_setting=2,
         )
         est = estimate_purity(ds)
@@ -381,8 +391,6 @@ class TestEstimateFmax:
             prev = want
 
     def test_unreliable_flag_on_nonpositive_purity(self):
-        from qverify.randmeas import RandMeasDataset
-
         ident = clifford_index(np.eye(2))
         def rigged(dev):
             return RandMeasDataset(
@@ -390,12 +398,78 @@ class TestEstimateFmax:
                 state_label="s",
                 num_qubits=2,
                 settings=[MeasurementSetting(0, clifford_indices=(ident, ident))],
-                counts=[{"00": 1, "01": 1}],
+                counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)],
                 shots_per_setting=2,
             )
         est = estimate_fmax(rigged("a"), rigged("b"))
         assert est.unreliable
         assert est.purity_1 < 0
+
+
+class TestStringKeyedOracle:
+    """The integer-array estimators equal the bitstring-keyed oracle bit for bit."""
+
+    @pytest.mark.parametrize("ensemble", ["clifford", "haar"])
+    def test_estimators_match_exactly(self, ensemble):
+        rng = make_rng(14, "string-oracle", ensemble)
+        ghz = ghz_state(3)
+        states = (ghz, random_pure_state(3, rng), random_density_state(3, rng), ghz)
+        settings = sample_settings(3, 12, seed=15, ensemble=ensemble)
+        # the first and last datasets share device id and state label (a tie);
+        # the copy has the first one's counts under another label
+        ds = [
+            collect(st, settings, 24, seed=16 + k, device_id=dev, state_label="s")
+            for k, (st, dev) in enumerate(zip(states, "abca"))
+        ]
+        ds.append(replace(ds[0], state_label="t", counts=[c.copy() for c in ds[0].counts]))
+        assert bitstring_counts(ds[0]) != bitstring_counts(ds[3])
+        for sub in (None, (0,), (2, 0), (1, 2)):
+            for d1 in ds:
+                assert estimate_purity(d1, sub) == string_overlap(d1, d1, sub)
+                assert np.array_equal(_purity_terms(d1, sub), string_purity_terms(d1, sub))
+                for d2 in ds:
+                    assert estimate_overlap(d1, d2, sub) == string_overlap(d1, d2, sub)
+                    assert estimate_fmax(d1, d2, sub) == string_fmax(d1, d2, sub)
+
+    def test_tie_keeps_the_string_order_of_purities(self):
+        ident = clifford_index(np.eye(2))
+        settings = [MeasurementSetting(u, clifford_indices=(ident,)) for u in range(3)]
+
+        def dataset(rows):
+            counts = [np.array(r, dtype=np.int64) for r in rows]
+            return RandMeasDataset("d", "s", 1, settings, counts, 16)
+
+        # "{'0': 10" sorts before "{'0': 9" although 9 < 10
+        ten = dataset([[[0, 10], [1, 6]], [[0, 8], [1, 8]], [[0, 16]]])
+        nine = dataset([[[0, 9], [1, 7]], [[0, 8], [1, 8]], [[0, 16]]])
+        first = estimate_purity(ten).value
+        assert first != estimate_purity(nine).value
+        for a, b in ((ten, nine), (nine, ten)):
+            est = estimate_fmax(a, b)
+            assert est == string_fmax(a, b)
+            assert est.purity_1 == first
+
+
+class TestDatasetValidate:
+    @pytest.mark.parametrize(
+        "rows,match",
+        [
+            (np.array([[0, 1], [1, 1]], dtype=np.int32), "int64"),
+            (np.array([0, 2], dtype=np.int64), "int64"),
+            (np.array([[1, 1], [0, 1]], dtype=np.int64), "ascend"),
+            (np.array([[0, 1], [0, 1]], dtype=np.int64), "ascend"),
+            (np.array([[0, 1], [2, 1]], dtype=np.int64), "ascend"),
+            (np.array([[-1, 1], [0, 1]], dtype=np.int64), "ascend"),
+            (np.array([[0, 3], [1, -1]], dtype=np.int64), "negative"),
+            (np.array([[0, 1], [1, 2]], dtype=np.int64), "sum"),
+        ],
+    )
+    def test_rejects_malformed_counts(self, rows, match):
+        ident = clifford_index(np.eye(2))
+        setting = MeasurementSetting(0, clifford_indices=(ident,))
+        ds = RandMeasDataset("d", "s", 1, [setting], [rows], 2)
+        with pytest.raises(ValueError, match=match):
+            ds.validate()
 
 
 def plus_times_zero() -> QuantumState:

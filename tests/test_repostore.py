@@ -17,10 +17,12 @@ from qverify.randmeas import (
 from qverify.repostore import (
     DigestMismatchError,
     MalformedDatasetError,
+    RepoFormatError,
     Repository,
     UnsupportedVersionError,
     canonical_json,
     dataset_to_document,
+    document_digest,
     document_to_dataset,
     fnv1a64,
     parse_dataset_document,
@@ -94,7 +96,7 @@ def tiny_dataset() -> RandMeasDataset:
         state_label="zero",
         num_qubits=1,
         settings=[MeasurementSetting(0, clifford_indices=(5,))],
-        counts=[{"0": 1, "1": 1}],
+        counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)],
         shots_per_setting=2,
         provenance={"seed": 7},
     )
@@ -120,7 +122,8 @@ class TestSerialization:
         text = serialize_dataset(ds)
         back = document_to_dataset(parse_dataset_document(text))
         assert serialize_dataset(back) == text
-        assert back.counts == ds.counts
+        assert len(back.counts) == len(ds.counts)
+        assert all(np.array_equal(a, b) for a, b in zip(back.counts, ds.counts))
         assert all(
             a.clifford_indices == b.clifford_indices
             for a, b in zip(back.settings, ds.settings)
@@ -147,6 +150,63 @@ class TestSerialization:
         doc = dataset_to_document(tiny_dataset())
         doc["counts"][0][0][1] = 99
         with pytest.raises(MalformedDatasetError, match="setting 0"):
+            parse_dataset_document(canonical_json(doc))
+
+    def test_counts_parsed_to_sorted_index_rows(self):
+        # a document may list outcomes in any order; the dataset holds them
+        # ascending, qubit 0 as the high bit
+        ds = collect(ghz_state(2), sample_settings(2, 3, seed=1), 32, seed=2)
+        doc = dataset_to_document(ds)
+        doc["counts"] = [list(reversed(block)) for block in doc["counts"]]
+        doc["digest"] = document_digest(doc)
+        back = document_to_dataset(parse_dataset_document(canonical_json(doc)))
+        for block, rows in zip(doc["counts"], back.counts):
+            assert rows.dtype == np.int64
+            assert rows.tolist() == sorted([int(bits, 2), cnt] for bits, cnt in block)
+        assert serialize_dataset(back) == serialize_dataset(ds)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("device_id", 7),
+            ("state_label", None),
+            ("num_qubits", True),
+            ("num_qubits", 1.0),
+            ("num_qubits", 64),
+            ("shots_per_setting", True),
+            ("shots_per_setting", 2.0),
+            ("provenance", [["seed", 7]]),
+            ("settings", {"0": [5]}),
+            ("counts", "01"),
+            ("format_version", True),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        doc = dataset_to_document(tiny_dataset())
+        doc[field] = value
+        doc["digest"] = document_digest(doc)
+        with pytest.raises(RepoFormatError):
+            parse_dataset_document(canonical_json(doc))
+
+    @pytest.mark.parametrize(
+        "counts,settings",
+        [
+            ([[["0", True], ["1", 1]]], [[5]]),
+            ([[["0", 1.0], ["1", 1]]], [[5]]),
+            ([[[0, 1], ["1", 1]]], [[5]]),
+            ([[["0", 1, 0]]], [[5]]),
+            ([["01"]], [[5]]),
+            ([{"0": 2}], [[5]]),
+            ([[["0", 1], ["1", 1]]], [5]),
+            ([[["0", 1], ["1", 1]]], [[5.0]]),
+            ([[["0", 1], ["1", 1]]], [["5"]]),
+        ],
+    )
+    def test_mistyped_counts_or_settings_rejected(self, counts, settings):
+        doc = dataset_to_document(tiny_dataset())
+        doc["counts"], doc["settings"] = counts, settings
+        doc["digest"] = document_digest(doc)
+        with pytest.raises(MalformedDatasetError):
             parse_dataset_document(canonical_json(doc))
 
     def test_unsupported_version(self):
@@ -253,6 +313,36 @@ class TestRepository:
         se = repo.compare(ids[0], ids[2])["estimates"][0]["se_fmax"]
         assert abs(m[0][2]) < 5 * se
         assert report["errors"] == {}
+
+    def test_matrix_loads_each_id_once(self, repo, tmp_path, monkeypatch):
+        settings = sample_settings(1, 6, seed=34)
+        ids = []
+        for seed in (35, 36, 37):
+            ds = collect(zero_state(1), settings, 8, seed=seed)
+            ids.append(repo.ingest(write_dataset(tmp_path, ds, f"{seed}.json")))
+        calls = []
+        real_load = Repository.load
+
+        def spy(self, ds_id):
+            calls.append(ds_id)
+            return real_load(self, ds_id)
+
+        monkeypatch.setattr(Repository, "load", spy)
+        unknown = "0" * 16
+        report = repo.compare_matrix(ids + [unknown, ids[0]])
+        assert sorted(calls) == sorted(ids + [unknown])
+        assert report["matrix"][0][4] == report["matrix"][4][4] == 1.0
+        # every pair holding the unknown id records its load error, once
+        message = str(KeyError(f"unknown dataset id {unknown!r}"))
+        want = {f"{a},{unknown}": message for a in ids} | {f"{unknown},{unknown}": message}
+        want[f"{unknown},{ids[0]}"] = message
+        assert report["errors"] == want
+
+    def test_matrix_both_ids_failing_reports_the_first(self, repo):
+        first, second = "0" * 16, "1" * 16
+        report = repo.compare_matrix([first, second])
+        message = str(KeyError(f"unknown dataset id {first!r}"))
+        assert report["errors"][f"{first},{second}"] == message
 
     def test_rebuild_index_matches(self, repo, tmp_path):
         d1 = collect(zero_state(1), sample_settings(1, 4, seed=5), 8, seed=6, device_id="a")
