@@ -22,10 +22,15 @@ code   category        meaning
 
 Failures print one JSON object to stderr: ``{"error": {"category", "message"}}``.
 
+Reports: each handler returns a ``Report``; ``dispatch`` writes it once.
+The ``config`` header of every file holds the command path, ``--seed``,
+``--out`` and every other flag as ``parameters`` (with the values the
+handler resolved).  JSON and JSON-lines bodies write non-finite floats as
+``null``; CSV cells and the human summary print them as ``nan``.
+
 Seeds: one global ``--seed`` per invocation.  Every stochastic subtask
-draws an independent integer from ``make_rng(seed, "cli", <labels...>)``
-(see ``_split``), so subtasks can be reordered or parallelized without
-perturbing each other.
+draws an independent integer ``child_seed(seed, "cli", <labels...>)``, so
+subtasks can be reordered or parallelized without perturbing each other.
 
 Config files: ``qverify --config FILE [extra args...]`` loads a JSON
 object ``{"command": [...], "arguments": [...], "parameters": {...}}``
@@ -45,7 +50,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +93,10 @@ from .repostore import (
     canonical_json,
     dataset_to_document,
     fidelity_to_dict,
+    json_safe,
     load_dataset_text,
 )
-from .rng import GENERATOR_ID, make_rng
+from .rng import GENERATOR_ID, child_seed, make_rng
 from .verifyproto import (
     BasisGuessProver,
     HonestProver,
@@ -133,36 +139,22 @@ config file:  qverify --config FILE [overrides...]   (JSON: command/arguments/pa
 """
 
 
-class CheckFailed(Exception):
-    """A reproduce run completed but missed a stated tolerance."""
+@dataclass
+class Report:
+    """What a handler returns; ``dispatch`` writes and prints it."""
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Echoed verbatim into the header of every output file."""
-
-    command: str
-    parameters: dict
-    seed: int | None
-    out_dir: str
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "out": self.out_dir,
-            "generator": GENERATOR_ID,
-        }
+    body: dict
+    columns: list[str]
+    rows: list[list]
+    human: list[str]
+    # flag values the handler resolved or renamed, echoed in the config
+    parameters: dict = field(default_factory=dict)
+    jsonl: list[dict] | None = None
+    failed_check: str | None = None  # message of a missed tolerance (exit 5)
 
 
 # --------------------------------------------------------------------------
 # small parsers and emission helpers
-
-
-def _split(seed: int, *labels) -> int:
-    """Deterministic per-subtask integer seed derived from the global one."""
-    return int(make_rng(seed, "cli", *labels).integers(0, 2**63))
 
 
 def _parse_lattice(text: str) -> tuple[int, int]:
@@ -227,9 +219,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_text(cfg: RunConfig, columns: list[str], rows: list[list]) -> str:
+def _csv_text(config: dict, columns: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    buf.write(f"# config: {canonical_json(cfg.as_dict())}\n")
+    buf.write(f"# config: {canonical_json(config)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
@@ -237,41 +229,25 @@ def _csv_text(cfg: RunConfig, columns: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(
-    cfg: RunConfig,
-    stem: str,
-    argv: list[str],
-    *,
-    body: dict | None = None,
-    columns: list[str] | None = None,
-    rows: list[list] | None = None,
-    jsonl: list[dict] | None = None,
-) -> list[Path]:
-    """Write the paired machine reports (atomic) plus a timestamp sidecar."""
-    out = Path(cfg.out_dir)
-    paths: list[Path] = []
-    if body is not None:
-        payload = {"config": cfg.as_dict(), **body}
-        paths.append(out / f"{stem}.json")
-        atomic_write_text(paths[-1], canonical_json(payload) + "\n")
-    if columns is not None:
-        paths.append(out / f"{stem}.csv")
-        atomic_write_text(paths[-1], _csv_text(cfg, columns, rows or []))
-    if jsonl is not None:
-        lines = [canonical_json({"config": cfg.as_dict()})]
-        lines += [canonical_json(rec) for rec in jsonl]
+def _emit(config: dict, stem: str, argv: list[str], report: Report) -> None:
+    """Write the paired machine reports (atomic) plus a timestamp sidecar.
+
+    Non-finite floats are null in the JSON and JSON-lines text; CSV cells
+    print them as nan."""
+    config = json_safe(config)
+    out = Path(config["out"])
+    paths = [out / f"{stem}.json", out / f"{stem}.csv"]
+    atomic_write_text(paths[0], canonical_json({"config": config, **json_safe(report.body)}) + "\n")
+    atomic_write_text(paths[1], _csv_text(config, report.columns, report.rows))
+    if report.jsonl is not None:
+        lines = [canonical_json({"config": config})]
+        lines += [canonical_json(json_safe(rec)) for rec in report.jsonl]
         paths.append(out / f"{stem}.jsonl")
         atomic_write_text(paths[-1], "\n".join(lines) + "\n")
-    meta = {
-        "config": cfg.as_dict(),
-        "created_unix": time.time(),
-        "argv": list(argv),
-    }
-    meta_path = out / f"{stem}.meta.json"
-    atomic_write_text(meta_path, json.dumps(meta, sort_keys=True) + "\n")
+    meta = {"config": config, "created_unix": time.time(), "argv": list(argv)}
+    atomic_write_text(out / f"{stem}.meta.json", json.dumps(meta, sort_keys=True) + "\n")
     for p in paths:
         print(f"wrote {p}")
-    return paths
 
 
 def _hubbard_ground_state(lattice: str, j: float, u: float, nup: int, ndown: int):
@@ -306,33 +282,30 @@ def _solution_distance(result, c_true: np.ndarray) -> float:
 # hamlearn
 
 
-def _cmd_hamlearn_run(args, argv) -> int:
+_CURVE_COLUMNS = ["control", "median_distance", "q25", "q75", "gap", "smallest_singular_value"]
+
+
+def _cmd_hamlearn_run(args) -> Report:
     shots = _parse_shots(args.shots)
+    shots_label = "exact" if shots is None else shots
     lat, energy, state = _hubbard_ground_state(args.lattice, args.j, args.u, args.nup, args.ndown)
     op_basis = build_operator_basis(lat)
     n_constraints = args.constraints if args.constraints > 0 else op_basis.m
-    cfg = RunConfig(
-        "hamlearn run",
-        {
-            "lattice": args.lattice,
-            "j": args.j,
-            "u": args.u,
-            "nup": args.nup,
-            "ndown": args.ndown,
-            "constraints": n_constraints,
-            "shots": "exact" if shots is None else shots,
-        },
-        args.seed,
-        args.out,
-    )
     constraints = build_constraints(
-        state, op_basis, n_constraints, shuffle_seed=_split(args.seed, "hamlearn", "constraints")
+        state,
+        op_basis,
+        n_constraints,
+        shuffle_seed=child_seed(args.seed, "cli", "hamlearn", "constraints"),
     )
     if shots is None:
         km = k_matrix_exact(state, op_basis, constraints)
     else:
         km = k_matrix_sampled(
-            state, op_basis, constraints, shots, seed=_split(args.seed, "hamlearn", "shots")
+            state,
+            op_basis,
+            constraints,
+            shots,
+            seed=child_seed(args.seed, "cli", "hamlearn", "shots"),
         )
     result = reconstruct(km)
     c_true = op_basis.coefficient_vector()
@@ -342,7 +315,7 @@ def _cmd_hamlearn_run(args, argv) -> int:
     body = {
         "ground_energy": float(energy),
         "n_constraints": n_constraints,
-        "shots": "exact" if shots is None else shots,
+        "shots": shots_label,
         "distance": distance,
         "gap": float(result.gap),
         "smallest_singular_value": smallest,
@@ -351,87 +324,60 @@ def _cmd_hamlearn_run(args, argv) -> int:
         "true_coefficients": [float(c) for c in c_true],
         "degenerate": bool(result.degenerate),
     }
-    _emit(
-        cfg,
-        "hamlearn_run",
-        argv,
-        body=body,
-        columns=["control", "median_distance", "q25", "q75", "gap", "smallest_singular_value"],
-        rows=rows,
-    )
     mode = "exact" if shots is None else f"{shots} shots/entry"
-    print(
-        f"{args.lattice} lattice (J={args.j}, U={args.u}): ground energy {_num(energy, '.9f')}; "
-        f"{op_basis.m} couplings from {n_constraints} constraints ({mode})"
-    )
     target = "recovered solution span" if result.degenerate else "recovered couplings"
-    print(
+    human = [
+        f"{args.lattice} lattice (J={args.j}, U={args.u}): ground energy {_num(energy, '.9f')}; "
+        f"{op_basis.m} couplings from {n_constraints} constraints ({mode})",
         f"distance from true couplings to {target}: {_num(distance, '.3e')}; "
-        f"spectrum gap {_num(result.gap, '.3e')}"
+        f"spectrum gap {_num(result.gap, '.3e')}",
+    ]
+    return Report(
+        body, _CURVE_COLUMNS, rows, human, {"constraints": n_constraints, "shots": shots_label}
     )
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # randmeas
 
 
-def _cmd_randmeas_collect(args, argv) -> int:
+def _cmd_randmeas_collect(args) -> Report:
     state = _state_arg(args.state, args.seed, "randmeas")
     settings_seed = (
         args.settings_seed
         if args.settings_seed is not None
-        else _split(args.seed, "randmeas", "settings")
-    )
-    cfg = RunConfig(
-        "randmeas collect",
-        {
-            "state": args.state,
-            "nu": args.nu,
-            "nm": args.nm,
-            "ensemble": args.ensemble,
-            "device_id": args.device_id,
-            "settings_seed": settings_seed,
-        },
-        args.seed,
-        args.out,
+        else child_seed(args.seed, "cli", "randmeas", "settings")
     )
     settings = sample_settings(state.num_qubits, args.nu, seed=settings_seed, ensemble=args.ensemble)
     ds = collect(
         state,
         settings,
         args.nm,
-        seed=_split(args.seed, "randmeas", "shots"),
+        seed=child_seed(args.seed, "cli", "randmeas", "shots"),
         device_id=args.device_id,
         state_label=args.state,
     )
     doc = dataset_to_document(ds)
-    digest = doc["digest"]
     ds_path = Path(args.out) / f"dataset-{args.device_id}.json"
     atomic_write_text(ds_path, canonical_json(doc) + "\n")
     print(f"wrote {ds_path}")
     body = {
         "dataset": str(ds_path),
-        "digest": digest,
+        "digest": doc["digest"],
         "device_id": args.device_id,
         "num_qubits": state.num_qubits,
         "ensemble": args.ensemble,
         "n_settings": args.nu,
         "shots_per_setting": args.nm,
     }
-    _emit(
-        cfg,
-        "randmeas_collect",
-        argv,
-        body=body,
-        columns=["digest", "device_id", "ensemble", "num_qubits", "n_settings", "shots_per_setting"],
-        rows=[[digest, args.device_id, args.ensemble, state.num_qubits, args.nu, args.nm]],
-    )
-    print(
+    columns = ["digest", "device_id", "ensemble", "num_qubits", "n_settings", "shots_per_setting"]
+    human = [
         f"collected {args.nu} x {args.nm} randomized measurements ({args.ensemble}) "
-        f"of {args.state} on {state.num_qubits} qubits: dataset {digest}"
+        f"of {args.state} on {state.num_qubits} qubits: dataset {doc['digest']}"
+    ]
+    return Report(
+        body, columns, [[body[c] for c in columns]], human, {"settings_seed": settings_seed}
     )
-    return EXIT_OK
 
 
 _FIDELITY_COLUMNS = [
@@ -466,119 +412,71 @@ def _fidelity_row(est: dict) -> list:
     ]
 
 
-def _cmd_randmeas_compare(args, argv) -> int:
+def _cmd_randmeas_compare(args) -> Report:
     sub = _parse_subsystem(args.subsystem)
-    cfg = RunConfig(
-        "randmeas compare",
-        {"file_1": args.file_1, "file_2": args.file_2, "subsystem": _subsystem_label(sub)},
-        None,
-        args.out,
-    )
     ds1, digest1 = load_dataset_text(Path(args.file_1).read_text(encoding="utf-8"))
     ds2, digest2 = load_dataset_text(Path(args.file_2).read_text(encoding="utf-8"))
     est = fidelity_to_dict(estimate_fmax(ds1, ds2, sub))
     body = {"digest_1": digest1, "digest_2": digest2, "estimate": est}
-    _emit(
-        cfg,
-        "randmeas_compare",
-        argv,
-        body=body,
-        columns=_FIDELITY_COLUMNS,
-        rows=[_fidelity_row(est)],
-    )
     a, b = est["devices"]
-    print(
+    human = [
         f"Fmax({a}, {b}) = {_num(est['fmax'], '.6f')} +/- {_num(est['se_fmax'], '.6f')} "
         f"[{_subsystem_label(sub)}] from {est['n_settings']} shared settings"
+    ]
+    return Report(
+        body, _FIDELITY_COLUMNS, [_fidelity_row(est)], human, {"subsystem": _subsystem_label(sub)}
     )
-    return EXIT_OK
 
 
-def _cmd_randmeas_exact(args, argv) -> int:
+def _cmd_randmeas_exact(args) -> Report:
     state1 = _state_arg(args.state, args.seed, "randmeas", "1")
     state2 = _state_arg(args.state2, args.seed, "randmeas", "2") if args.state2 else state1
     sub = _parse_subsystem(args.subsystem)
-    cfg = RunConfig(
-        "randmeas exact",
-        {
-            "state": args.state,
-            "state2": args.state2 or args.state,
-            "ensemble": args.ensemble,
-            "subsystem": _subsystem_label(sub),
-            "nu": args.nu,
-        },
-        args.seed,
-        args.out,
-    )
     est = exact_mode_overlap(
         state1,
         state2,
         ensemble=args.ensemble,
         subsystem=sub,
         n_settings=args.nu,
-        seed=_split(args.seed, "randmeas", "settings") if args.nu else None,
+        seed=child_seed(args.seed, "cli", "randmeas", "settings") if args.nu else None,
     )
-    se = None if est.std_error is None else float(est.std_error)
-    body = {
-        "value": float(est.value),
-        "std_error": se,
-        "n_settings": est.n_settings,
-    }
-    _emit(
-        cfg,
-        "randmeas_exact",
-        argv,
-        body=body,
-        columns=["subsystem", "value", "std_error", "n_settings"],
-        rows=[[_subsystem_label(sub), float(est.value), se, est.n_settings]],
-    )
+    se = est.std_error
+    body = {"value": float(est.value), "std_error": se, "n_settings": est.n_settings}
     detail = "ensemble-exact" if se is None else f"std error {_num(se, '.3e')}, {est.n_settings} settings"
-    print(f"exact mode overlap [{_subsystem_label(sub)}] = {_num(est.value, '.12f')} ({detail})")
-    return EXIT_OK
-
-
-def _cmd_randmeas_scaling(args, argv) -> int:
-    n_list = [int(tok) for tok in args.n_list.replace(" ", "").split(",") if tok]
-    cfg = RunConfig(
-        "randmeas scaling",
-        {
-            "n_list": n_list,
-            "target": args.target,
-            "nm": args.nm,
-            "ensemble": args.ensemble,
-            "repetitions": args.repetitions,
-        },
-        args.seed,
-        args.out,
+    human = [f"exact mode overlap [{_subsystem_label(sub)}] = {_num(est.value, '.12f')} ({detail})"]
+    return Report(
+        body,
+        ["subsystem", "value", "std_error", "n_settings"],
+        [[_subsystem_label(sub), float(est.value), se, est.n_settings]],
+        human,
+        {"state2": args.state2 or args.state, "subsystem": _subsystem_label(sub)},
     )
+
+
+def _cmd_randmeas_scaling(args) -> Report:
+    n_list = [int(tok) for tok in args.n_list.replace(" ", "").split(",") if tok]
     result = scaling_probe(
         n_list,
         error_target=args.target,
         ensemble=args.ensemble,
         seeds=tuple(range(args.repetitions)),
         n_m=args.nm,
-        seed=_split(args.seed, "randmeas", "scaling"),
+        seed=child_seed(args.seed, "cli", "randmeas", "scaling"),
     )
-    rows = [[p.num_qubits, p.n_u, p.n_m, p.budget, p.median_error] for p in result.points]
+    columns = ["num_qubits", "n_u", "n_m", "budget", "median_error"]
+    points = [asdict(p) for p in result.points]
     body = {
         "exponent": float(result.exponent),
         "error_target": float(result.error_target),
         "ensemble": result.ensemble,
-        "points": [asdict(p) for p in result.points],
+        "points": points,
     }
-    _emit(
-        cfg,
-        "randmeas_scaling",
-        argv,
-        body=body,
-        columns=["num_qubits", "n_u", "n_m", "budget", "median_error"],
-        rows=rows,
-    )
-    print(
+    human = [
         f"measurement budget for error {args.target} grows as 2^({_num(result.exponent, '.2f')} n) "
         f"over n = {n_list} ({args.ensemble} ensemble)"
-    )
-    return EXIT_OK
+    ]
+    rows = [[p[c] for c in columns] for p in points]
+    return Report(body, columns, rows, human, {"n_list": n_list})
 
 
 # --------------------------------------------------------------------------
@@ -592,87 +490,53 @@ def _repo_root(args) -> Path:
     return Path(env) if env else Path(DEFAULT_REPO_ROOT)
 
 
-def _cmd_repo_ingest(args, argv) -> int:
+def _cmd_repo_ingest(args) -> Report:
     root = _repo_root(args)
-    cfg = RunConfig("repo ingest", {"file": args.file, "root": str(root)}, None, args.out)
     ds_id = Repository(root).ingest(args.file)
-    _emit(
-        cfg,
-        "repo_ingest",
-        argv,
-        body={"id": ds_id, "file": args.file, "root": str(root)},
-        columns=["id", "file"],
-        rows=[[ds_id, args.file]],
-    )
-    print(f"ingested {args.file} into {root} as {ds_id}")
-    return EXIT_OK
+    body = {"id": ds_id, "file": args.file, "root": str(root)}
+    human = [f"ingested {args.file} into {root} as {ds_id}"]
+    return Report(body, ["id", "file"], [[ds_id, args.file]], human, {"root": str(root)})
 
 
-def _cmd_repo_list(args, argv) -> int:
+def _cmd_repo_list(args) -> Report:
     root = _repo_root(args)
-    cfg = RunConfig("repo list", {"root": str(root)}, None, args.out)
     entries = Repository(root).list_datasets()
     columns = ["id", "device_id", "state_label", "ensemble", "num_qubits", "n_settings", "shots_per_setting"]
+    human = [f"{len(entries)} dataset(s) in {root}"] + [
+        f"  {e['id']}  {e['device_id']:<12} {e['state_label']:<12} "
+        f"{e['ensemble']:<9} n={e['num_qubits']} NU={e['n_settings']} NM={e['shots_per_setting']}"
+        for e in entries
+    ]
     rows = [[e[c] for c in columns] for e in entries]
-    _emit(cfg, "repo_list", argv, body={"root": str(root), "datasets": entries}, columns=columns, rows=rows)
-    print(f"{len(entries)} dataset(s) in {root}")
-    for e in entries:
-        print(
-            f"  {e['id']}  {e['device_id']:<12} {e['state_label']:<12} "
-            f"{e['ensemble']:<9} n={e['num_qubits']} NU={e['n_settings']} NM={e['shots_per_setting']}"
-        )
-    return EXIT_OK
+    body = {"root": str(root), "datasets": entries}
+    return Report(body, columns, rows, human, {"root": str(root)})
 
 
-def _cmd_repo_compare(args, argv) -> int:
+def _cmd_repo_compare(args) -> Report:
     root = _repo_root(args)
-    subs = [_parse_subsystem(s) for s in args.subsystem] if args.subsystem else None
-    cfg = RunConfig(
-        "repo compare",
-        {
-            "id_1": args.id_1,
-            "id_2": args.id_2,
-            "root": str(root),
-            "subsystems": [
-                _subsystem_label(s) for s in (subs if subs is not None else [None])
-            ],
-        },
-        None,
-        args.out,
-    )
+    subs = [_parse_subsystem(s) for s in args.subsystems] if args.subsystems else None
     report = Repository(root).compare(args.id_1, args.id_2, subsystems=subs)
     rows = [_fidelity_row(est) for est in report["estimates"]]
-    _emit(cfg, "repo_compare", argv, body=report, columns=_FIDELITY_COLUMNS, rows=rows)
-    for est in report["estimates"]:
-        sub = est.get("subsystem")
-        label = _subsystem_label(tuple(sub) if sub is not None else None)
-        print(
-            f"Fmax[{label}]({est['devices'][0]}, {est['devices'][1]}) = "
-            f"{_num(est['fmax'], '.6f')} +/- {_num(est['se_fmax'], '.6f')}"
-        )
-    return EXIT_OK
+    human = [
+        f"Fmax[{row[0]}]({est['devices'][0]}, {est['devices'][1]}) = "
+        f"{_num(est['fmax'], '.6f')} +/- {_num(est['se_fmax'], '.6f')}"
+        for row, est in zip(rows, report["estimates"])
+    ]
+    labels = [_subsystem_label(s) for s in (subs if subs is not None else [None])]
+    return Report(report, _FIDELITY_COLUMNS, rows, human, {"root": str(root), "subsystems": labels})
 
 
-def _cmd_repo_matrix(args, argv) -> int:
+def _cmd_repo_matrix(args) -> Report:
     root = _repo_root(args)
     sub = _parse_subsystem(args.subsystem)
-    cfg = RunConfig(
-        "repo matrix",
-        {"ids": list(args.ids), "root": str(root), "subsystem": _subsystem_label(sub)},
-        None,
-        args.out,
-    )
     report = Repository(root).compare_matrix(list(args.ids), subsystem=sub)
     columns = ["id"] + list(report["ids"])
-    rows = [
-        [ds_id] + [report["matrix"][i][j] for j in range(len(report["ids"]))]
-        for i, ds_id in enumerate(report["ids"])
-    ]
-    _emit(cfg, "repo_matrix", argv, body=report, columns=columns, rows=rows)
-    print(f"{len(report['ids'])} x {len(report['ids'])} Fmax matrix [{_subsystem_label(sub)}]")
-    for ds_id, row in zip(report["ids"], report["matrix"]):
-        print("  " + ds_id + "  " + "  ".join(_num(v, ".4f") for v in row))
-    return EXIT_OK
+    rows = [[ds_id] + list(row) for ds_id, row in zip(report["ids"], report["matrix"])]
+    human = [f"{len(report['ids'])} x {len(report['ids'])} Fmax matrix [{_subsystem_label(sub)}]"]
+    human += ["  " + row[0] + "  " + "  ".join(_num(v, ".4f") for v in row[1:]) for row in rows]
+    return Report(
+        report, columns, rows, human, {"root": str(root), "subsystem": _subsystem_label(sub)}
+    )
 
 
 # --------------------------------------------------------------------------
@@ -683,22 +547,14 @@ def _instance_ground_state(instance) -> QuantumState:
     return ground_state(instance.matrix(), QubitBasis(instance.num_qubits))[1]
 
 
-def _cmd_verify_run(args, argv) -> int:
-    if not 0.0 <= args.test_fraction <= 1.0:
-        raise ValueError(f"test fraction {args.test_fraction} outside [0, 1]")
+def _check_test_fraction(value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"test fraction {value} outside [0, 1]")
+
+
+def _cmd_verify_run(args) -> Report:
+    _check_test_fraction(args.test_fraction)
     instance = load_instance_text(Path(args.instance).read_text(encoding="utf-8"))
-    cfg = RunConfig(
-        "verify run",
-        {
-            "instance": args.instance,
-            "rounds": args.rounds,
-            "test_fraction": args.test_fraction,
-            "prover": args.prover,
-            "state": args.state,
-        },
-        args.seed,
-        args.out,
-    )
     if args.prover == "mixed":
         prover = MixedStateProver(instance.num_qubits)
     else:
@@ -717,13 +573,10 @@ def _cmd_verify_run(args, argv) -> int:
         prover,
         args.rounds,
         test_fraction=args.test_fraction,
-        seed=_split(args.seed, "verify", "run"),
+        seed=child_seed(args.seed, "cli", "verify", "run"),
         transcript_sink=transcripts.append,
     )
     rd = asdict(result)
-    rd["estimate"] = None if np.isnan(result.estimate) else float(result.estimate)
-    rd["std_error"] = None if np.isnan(result.std_error) else float(result.std_error)
-    rd["test_pass_rate"] = None if np.isnan(result.test_pass_rate) else float(result.test_pass_rate)
     if result.failure is not None:
         rd["failure"] = {
             "round_type": result.failure.round_type,
@@ -732,74 +585,39 @@ def _cmd_verify_run(args, argv) -> int:
             "outcomes": [int(o) for o in result.failure.outcomes],
         }
     body = {"verdict": "accept" if result.accepted else "reject", "result": rd}
-    _emit(
-        cfg,
-        "verify_run",
-        argv,
-        body=body,
-        columns=[
-            "accepted",
-            "estimate",
-            "std_error",
-            "midpoint",
-            "n_rounds",
-            "n_test_rounds",
-            "n_measurement_rounds",
-            "n_test_failures",
-        ],
-        rows=[
-            [
-                result.accepted,
-                result.estimate,
-                result.std_error,
-                result.midpoint,
-                result.n_rounds,
-                result.n_test_rounds,
-                result.n_measurement_rounds,
-                result.n_test_failures,
-            ]
-        ],
-        jsonl=transcripts,
-    )
+    columns = [
+        "accepted",
+        "estimate",
+        "std_error",
+        "midpoint",
+        "n_rounds",
+        "n_test_rounds",
+        "n_measurement_rounds",
+        "n_test_failures",
+    ]
     verdict = "ACCEPT" if result.accepted else "REJECT"
-    print(
+    human = [
         f"{verdict} ({args.prover} prover, {instance.num_qubits}+3 qubit commitments): "
         f"estimate {_num(result.estimate, '.6f')} +/- {_num(result.std_error, '.6f')} "
-        f"vs midpoint {_num(result.midpoint, '.6f')}"
-    )
-    print(
+        f"vs midpoint {_num(result.midpoint, '.6f')}",
         f"{result.n_test_rounds} test rounds ({result.n_test_failures} failures), "
-        f"{result.n_measurement_rounds} measurement rounds"
-    )
-    return EXIT_OK
+        f"{result.n_measurement_rounds} measurement rounds",
+    ]
+    return Report(body, columns, [[rd[c] for c in columns]], human, jsonl=transcripts)
 
 
-def _cmd_verify_delegate(args, argv) -> int:
-    if not 0.0 <= args.test_fraction <= 1.0:
-        raise ValueError(f"test fraction {args.test_fraction} outside [0, 1]")
-    basis = args.basis.lower()
+def _cmd_verify_delegate(args) -> Report:
+    _check_test_fraction(args.test_fraction)
     state = _state_arg(args.state, args.seed, "delegate")
     if not 0 <= args.qubit < state.num_qubits:
         raise ValueError(f"qubit {args.qubit} outside the {state.num_qubits}-qubit state")
-    cfg = RunConfig(
-        "verify delegate",
-        {
-            "state": args.state,
-            "basis": basis,
-            "rounds": args.rounds,
-            "qubit": args.qubit,
-            "test_fraction": args.test_fraction,
-        },
-        args.seed,
-        args.out,
-    )
     prover = HonestProver(state)
     records: list[dict] = []
     decoded_counts = {0: 0, 1: 0}
     n_test = n_pass = 0
     for r in range(args.rounds):
         rng = make_rng(args.seed, "cli", "delegate", r)
-        key = keygen(basis, rng=rng)
+        key = keygen(args.basis, rng=rng)
         kind = TEST_ROUND if rng.random() < args.test_fraction else MEASUREMENT_ROUND
         session = prover.open_round(key.table, args.qubit, (), rng)
         transcript, _ = finish_round(kind, key, session)
@@ -812,7 +630,7 @@ def _cmd_verify_delegate(args, argv) -> int:
             {
                 "round": r,
                 "type": transcript.round_type,
-                "basis": basis,
+                "basis": args.basis,
                 "key": transcript.key_label,
                 "image": transcript.image,
                 "outcomes": list(transcript.outcomes),
@@ -823,13 +641,13 @@ def _cmd_verify_delegate(args, argv) -> int:
     n_meas = args.rounds - n_test
     born = tv = None
     if state.num_qubits == 1:  # exact decoded statistics exist for one-qubit states only
-        dist = decoded_distribution(state, basis)
+        dist = decoded_distribution(state, args.basis)
         born = [float(dist[0]), float(dist[1])]
         if n_meas:
             freq = np.array([decoded_counts[0], decoded_counts[1]]) / n_meas
             tv = float(0.5 * np.abs(freq - dist).sum())
     body = {
-        "basis": basis,
+        "basis": args.basis,
         "qubit": args.qubit,
         "rounds": args.rounds,
         "n_test_rounds": n_test,
@@ -839,45 +657,27 @@ def _cmd_verify_delegate(args, argv) -> int:
         "born": born,
         "tv_distance": tv,
     }
-    _emit(
-        cfg,
-        "verify_delegate",
-        argv,
-        body=body,
-        columns=[
-            "basis",
-            "rounds",
-            "n_test_rounds",
-            "n_test_passed",
-            "decoded_0",
-            "decoded_1",
-            "born_0",
-            "born_1",
-            "tv_distance",
-        ],
-        rows=[
-            [
-                basis,
-                args.rounds,
-                n_test,
-                n_pass,
-                decoded_counts[0],
-                decoded_counts[1],
-                "" if born is None else born[0],
-                "" if born is None else born[1],
-                "" if tv is None else tv,
-            ]
-        ],
-        jsonl=records,
-    )
-    print(
-        f"delegated {n_meas} {basis.upper()}-basis measurement rounds and {n_test} test rounds "
-        f"({n_pass} passed) on qubit {args.qubit}"
-    )
-    print(f"decoded counts: 0 -> {decoded_counts[0]}, 1 -> {decoded_counts[1]}")
+    columns = [
+        "basis",
+        "rounds",
+        "n_test_rounds",
+        "n_test_passed",
+        "decoded_0",
+        "decoded_1",
+        "born_0",
+        "born_1",
+        "tv_distance",
+    ]
+    row = [args.basis, args.rounds, n_test, n_pass, decoded_counts[0], decoded_counts[1]]
+    row += [None, None] if born is None else born
+    human = [
+        f"delegated {n_meas} {args.basis.upper()}-basis measurement rounds and {n_test} test rounds "
+        f"({n_pass} passed) on qubit {args.qubit}",
+        f"decoded counts: 0 -> {decoded_counts[0]}, 1 -> {decoded_counts[1]}",
+    ]
     if tv is not None:
-        print(f"TV distance to exact decoded statistics: {_num(tv, '.4f')}")
-    return EXIT_OK
+        human.append(f"TV distance to exact decoded statistics: {_num(tv, '.4f')}")
+    return Report(body, columns, [row + [tv]], human, jsonl=records)
 
 
 # --------------------------------------------------------------------------
@@ -886,9 +686,6 @@ def _cmd_verify_delegate(args, argv) -> int:
 
 def _check(name: str, value: float, requirement: str, passed: bool) -> dict:
     return {"name": name, "value": value, "requirement": requirement, "pass": bool(passed)}
-
-
-_CURVE_COLUMNS = ["control", "median_distance", "q25", "q75", "gap", "smallest_singular_value"]
 
 
 def _curve_table(points) -> tuple[list[list], list[dict]]:
@@ -906,10 +703,10 @@ def _fig1b(seed: int):
     lat, _, state = _hubbard_ground_state("2x2", 1.0, 8.0, 2, 2)
     op_basis = build_operator_basis(lat)
     constraints = build_constraints(
-        state, op_basis, 24, shuffle_seed=_split(seed, "fig1b", "constraints")
+        state, op_basis, 24, shuffle_seed=child_seed(seed, "cli", "fig1b", "constraints")
     )
     grid = [100, 316, 1000, 3162, 10000]
-    reps = [_split(seed, "fig1b", "rep", i) for i in range(20)]
+    reps = [child_seed(seed, "cli", "fig1b", "rep", i) for i in range(20)]
     points = learning_curve(state, op_basis, shot_grid=grid, constraints=constraints, seeds=reps)
     slope = fit_loglog_slope(points)
     checks = [
@@ -927,7 +724,7 @@ def _fig1c(seed: int):
     op_basis = build_operator_basis(lat)
     engine = KRowEngine(state, op_basis)
     grid = [5, 16, 17, 18, 20]
-    seeds = [_split(seed, "fig1c", "sel", i) for i in range(300)]
+    seeds = [child_seed(seed, "cli", "fig1c", "sel", i) for i in range(300)]
     points = learning_curve(state, op_basis, constraint_grid=grid, seeds=seeds, engine=engine)
     medians = [p.median_distance for p in points]
     monotone = all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(medians, medians[1:]))
@@ -948,13 +745,15 @@ def _fig2c(seed: int):
     """Cross-device fidelities for two simulated GHZ(6) devices."""
     n, n_u, n_m = 6, 500, 512
     state = ghz_state(n)
-    settings = sample_settings(n, n_u, seed=_split(seed, "fig2c", "settings"), ensemble="clifford")
+    settings = sample_settings(
+        n, n_u, seed=child_seed(seed, "cli", "fig2c", "settings"), ensemble="clifford"
+    )
     datasets = [
         collect(
             state,
             settings,
             n_m,
-            seed=_split(seed, "fig2c", dev),
+            seed=child_seed(seed, "cli", "fig2c", dev),
             device_id=dev,
             state_label=f"ghz:{n}",
         )
@@ -1008,7 +807,7 @@ def _fig3(seed: int):
         for i, theta in enumerate(thetas):
             state = theta_state(float(theta))
             summary = delegate_rounds(
-                state, basis, n_rounds, seed=_split(seed, "fig3", basis, i)
+                state, basis, n_rounds, seed=child_seed(seed, "cli", "fig3", basis, i)
             )
             freq = np.array([summary.decoded_counts[0], summary.decoded_counts[1]]) / n_rounds
             born = decoded_distribution(state, basis)
@@ -1018,7 +817,11 @@ def _fig3(seed: int):
     failures = 0
     for basis in ("z", "x"):
         summary = delegate_rounds(
-            theta_state(0.8), basis, n_test, seed=_split(seed, "fig3", basis, "test"), round_type="test"
+            theta_state(0.8),
+            basis,
+            n_test,
+            seed=child_seed(seed, "cli", "fig3", basis, "test"),
+            round_type="test",
         )
         failures += summary.n_fail
     max_tv = max(tvs)
@@ -1047,22 +850,20 @@ _FIGURES = {
 }
 
 
-def _cmd_reproduce(args, argv) -> int:
-    cfg = RunConfig("reproduce", {"figure": args.figure}, args.seed, args.out)
+def _cmd_reproduce(args) -> Report:
     columns, rows, body, checks, human = _FIGURES[args.figure](args.seed)
     all_pass = all(c["pass"] for c in checks)
-    body = {**body, "checks": checks, "pass": all_pass}
-    stem = "reproduce_" + args.figure.replace("-", "_")
-    _emit(cfg, stem, argv, body=body, columns=columns, rows=rows)
-    for line in human:
-        print(line)
-    for c in checks:
-        status = "PASS" if c["pass"] else "FAIL"
-        print(f"  [{status}] {c['name']}: {_num(c['value'], '.6g')} ({c['requirement']})")
-    print(("PASS" if all_pass else "FAIL") + f": {args.figure}")
+    human = human + [
+        f"  [{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: "
+        f"{_num(c['value'], '.6g')} ({c['requirement']})"
+        for c in checks
+    ]
+    human.append(("PASS" if all_pass else "FAIL") + f": {args.figure}")
+    failed = None
     if not all_pass:
-        raise CheckFailed(f"{args.figure}: {sum(not c['pass'] for c in checks)} check(s) failed")
-    return EXIT_OK
+        failed = f"{args.figure}: {sum(not c['pass'] for c in checks)} check(s) failed"
+    body = {**body, "checks": checks, "pass": all_pass}
+    return Report(body, columns, rows, human, failed_check=failed)
 
 
 # --------------------------------------------------------------------------
@@ -1164,6 +965,8 @@ def build_parser() -> argparse.ArgumentParser:
     pcmp.add_argument(
         "--subsystem",
         action="append",
+        dest="subsystems",
+        metavar="SUBSYSTEM",
         default=None,
         help="comma-separated qubits; repeatable (default full)",
     )
@@ -1232,6 +1035,33 @@ def _expand_config(argv: list[str]) -> list[str]:
     return expanded + argv[2:]
 
 
+# namespace entries that are not run parameters
+_NOT_PARAMETERS = ("command", "subcommand", "handler", "seed", "out")
+
+
+def _command(args) -> str:
+    return f"{args.command} {args.subcommand}" if "subcommand" in args else args.command
+
+
+def _stem(args) -> str:
+    """Report file stem: the command path, plus the figure for ``reproduce``."""
+    stem = _command(args).replace(" ", "_")
+    return stem + "_" + args.figure.replace("-", "_") if "figure" in args else stem
+
+
+def _run_config(args, resolved: dict) -> dict:
+    """The ``config`` header of every report: every parsed flag, with the
+    values the handler resolved or renamed in place of the raw ones."""
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    return {
+        "command": _command(args),
+        "parameters": {**parameters, **resolved},
+        "seed": getattr(args, "seed", None),
+        "out": args.out,
+        "generator": GENERATOR_ID,
+    }
+
+
 def _report_error(code: int, message: str) -> None:
     category = ERROR_CATEGORIES.get(code, "internal-error")
     print(canonical_json({"error": {"category": category, "message": message}}), file=sys.stderr)
@@ -1252,10 +1082,14 @@ def dispatch(argv: list[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return code
     try:
-        return args.handler(args, argv)
-    except CheckFailed as exc:
-        _report_error(EXIT_CHECK, str(exc))
-        return EXIT_CHECK
+        report = args.handler(args)
+        _emit(_run_config(args, report.parameters), _stem(args), argv, report)
+        for line in report.human:
+            print(line)
+        if report.failed_check is not None:
+            _report_error(EXIT_CHECK, report.failed_check)
+            return EXIT_CHECK
+        return EXIT_OK
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         _report_error(EXIT_IO, str(exc))
         return EXIT_IO

@@ -187,17 +187,6 @@ class FermionBasis:
             self._state_down = np.tile(self.down_configs, self.n_up_configs)
         return self._state_down
 
-    def index_of(self, up_mask: int, down_mask: int) -> int:
-        iu = int(self._up_index[up_mask])
-        idn = int(self._down_index[down_mask])
-        if iu < 0 or idn < 0:
-            raise KeyError(f"configuration ({up_mask:b},{down_mask:b}) not in sector")
-        return iu * self.n_down_configs + idn
-
-    def occupations_of(self, index: int) -> tuple[int, int]:
-        iu, idn = divmod(index, self.n_down_configs)
-        return int(self.up_configs[iu]), int(self.down_configs[idn])
-
     def __repr__(self) -> str:
         lat = self.lattice
         return (

@@ -4,7 +4,6 @@ from .cliffords import (
     CLIFFORD_TABLE,
     NUM_CLIFFORDS,
     clifford_index,
-    clifford_unitary,
     phase_normalize,
 )
 from .dataset import RandMeasDataset, collect
@@ -30,7 +29,6 @@ __all__ = [
     "ScalingPoint",
     "ScalingResult",
     "clifford_index",
-    "clifford_unitary",
     "collect",
     "estimate_fmax",
     "estimate_overlap",

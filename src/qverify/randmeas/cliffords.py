@@ -66,12 +66,6 @@ CLIFFORD_TABLE: np.ndarray = _generate_table()
 NUM_CLIFFORDS: int = CLIFFORD_TABLE.shape[0]
 
 
-def clifford_unitary(index: int) -> np.ndarray:
-    if not 0 <= index < NUM_CLIFFORDS:
-        raise IndexError(f"Clifford index {index} out of range 0..{NUM_CLIFFORDS - 1}")
-    return CLIFFORD_TABLE[index]
-
-
 def clifford_index(u: np.ndarray, atol: float = 1e-9) -> int:
     """Look up the table index of ``u`` up to global phase."""
     v = phase_normalize(np.asarray(u, dtype=complex))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..qsim import QuantumState, ghz_state
-from ..rng import make_rng
+from ..rng import child_seed
 from .dataset import collect
 from .estimators import estimate_overlap
 from .settings import sample_settings
@@ -30,10 +30,6 @@ class ScalingResult:
     ensemble: str
 
 
-def _child_seed(seed: int, *path) -> int:
-    return int(make_rng(seed, *path).integers(2**63))
-
-
 def _median_error(
     state: QuantumState,
     exact: float,
@@ -46,9 +42,9 @@ def _median_error(
     n = state.num_qubits
     errs = []
     for rep in seeds:
-        settings = sample_settings(n, n_u, _child_seed(seed, "set", n, n_u, rep), ensemble)
-        ds1 = collect(state, settings, n_m, _child_seed(seed, "d1", n, n_u, rep), "dev1")
-        ds2 = collect(state, settings, n_m, _child_seed(seed, "d2", n, n_u, rep), "dev2")
+        settings = sample_settings(n, n_u, child_seed(seed, "set", n, n_u, rep), ensemble)
+        ds1 = collect(state, settings, n_m, child_seed(seed, "d1", n, n_u, rep), "dev1")
+        ds2 = collect(state, settings, n_m, child_seed(seed, "d2", n, n_u, rep), "dev2")
         errs.append(abs(estimate_overlap(ds1, ds2).value - exact))
     return float(np.median(errs))
 

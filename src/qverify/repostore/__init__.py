@@ -12,6 +12,7 @@ from .format import (
     document_digest,
     document_to_dataset,
     fnv1a64,
+    json_safe,
     load_dataset_text,
     parse_dataset_document,
     serialize_dataset,
@@ -32,6 +33,7 @@ __all__ = [
     "document_to_dataset",
     "fidelity_to_dict",
     "fnv1a64",
+    "json_safe",
     "load_dataset_text",
     "parse_dataset_document",
     "serialize_dataset",

@@ -85,6 +85,18 @@ def canonical_json(obj) -> str:
     raise MalformedDatasetError(f"unserializable value of type {type(obj).__name__}")
 
 
+def json_safe(value):
+    """Copy of a JSON value with tuples as lists and every non-finite float as
+    None, which ``canonical_json`` writes as null."""
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def document_digest(doc: dict) -> str:
     body = {k: v for k, v in doc.items() if k != "digest"}
     return format(fnv1a64(canonical_json(body).encode("utf-8")), "016x")
@@ -99,9 +111,7 @@ def _pairs_to_matrix(pairs) -> np.ndarray:
         raise MalformedDatasetError("explicit setting needs 4 [re, im] entries")
     vals = []
     for p in pairs:
-        if not isinstance(p, list) or len(p) != 2 or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in p
-        ):
+        if not isinstance(p, list) or len(p) != 2 or not all(is_number(x) for x in p):
             raise MalformedDatasetError("matrix entries must be [re, im] pairs")
         vals.append(float(p[0]) + 1j * float(p[1]))
     return np.array(vals, dtype=complex).reshape(2, 2)
@@ -164,19 +174,41 @@ _FIELD_TYPES = (
 )
 
 
-def _is_int(v) -> bool:
+def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def validate_document(doc: dict) -> None:
-    """Check every field's type and the counts invariants, then the digest."""
-    for key in _REQUIRED_KEYS:
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def parse_envelope(text: str, required: tuple[str, ...]) -> dict:
+    """Parse the envelope every file format shares: a JSON object with the
+    required keys and a supported integer ``format_version``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedDatasetError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedDatasetError("top level must be an object")
+    for key in required:
         if key not in doc:
             raise MalformedDatasetError(f"missing key {key!r}")
-    if not _is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
+    if not is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"format_version {doc['format_version']!r} unsupported (expected {FORMAT_VERSION})"
         )
+    return doc
+
+
+def check_digest(doc: dict) -> None:
+    want = document_digest(doc)
+    if doc["digest"] != want:
+        raise DigestMismatchError(f"digest {doc['digest']!r} != computed {want!r}")
+
+
+def _validate_fields(doc: dict) -> None:
+    """Check every field's type and the counts invariants."""
     for key, kind in _FIELD_TYPES:
         if not isinstance(doc[key], kind):
             got = type(doc[key]).__name__
@@ -184,10 +216,10 @@ def validate_document(doc: dict) -> None:
     if doc["ensemble"] not in ("clifford", "haar"):
         raise MalformedDatasetError(f"unknown ensemble tag {doc['ensemble']!r}")
     n = doc["num_qubits"]
-    if not _is_int(n) or not 1 <= n <= MAX_QUBITS:
+    if not is_int(n) or not 1 <= n <= MAX_QUBITS:
         raise MalformedDatasetError(f"bad num_qubits {n!r}")
     shots = doc["shots_per_setting"]
-    if not _is_int(shots):
+    if not is_int(shots):
         raise MalformedDatasetError(f"bad shots_per_setting {shots!r}")
     if len(doc["settings"]) != len(doc["counts"]):
         raise MalformedDatasetError(
@@ -195,7 +227,7 @@ def validate_document(doc: dict) -> None:
         )
     for u, spec in enumerate(doc["settings"]):
         if not isinstance(spec, list) or (
-            doc["ensemble"] == "clifford" and not all(_is_int(i) for i in spec)
+            doc["ensemble"] == "clifford" and not all(is_int(i) for i in spec)
         ):
             raise MalformedDatasetError(f"setting {u}: malformed spec {spec!r}")
     for u, block in enumerate(doc["counts"]):
@@ -212,26 +244,19 @@ def validate_document(doc: dict) -> None:
             if bits in seen:
                 raise MalformedDatasetError(f"setting {u}: duplicate bitstring {bits!r}")
             seen.add(bits)
-            if not _is_int(cnt) or cnt < 0:
+            if not is_int(cnt) or cnt < 0:
                 raise MalformedDatasetError(f"setting {u}: bad count {cnt!r}")
             total += cnt
         if total != shots:
             raise MalformedDatasetError(
                 f"setting {u}: counts sum {total} != shots_per_setting {shots}"
             )
-    want = document_digest(doc)
-    if doc["digest"] != want:
-        raise DigestMismatchError(f"digest {doc['digest']!r} != computed {want!r}")
 
 
 def parse_dataset_document(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDatasetError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedDatasetError("top level must be an object")
-    validate_document(doc)
+    doc = parse_envelope(text, _REQUIRED_KEYS)
+    _validate_fields(doc)
+    check_digest(doc)
     return doc
 
 

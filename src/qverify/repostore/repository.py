@@ -6,15 +6,16 @@ Layout under the root directory:
   datasets/<id>.json   canonical dataset files, id = content digest
   datasets/<id>.meta.json   ingestion timestamps (kept out of canonical data)
 
-Single-writer discipline: mutations take an advisory lock; readers never
-lock, which is safe because every write is atomic.
+The layout is created by the first ingest; a root that does not exist
+reads as an empty repository.  Single-writer discipline: mutations take an
+advisory lock; readers never lock, which is safe because every write is
+atomic.
 """
 
 from __future__ import annotations
 
 import fcntl
 import json
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -28,20 +29,13 @@ from .format import (
     canonical_json,
     dataset_ensemble,
     document_to_dataset,
+    json_safe,
     parse_dataset_document,
 )
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
 def fidelity_to_dict(est: FidelityEstimate) -> dict:
-    return {k: _json_safe(v) for k, v in asdict(est).items()}
+    return json_safe(asdict(est))
 
 
 class Repository:
@@ -50,12 +44,10 @@ class Repository:
         self.datasets_dir = self.root / "datasets"
         self.index_path = self.root / "index.json"
         self.log_path = self.root / "log.jsonl"
-        self.datasets_dir.mkdir(parents=True, exist_ok=True)
-        if not self.index_path.exists():
-            atomic_write_text(self.index_path, canonical_json({"datasets": {}}) + "\n")
 
     @contextmanager
     def _locked(self):
+        self.root.mkdir(parents=True, exist_ok=True)
         with open(self.root / ".lock", "a+") as fh:
             fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             try:
@@ -64,6 +56,8 @@ class Repository:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
     def _read_index(self) -> dict:
+        if not self.index_path.exists():
+            return {"datasets": {}}
         return json.loads(self.index_path.read_text(encoding="utf-8"))
 
     def _write_index(self, index: dict) -> None:
@@ -150,7 +144,7 @@ class Repository:
                 f"ensemble mismatch: {doc1['ensemble']} vs {doc2['ensemble']}"
             )
         estimates = [
-            {"subsystem": _json_safe(sub), **fidelity_to_dict(estimate_fmax(ds1, ds2, sub))}
+            {"subsystem": json_safe(sub), **fidelity_to_dict(estimate_fmax(ds1, ds2, sub))}
             for sub in (subsystems if subsystems is not None else [None])
         ]
         report = {
@@ -192,12 +186,15 @@ class Repository:
                     errors[f"{ids[i]},{ids[j]}"] = str(exc)
         report = {
             "ids": list(ids),
-            "subsystem": _json_safe(subsystem),
+            "subsystem": json_safe(subsystem),
             "matrix": matrix,
             "errors": errors,
         }
-        with self._locked():
-            self._log({"op": "compare_matrix", "ids": list(ids), "subsystem": _json_safe(subsystem)})
+        if self.root.is_dir():  # reading a missing root creates nothing
+            with self._locked():
+                self._log(
+                    {"op": "compare_matrix", "ids": list(ids), "subsystem": json_safe(subsystem)}
+                )
         return report
 
     def rebuild_index(self) -> dict:

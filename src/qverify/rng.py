@@ -46,6 +46,11 @@ def make_rng(seed: int | None, *path: object) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def child_seed(seed: int, *path: object) -> int:
+    """Independent integer seed for the sub-task ``path``, drawn from its stream."""
+    return int(make_rng(seed, *path).integers(0, 2**63))
+
+
 def rng_provenance(seed: int | None, *path: object) -> dict:
     """JSON-friendly record of how a stream was derived."""
     return {

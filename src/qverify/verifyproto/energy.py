@@ -12,7 +12,6 @@ threshold midpoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,11 @@ from ..repostore.format import (
     FORMAT_VERSION,
     MalformedDatasetError,
     canonical_json,
+    check_digest,
     document_digest,
+    is_int,
+    is_number,
+    parse_envelope,
 )
 from ..rng import make_rng
 from .functions import keygen
@@ -221,37 +224,41 @@ def serialize_instance(instance: HamiltonianInstance) -> str:
     return canonical_json(instance_to_document(instance)) + "\n"
 
 
+_INSTANCE_KEYS = (
+    "format_version",
+    "record_kind",
+    "num_qubits",
+    "terms",
+    "threshold_yes",
+    "threshold_no",
+    "digest",
+)
+
+
+def _is_term(t) -> bool:
+    return isinstance(t, dict) and isinstance(t.get("factors"), str) and is_number(t.get("coeff"))
+
+
 def parse_instance_document(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDatasetError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedDatasetError("instance document must be an object")
-    for field in ("format_version", "record_kind", "num_qubits", "terms",
-                  "threshold_yes", "threshold_no", "digest"):
-        if field not in doc:
-            raise MalformedDatasetError(f"missing field {field!r}")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise MalformedDatasetError(
-            f"unsupported format version {doc['format_version']!r}"
-        )
+    """Parse the dataset envelope, check every field's type, then the digest."""
+    doc = parse_envelope(text, _INSTANCE_KEYS)
     if doc["record_kind"] != "hamiltonian-instance":
         raise MalformedDatasetError(f"unexpected record kind {doc['record_kind']!r}")
-    expected = document_digest(doc)
-    if doc["digest"] != expected:
-        raise MalformedDatasetError(
-            f"digest mismatch: stored {doc['digest']}, computed {expected}"
-        )
+    if not is_int(doc["num_qubits"]):
+        raise MalformedDatasetError(f"bad num_qubits {doc['num_qubits']!r}")
+    if not isinstance(doc["terms"], list) or not all(_is_term(t) for t in doc["terms"]):
+        raise MalformedDatasetError("terms must be a list of {coeff: number, factors: str} objects")
+    for key in ("threshold_yes", "threshold_no"):
+        if not is_number(doc[key]):
+            raise MalformedDatasetError(f"{key} must be a number, not {doc[key]!r}")
+    check_digest(doc)
     return doc
 
 
 def document_to_instance(doc: dict) -> HamiltonianInstance:
-    terms = tuple(
-        PauliTerm(complex(t["coeff"]), str(t["factors"])) for t in doc["terms"]
-    )
+    terms = tuple(PauliTerm(complex(t["coeff"]), t["factors"]) for t in doc["terms"])
     return HamiltonianInstance(
-        num_qubits=int(doc["num_qubits"]),
+        num_qubits=doc["num_qubits"],
         terms=terms,
         threshold_yes=float(doc["threshold_yes"]),
         threshold_no=float(doc["threshold_no"]),

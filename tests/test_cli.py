@@ -277,6 +277,15 @@ class TestRandmeasCommands:
         assert len(body["points"]) == 2
         assert np.isfinite(body["exponent"])
 
+    def test_scaling_single_width_reports_nan_exponent(self, tmp_path, capsys):
+        # one width leaves the exponent undefined; it is data, where it used
+        # to exit 3 ("non-finite float nan not representable")
+        out = tmp_path / "sc"
+        argv = ["randmeas", "scaling", "--n-list", "2", "--repetitions", "2"]
+        assert dispatch(argv + ["--out", str(out)]) == 0
+        assert '"exponent":null' in (out / "randmeas_scaling.json").read_text()
+        assert "2^(nan n)" in capsys.readouterr().out
+
 
 class TestRepoCommands:
     @pytest.fixture()
@@ -375,6 +384,24 @@ class TestRepoCommands:
         assert sorted(root.rglob("*")) == before
         assert not (out / "rejected").exists()
 
+    def test_rejected_ingest_creates_no_repository(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        fresh = tmp_path / "fresh"
+        code = dispatch(["repo", "ingest", str(bad), "--root", str(fresh), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert not fresh.exists()
+
+    def test_reading_a_missing_root_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        out = tmp_path / "o"
+        assert dispatch(["repo", "list", "--root", str(missing), "--out", str(out)]) == 0
+        assert _read_json(out / "repo_list.json")["datasets"] == []
+        assert dispatch(["repo", "compare", "0" * 16, "1" * 16, "--root", str(missing), "--out", str(out)]) == 3
+        assert dispatch(["repo", "matrix", "0" * 16, "--root", str(missing), "--out", str(out)]) == 0
+        assert _read_json(out / "repo_matrix.json")["errors"]
+        assert not missing.exists()
+
     def test_root_flag_overrides_env(self, repo_env, tmp_path, capsys):
         _, out, _ = repo_env
         other = tmp_path / "other-root"
@@ -444,6 +471,32 @@ class TestVerifyCommands:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "width,field,value",
+        [
+            (4, "terms", 5),
+            (4, "terms", [5]),
+            (2, "terms", [{"coeff": True, "factors": "ZZ"}]),
+            (1, "num_qubits", True),
+            (2, "num_qubits", "2"),
+            (2, "threshold_yes", "-2"),
+        ],
+    )
+    def test_mistyped_instance_field_is_invalid_input(self, width, field, value, tmp_path, capsys):
+        # with the digest recomputed, the first two used to exit 1 and the
+        # rest were converted and run (exit 0)
+        terms = [PauliTerm(-1.0, "Z" * width), PauliTerm(-0.5, "X" + "I" * (width - 1))]
+        doc = json.loads(serialize_instance(HamiltonianInstance(width, tuple(terms), -2.0, -1.0)))
+        doc[field] = value
+        doc["digest"] = document_digest(doc)
+        path = tmp_path / "instance.json"
+        path.write_text(canonical_json(doc) + "\n")
+        out = tmp_path / "vr"
+        code = dispatch(["verify", "run", "--instance", str(path), "--rounds", "20", "--out", str(out)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
+        assert not out.exists()
 
     def test_delegate_transcripts_and_counts(self, tmp_path):
         out = tmp_path / "vd"
@@ -654,3 +707,100 @@ def test_seeded_output_matches_pinned_digest(name, instance_file, tmp_path):
     out = tmp_path / "out"
     assert dispatch(argv + ["--out", str(out)]) == 0
     assert _output_digest(out, stem) == expected
+
+
+@pytest.fixture(scope="module")
+def config_inputs(tmp_path_factory, two_datasets, instance_file) -> dict:
+    """Placeholder values for the argv of ``_CONFIG_RUNS``: input files and a
+    repository holding the two datasets."""
+    root = tmp_path_factory.mktemp("cfg") / "repo"
+    ids = []
+    for path in two_datasets:
+        out = root.parent / "ingest"
+        assert dispatch(["repo", "ingest", str(path), "--root", str(root), "--out", str(out)]) == 0
+        ids.append(_read_json(out / "repo_ingest.json")["id"])
+    return {
+        "file_1": str(two_datasets[0]),
+        "file_2": str(two_datasets[1]),
+        "instance": str(instance_file),
+        "root": str(root),
+        "id_1": ids[0],
+        "id_2": ids[1],
+    }
+
+
+# The full config header of one run of every subcommand, as recorded before
+# the header was derived from the parsed flags.  Upper-case names stand for
+# the placeholder values of ``config_inputs`` and for the --out directory.
+_CONFIG_RUNS = {
+    "hamlearn run": (
+        ["hamlearn", "run", "--nup", "1", "--shots", "300", "--seed", "3"],
+        {"command": "hamlearn run", "parameters": {"constraints": 4, "j": 1.0, "lattice": "1x2", "ndown": 1, "nup": 1, "shots": 300, "u": 8.0}, "seed": 3},
+    ),
+    "randmeas collect": (
+        ["randmeas", "collect", "--state", "ghz:2", "--nu", "5", "--nm", "8", "--seed", "4"],
+        {"command": "randmeas collect", "parameters": {"device_id": "device", "ensemble": "clifford", "nm": 8, "nu": 5, "settings_seed": 3913618977714074224, "state": "ghz:2"}, "seed": 4},
+    ),
+    "randmeas compare": (
+        ["randmeas", "compare", "{file_1}", "{file_2}", "--subsystem", "0, 1"],
+        {"command": "randmeas compare", "parameters": {"file_1": "FILE_1", "file_2": "FILE_2", "subsystem": "0 1"}, "seed": None},
+    ),
+    "randmeas exact": (
+        ["randmeas", "exact", "--state", "ghz:2", "--nu", "4"],
+        {"command": "randmeas exact", "parameters": {"ensemble": "clifford", "nu": 4, "state": "ghz:2", "state2": "ghz:2", "subsystem": "full"}, "seed": 0},
+    ),
+    "randmeas scaling": (
+        ["randmeas", "scaling", "--n-list", "2, 3", "--target", "0.5", "--repetitions", "1"],
+        {"command": "randmeas scaling", "parameters": {"ensemble": "clifford", "n_list": [2, 3], "nm": 64, "repetitions": 1, "target": 0.5}, "seed": 0},
+    ),
+    "repo ingest": (
+        ["repo", "ingest", "{file_1}", "--root", "{root}"],
+        {"command": "repo ingest", "parameters": {"file": "FILE_1", "root": "ROOT"}, "seed": None},
+    ),
+    "repo list": (
+        ["repo", "list", "--root", "{root}"],
+        {"command": "repo list", "parameters": {"root": "ROOT"}, "seed": None},
+    ),
+    "repo compare": (
+        ["repo", "compare", "{id_1}", "{id_2}", "--root", "{root}", "--subsystem", "0", "--subsystem", "full"],
+        {"command": "repo compare", "parameters": {"id_1": "ID_1", "id_2": "ID_2", "root": "ROOT", "subsystems": ["0", "full"]}, "seed": None},
+    ),
+    "repo matrix": (
+        ["repo", "matrix", "{id_1}", "{id_2}", "--root", "{root}"],
+        {"command": "repo matrix", "parameters": {"ids": ["ID_1", "ID_2"], "root": "ROOT", "subsystem": "full"}, "seed": None},
+    ),
+    "verify run": (
+        ["verify", "run", "--instance", "{instance}", "--rounds", "40", "--seed", "2"],
+        {"command": "verify run", "parameters": {"instance": "INSTANCE", "prover": "honest", "rounds": 40, "state": None, "test_fraction": 0.5}, "seed": 2},
+    ),
+    "verify delegate": (
+        ["verify", "delegate", "--state", "theta:0.3", "--basis", "z", "--rounds", "10"],
+        {"command": "verify delegate", "parameters": {"basis": "z", "qubit": 0, "rounds": 10, "state": "theta:0.3", "test_fraction": 0.25}, "seed": 0},
+    ),
+    "reproduce": (
+        ["reproduce", "fig1c", "--seed", "8"],
+        {"command": "reproduce", "parameters": {"figure": "fig1c"}, "seed": 8},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_RUNS))
+def test_config_header_is_pinned(command, config_inputs, tmp_path, monkeypatch):
+    import qverify.cli as cli
+
+    # the header does not depend on what the figure computes
+    monkeypatch.setitem(cli._FIGURES, "fig1c", lambda seed: (["c"], [[1]], {}, [], []))
+    argv, expected = _CONFIG_RUNS[command]
+    out = tmp_path / "out"
+    assert dispatch([a.format(**config_inputs) for a in argv] + ["--out", str(out)]) == 0
+    (report,) = [
+        p for p in out.glob("*.json") if not p.name.endswith(".meta.json") and not p.name.startswith("dataset-")
+    ]
+    config = _read_json(report)["config"]
+    text = canonical_json(config)
+    assert report.with_suffix(".csv").read_text().splitlines()[0] == f"# config: {text}"
+    assert _read_json(report.with_suffix(".meta.json"))["config"] == config
+    text = text.replace(json.dumps(str(out))[1:-1], "OUT")
+    for name, value in config_inputs.items():
+        text = text.replace(json.dumps(value)[1:-1], name.upper())
+    assert json.loads(text) == {**expected, "out": "OUT", "generator": "numpy-pcg64/seedsequence-spawn"}
