@@ -290,7 +290,9 @@ def _cmd_hamlearn_run(args) -> Report:
     shots_label = "exact" if shots is None else shots
     lat, energy, state = _hubbard_ground_state(args.lattice, args.j, args.u, args.nup, args.ndown)
     op_basis = build_operator_basis(lat)
-    n_constraints = args.constraints if args.constraints > 0 else op_basis.m
+    if args.constraints < 0:
+        raise ValueError(f"constraint count {args.constraints} is negative (0: basis size)")
+    n_constraints = args.constraints or op_basis.m
     constraints = build_constraints(
         state,
         op_basis,
@@ -611,6 +613,8 @@ def _cmd_verify_delegate(args) -> Report:
     state = _state_arg(args.state, args.seed, "delegate")
     if not 0 <= args.qubit < state.num_qubits:
         raise ValueError(f"qubit {args.qubit} outside the {state.num_qubits}-qubit state")
+    if args.rounds < 1:
+        raise ValueError(f"need at least one round (got {args.rounds})")
     prover = HonestProver(state)
     records: list[dict] = []
     decoded_counts = {0: 0, 1: 0}
@@ -1023,16 +1027,29 @@ def _expand_config(argv: list[str]) -> list[str]:
     if len(argv) < 2:
         raise ValueError("--config needs a file argument")
     raw = json.loads(Path(argv[1]).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict) or "command" not in raw:
-        raise ValueError("config file must be a JSON object with a 'command' list")
-    expanded = [str(tok) for tok in raw["command"]]
-    expanded += [str(tok) for tok in raw.get("arguments", [])]
-    for key, value in raw.get("parameters", {}).items():
-        flag = "--" + str(key).replace("_", "-")
-        values = value if isinstance(value, list) else [value]
-        for v in values:
+    if not isinstance(raw, dict):
+        raise ValueError("config file must be a JSON object")
+    command, arguments = raw.get("command"), raw.get("arguments", [])
+    parameters = raw.get("parameters", {})
+    if not _scalars(command) or not command:
+        raise ValueError("config 'command' must be a non-empty list of strings or numbers")
+    if not _scalars(arguments):
+        raise ValueError("config 'arguments' must be a list of strings or numbers")
+    if not isinstance(parameters, dict) or not all(
+        _scalars(v) or _scalars([v]) for v in parameters.values()
+    ):
+        raise ValueError("config 'parameters' values must be strings, numbers or lists of them")
+    expanded = [str(tok) for tok in command + arguments]
+    for key, value in parameters.items():
+        flag = "--" + key.replace("_", "-")
+        for v in value if isinstance(value, list) else [value]:
             expanded += [flag, str(v)]
     return expanded + argv[2:]
+
+
+def _scalars(value) -> bool:
+    """Whether ``value`` is a list of strings, numbers or booleans."""
+    return isinstance(value, list) and all(isinstance(v, (str, int, float)) for v in value)
 
 
 # namespace entries that are not run parameters
@@ -1072,7 +1089,10 @@ def dispatch(argv: list[str]) -> int:
     argv = list(argv)
     try:
         argv = _expand_config(argv)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        _report_error(EXIT_IO, f"config file: {exc}")
+        return EXIT_IO
+    except ValueError as exc:  # includes json.JSONDecodeError
         _report_error(EXIT_INVALID, f"config file: {exc}")
         return EXIT_INVALID
     parser = build_parser()

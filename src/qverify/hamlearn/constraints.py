@@ -8,7 +8,7 @@ anticommutator equals the plain product whenever the two factors commute
 remaining cases, where it degenerates to the bare bond current.
 
 Selection is greedy on the exact K rows: a candidate is kept while its row
-is linearly independent of the accepted span (relative residual >= tol).
+is independent of the accepted span (relative residual >= INDEPENDENCE_TOL).
 On an exactly stationary state every row is orthogonal to the true
 coefficient vector, so at most M-1 independent rows exist; when the
 requested count exceeds the achievable rank, remaining slots are filled by
@@ -101,7 +101,6 @@ def build_constraints(
     op_basis: OperatorBasis,
     n_constraints: int,
     candidates: list[ConstraintOp] | None = None,
-    tol: float = INDEPENDENCE_TOL,
     shuffle_seed: int | None = None,
     engine: KRowEngine | None = None,
 ) -> ConstraintSet:
@@ -143,7 +142,7 @@ def build_constraints(
         for q in qrows:
             resid -= (q @ resid) * q
         rel = float(np.linalg.norm(resid)) / nrm
-        if rel >= tol:
+        if rel >= INDEPENDENCE_TOL:
             qrows.append(resid / np.linalg.norm(resid))
             accepted.append(cand)
             independent.append(True)
@@ -172,7 +171,7 @@ def build_constraints(
         independent=independent,
         residuals=residuals,
         rank=len(qrows),
-        tol=tol,
+        tol=INDEPENDENCE_TOL,
         shuffle_seed=shuffle_seed,
         provenance={
             "pool_size": len(pool),

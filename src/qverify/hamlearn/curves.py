@@ -42,26 +42,22 @@ def learning_curve(
     state: QuantumState,
     op_basis: OperatorBasis,
     *,
-    c_true: np.ndarray | None = None,
     constraint_grid: list[int] | None = None,
     shot_grid: list[int] | None = None,
     constraints: ConstraintSet | None = None,
     seeds: list[int] = (0,),
-    sample_method: str = "auto",
-    tol: float = 1e-8,
     engine: KRowEngine | None = None,
 ) -> list[CurvePoint]:
     """Median reconstruction distance across seeds, on one grid.
 
     Exactly one of ``constraint_grid`` (exact K, per-seed shuffled candidate
     order) or ``shot_grid`` (sampled K on a fixed constraint set, per-seed
-    measurement noise) must be given.  Distances are against ``c_true``
-    (defaults to the lattice's Hubbard coefficients).
+    measurement noise) must be given.  Distances are against the
+    lattice's Hubbard coefficients.
     """
     if (constraint_grid is None) == (shot_grid is None):
         raise ValueError("give exactly one of constraint_grid or shot_grid")
-    if c_true is None:
-        c_true = op_basis.coefficient_vector()
+    c_true = op_basis.coefficient_vector()
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
@@ -80,7 +76,6 @@ def learning_curve(
                 op_basis,
                 n_constraints=grid[-1],
                 candidates=pool,
-                tol=tol,
                 shuffle_seed=seed,
                 engine=eng,
             )
@@ -107,7 +102,7 @@ def learning_curve(
         raise ValueError("shot counts must be positive")
     if constraints is None:
         raise ValueError("shot_grid curves need a fixed ConstraintSet")
-    sampler = KSampler(state, op_basis, constraints, method=sample_method)
+    sampler = KSampler(state, op_basis, constraints)
     for shots in grid:
         dists, gaps, sigmas = [], [], []
         for seed in seeds:

@@ -3,12 +3,14 @@
 For Hermitian A and S the identity <-i[A,S]> = 2 Im <A S> turns every entry
 into one inner product: with phi_m = S_m|psi> cached, a whole row costs one
 operator application (chi_n = A_n|psi>) plus a matrix-vector product.
-Mixed states use the dense analogue 2 Im Tr[A (S rho)].
+A mixed state enters as the ensemble of its eigenpairs (p_k, v_k), and each
+expectation is the p_k-weighted sum of the pure-state ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,7 +41,12 @@ class KMatrix:
 
 
 class KRowEngine:
-    """Exact K rows for one state, memoized by constraint label."""
+    """Exact K rows for one state, memoized by constraint label.
+
+    ``ensemble`` is [(p_k, v_k)]: [(1.0, psi)] for a pure state, the
+    eigenpairs of rho with p > 0 for a mixed one.  ``phi[k]`` holds the
+    columns S_m v_k.
+    """
 
     def __init__(self, state: QuantumState, op_basis: OperatorBasis):
         if not isinstance(state.basis, FermionBasis):
@@ -49,35 +56,27 @@ class KRowEngine:
         self.fbasis: FermionBasis = state.basis
         self._rows: dict[str, np.ndarray] = {}
         if state.is_pure:
-            psi = state.data
-            cols = [apply_terms(self.fbasis, list(e.terms), psi) for e in op_basis.elements]
-            # Hubbard basis elements are real, so phi stays real for real psi
-            self._phi = np.stack(cols, axis=1)
-            self._s_rho = None
+            self.ensemble = [(1.0, state.data)]
         else:
-            rho = state.data
-            self._phi = None
-            self._s_rho = [
-                assemble_operator(self.fbasis, list(e.terms)) @ rho
-                for e in op_basis.elements
-            ]
+            w, v = np.linalg.eigh(state.data)
+            self.ensemble = [(float(w[k]), v[:, k]) for k in np.flatnonzero(w > 0)]
+        # Hubbard basis elements are real, so phi stays real for real psi
+        terms = [list(e.terms) for e in op_basis.elements]
+        self.phi = [
+            np.stack([apply_terms(self.fbasis, t, vec) for t in terms], axis=1)
+            for _, vec in self.ensemble
+        ]
 
-    def chi(self, cop: ConstraintOp) -> np.ndarray:
-        """A_n |psi> (pure states only)."""
-        return apply_terms(self.fbasis, list(cop.terms), self.state.data)
+    def chi(self, cop: ConstraintOp) -> list[np.ndarray]:
+        """A_n v_k for each ensemble member."""
+        return [apply_terms(self.fbasis, list(cop.terms), vec) for _, vec in self.ensemble]
 
     def row(self, cop: ConstraintOp) -> np.ndarray:
         cached = self._rows.get(cop.label)
         if cached is not None:
             return cached
-        if self.state.is_pure:
-            chi = self.chi(cop)
-            row = 2.0 * np.imag(chi.conj() @ self._phi)
-        else:
-            a = assemble_operator(self.fbasis, list(cop.terms)).toarray()
-            row = np.array(
-                [2.0 * np.imag(np.einsum("xy,yx->", a, sr)) for sr in self._s_rho]
-            )
+        parts = zip(self.ensemble, self.chi(cop), self.phi)
+        row = reduce(np.add, (p * (2.0 * np.imag(c.conj() @ f)) for (p, _), c, f in parts))
         row = np.ascontiguousarray(row, dtype=float)
         self._rows[cop.label] = row
         return row
@@ -120,7 +119,6 @@ class KSampler:
         constraints: ConstraintSet,
         method: str = "auto",
     ):
-        self.state = state
         self.op_basis = op_basis
         self.constraints = constraints
         dim = state.dim
@@ -139,35 +137,20 @@ class KSampler:
         else:
             self._means, self._vars = self._precompute_surrogate()
 
-    def _observable(self, n: int, m: int):
-        fb = self.engine.fbasis
-        a = assemble_operator(fb, list(self.constraints.ops[n].terms)).toarray()
-        s = self._dense_s(m)
-        o = -1j * (a @ s - s @ a)
-        return (o + o.conj().T) / 2  # clean numerical Hermiticity
-
-    def _dense_s(self, m: int) -> np.ndarray:
-        if not hasattr(self, "_s_cache"):
-            self._s_cache: dict[int, np.ndarray] = {}
-        if m not in self._s_cache:
-            self._s_cache[m] = assemble_operator(
-                self.engine.fbasis, list(self.op_basis.elements[m].terms)
-            ).toarray()
-        return self._s_cache[m]
-
     def _precompute_spectral(self):
+        fb = self.engine.fbasis
+        s_dense = [assemble_operator(fb, list(e.terms)).toarray() for e in self.op_basis.elements]
         out = []
-        psi_pure = self.state.is_pure
-        for n in range(self.n_rows):
+        for cop in self.constraints.ops:
+            a = assemble_operator(fb, list(cop.terms)).toarray()
             row = []
-            for m in range(self.n_cols):
-                w, v = scipy.linalg.eigh(self._observable(n, m))
-                if psi_pure:
-                    probs = np.abs(v.conj().T @ self.state.data) ** 2
-                else:
-                    probs = np.real(
-                        np.einsum("ij,jk,ki->i", v.conj().T, self.state.data, v)
-                    )
+            for s in s_dense:
+                o = -1j * (a @ s - s @ a)
+                # clean numerical Hermiticity
+                w, v = scipy.linalg.eigh((o + o.conj().T) / 2)
+                probs = reduce(
+                    np.add, (p * np.abs(v.conj().T @ vec) ** 2 for p, vec in self.engine.ensemble)
+                )
                 probs = np.clip(probs, 0.0, None)
                 probs /= probs.sum()
                 row.append((w, probs))
@@ -178,19 +161,18 @@ class KSampler:
         fb = self.engine.fbasis
         means = np.zeros((self.n_rows, self.n_cols))
         variances = np.zeros((self.n_rows, self.n_cols))
-        if not self.state.is_pure:
-            raise ValueError("gaussian surrogate implemented for pure states")
         for n, cop in enumerate(self.constraints.ops):
-            chi = self.engine.chi(cop)
+            chis = self.engine.chi(cop)
             row = self.engine.row(cop)
             for m, elem in enumerate(self.op_basis.elements):
-                phi = self.engine._phi[:, m]
-                # O|psi> = -i (A phi_m - S chi_n); <O^2> = ||O psi||^2
-                w = -1j * (
-                    apply_terms(fb, list(cop.terms), phi)
-                    - apply_terms(fb, list(elem.terms), chi)
-                )
-                second = float(np.real(np.vdot(w, w)))
+                second = 0.0
+                for (p, _), chi, phi in zip(self.engine.ensemble, chis, self.engine.phi):
+                    # O v = -i (A phi_m - S chi_n); <O^2> = sum_k p_k ||O v_k||^2
+                    w = -1j * (
+                        apply_terms(fb, list(cop.terms), phi[:, m])
+                        - apply_terms(fb, list(elem.terms), chi)
+                    )
+                    second += p * float(np.real(np.vdot(w, w)))
                 means[n, m] = row[m]
                 variances[n, m] = max(second - row[m] ** 2, 0.0)
         return means, variances

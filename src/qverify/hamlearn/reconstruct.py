@@ -28,12 +28,12 @@ class LearnResult:
     provenance: dict = field(default_factory=dict)
 
 
-def reconstruct(kmatrix: KMatrix, degeneracy_rtol: float = DEGENERACY_RTOL) -> LearnResult:
+def reconstruct(kmatrix: KMatrix) -> LearnResult:
     """Solve K c = 0 in the least-squares sense.
 
     The reconstruction is the right singular vector of the smallest singular
     value, unit-normalized with a deterministic sign gauge.  When the two
-    smallest eigenvalues of K^T K are closer than ``degeneracy_rtol`` times
+    smallest eigenvalues of K^T K are closer than ``DEGENERACY_RTOL`` times
     the largest, the solution is flagged non-unique and both candidate
     vectors are reported.
     """
@@ -49,7 +49,7 @@ def reconstruct(kmatrix: KMatrix, degeneracy_rtol: float = DEGENERACY_RTOL) -> L
     spectrum = np.sort(sig**2)
     lam_max = spectrum[-1]
     gap = float(spectrum[1] - spectrum[0]) if m > 1 else float("inf")
-    degenerate = m > 1 and gap < degeneracy_rtol * lam_max
+    degenerate = m > 1 and gap < DEGENERACY_RTOL * lam_max
     v1 = _sign_gauge(vh[m - 1])
     candidates = [v1]
     if degenerate:

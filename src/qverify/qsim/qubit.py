@@ -132,29 +132,21 @@ def apply_local_unitaries(
     data: np.ndarray, unitaries: Sequence[np.ndarray | None]
 ) -> np.ndarray:
     """Product of single-qubit unitaries applied to a pure vector or a
-    density matrix (as U rho U+).  ``unitaries[q]`` may be None for identity."""
+    density matrix (as U rho U+).  ``unitaries[q]`` may be None for identity.
+
+    A density matrix is rotated as the 2n-qubit vector it reshapes to: U on
+    the n row qubits, conj(U) on the n column qubits."""
     n = len(unitaries)
-    if data.ndim == 1:
-        if data.shape[0] != 1 << n:
-            raise ValueError("state size does not match number of unitaries")
-        out = data.astype(complex, copy=True)
-        for q, u in enumerate(unitaries):
-            if u is not None:
-                out = apply_single_qubit_gate(out, n, u, q)
-        return out
-    if data.ndim == 2:
-        rho = data.astype(complex, copy=True)
-        for q, u in enumerate(unitaries):
-            if u is None:
-                continue
-            t = rho.reshape((2,) * (2 * n))
-            t = np.tensordot(np.asarray(u, dtype=complex), t, axes=([1], [q]))
-            t = np.moveaxis(t, 0, q)
-            t = np.tensordot(np.asarray(u, dtype=complex).conj(), t, axes=([1], [n + q]))
-            t = np.moveaxis(t, 0, n + q)
-            rho = np.ascontiguousarray(t).reshape(1 << n, 1 << n)
-        return rho
-    raise ValueError("expected a vector or a square matrix")
+    if data.shape == (1 << n, 1 << n):
+        conj = [None if u is None else np.conj(u) for u in unitaries]
+        return apply_local_unitaries(data.reshape(-1), [*unitaries, *conj]).reshape(data.shape)
+    if data.shape != (1 << n,):
+        raise ValueError(f"state shape {data.shape} does not match {n} unitaries")
+    out = data.astype(complex, copy=True)
+    for q, u in enumerate(unitaries):
+        if u is not None:
+            out = apply_single_qubit_gate(out, n, u, q)
+    return out
 
 
 def reduced_density(data: np.ndarray, n: int, subsystem: Sequence[int]) -> np.ndarray:

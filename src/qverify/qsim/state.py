@@ -42,7 +42,8 @@ class QuantumState:
             raise TypeError("not a qubit-register state")
         return self.basis.n
 
-    def validate(self, atol: float = 1e-10) -> None:
+    def validate(self) -> None:
+        atol = 1e-10
         if self.is_pure:
             norm = float(np.linalg.norm(self.data))
             if abs(norm - 1.0) > atol:
@@ -112,13 +113,10 @@ def random_pure_state(n: int, rng: np.random.Generator) -> QuantumState:
     return QuantumState(v / np.linalg.norm(v), QubitBasis(n))
 
 
-def random_density_state(
-    n: int, rng: np.random.Generator, rank: int | None = None
-) -> QuantumState:
-    """Mixed state from a Ginibre factor G G+ / tr."""
+def random_density_state(n: int, rng: np.random.Generator) -> QuantumState:
+    """Full-rank mixed state from a square Ginibre factor G G+ / tr."""
     d = 1 << n
-    k = rank if rank is not None else d
-    g = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return QuantumState(rho / np.trace(rho).real, QubitBasis(n))
 

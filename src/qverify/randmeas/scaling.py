@@ -57,18 +57,25 @@ def scaling_probe(
     n_m: int = 64,
     budget_cap: int = 2**20,
     seed: int = 0,
-    state_factory=ghz_state,
 ) -> ScalingResult:
-    """Smallest budget N_U*N_M whose median |overlap error| crosses the target.
+    """Smallest budget N_U*N_M whose median |overlap error| on GHZ(N) crosses
+    the target.
 
     N_M is held fixed; N_U is grown by doubling and then bisected to the
     smallest passing value.  The exponent is the slope of log2(budget) vs N.
     """
+    n_list = list(n_list)
+    if not n_list or min(n_list) < 1:
+        raise ValueError(f"need one or more positive register widths (got {n_list})")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if n_m < 1:
+        raise ValueError(f"need at least one shot per setting (got {n_m})")
     if error_target <= 0:
         raise ValueError("error target must be positive")
     points: list[ScalingPoint] = []
     for n in n_list:
-        state = state_factory(n)
+        state = ghz_state(n)
         rho = state.as_density()
         exact = float(np.real(np.trace(rho @ rho)))
         n_u_cap = max(1, budget_cap // n_m)

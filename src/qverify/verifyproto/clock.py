@@ -118,14 +118,15 @@ def build_clock_state(circuit, n_comp: int) -> QuantumState:
     return QuantumState(eta, QubitBasis(n_clk + n_comp))
 
 
-def pauli_expansion(matrix: np.ndarray, n: int, atol: float = 1e-12) -> tuple[PauliTerm, ...]:
+def pauli_expansion(matrix: np.ndarray, n: int) -> tuple[PauliTerm, ...]:
     """Expansion of a 2^n x 2^n Hermitian matrix over Pauli strings.
 
     The string with masks (x, z) has coefficient
     i^{popcount(x & z)} / 2^n * sum_c (-1)^{popcount(c & z)} M[c, c ^ x],
     so gathering M[c, c ^ x] for every x and applying one Walsh-Hadamard
     transform over c yields all 4^n coefficients.  Terms come out in
-    ``itertools.product("IXYZ", repeat=n)`` order.
+    ``itertools.product("IXYZ", repeat=n)`` order; coefficients of
+    magnitude 1e-12 or below are dropped.
     """
     if matrix.shape != (1 << n, 1 << n):
         raise ValueError("matrix shape does not match qubit count")
@@ -146,7 +147,7 @@ def pauli_expansion(matrix: np.ndarray, n: int, atol: float = 1e-12) -> tuple[Pa
     values = coef[((digits == 1) | (digits == 2)) @ weights, (digits >= 2) @ weights]
     return tuple(
         PauliTerm(complex(values[k]), "".join("IXYZ"[d] for d in digits[k]))
-        for k in np.flatnonzero(np.abs(values) > atol)
+        for k in np.flatnonzero(np.abs(values) > 1e-12)
     )
 
 

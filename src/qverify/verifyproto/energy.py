@@ -120,6 +120,8 @@ def verify_energy(
     measurement round announcing an image with no preimage rejects the
     same way, since the held inversion data exposes it outright.
     """
+    if n_rounds < 1:
+        raise ValueError(f"need at least one round (got {n_rounds})")
     if not 0.0 <= test_fraction <= 1.0:
         raise ValueError(f"test fraction {test_fraction} outside [0, 1]")
     sampled = [t for t in instance.terms if t.factors.strip("I")]
@@ -128,8 +130,10 @@ def verify_energy(
     offset = sum(float(np.real(t.coeff)) for t in instance.terms if not t.factors.strip("I"))
     coeffs = np.array([float(np.real(t.coeff)) for t in sampled])
     weights = np.abs(coeffs)
-    probs = weights / weights.sum()
     one_norm = float(weights.sum())
+    if not one_norm > 0:
+        raise ValueError("instance has no nonzero non-identity terms to sample")
+    probs = weights / one_norm
     # per term: delegated qubit and basis (the first non-identity factor),
     # the directly measured rest of the support, and the sign of its value
     plans = []

@@ -598,6 +598,53 @@ class TestConfigFile:
         cfg.write_text("[1, 2, 3]")
         assert dispatch(["--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"command": ["hamlearn", "run"], "parameters": [1, 2]},
+            {"command": 5},
+            {"command": ["hamlearn", "run"], "arguments": 7},
+            {"command": []},
+            {"command": "hamlearn run"},
+            {"parameters": {"lattice": "1x2"}},
+            {"command": ["hamlearn", "run"], "arguments": [{"lattice": "1x2"}]},
+            {"command": ["hamlearn", "run"], "parameters": {"lattice": None}},
+            {"command": ["hamlearn", "run"], "parameters": {"lattice": [["1x2"]]}},
+        ],
+    )
+    def test_mistyped_config_field_is_invalid_input(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert dispatch(["--config", str(cfg), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
+        assert not out.exists()
+
+    def test_missing_config_file_is_io_error(self, tmp_path, capsys):
+        assert dispatch(["--config", str(tmp_path / "missing.json")]) == 4
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "io-error"
+
+
+# Count flags must be positive; --constraints 0 means the operator-basis size.
+_BAD_COUNTS = {
+    "scaling-nm-0": ["randmeas", "scaling", "--nm", "0"],
+    "scaling-repetitions-0": ["randmeas", "scaling", "--repetitions", "0"],
+    "scaling-empty-n-list": ["randmeas", "scaling", "--n-list", ","],
+    "delegate-rounds-negative": ["verify", "delegate", "--state", "ghz:1", "--basis", "x", "--rounds", "-3"],
+    "run-rounds-negative": ["verify", "run", "--instance", "{instance}", "--rounds", "-3"],
+    "run-rounds-0": ["verify", "run", "--instance", "{instance}", "--rounds", "0"],
+    "hamlearn-constraints-negative": ["hamlearn", "run", "--constraints", "-5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_COUNTS))
+def test_non_positive_count_flag_is_invalid_input(name, instance_file, tmp_path, capsys):
+    argv = [a.format(instance=instance_file) for a in _BAD_COUNTS[name]]
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
+    assert not out.exists()
+
 
 class TestReproduce:
     @pytest.mark.parametrize("figure", ["fig1b", "fig1c", "fig2c-style", "fig3-demo"])

@@ -20,6 +20,7 @@ from qverify.hamlearn.curves import fit_loglog_slope
 from qverify.qsim import (
     FermionBasis,
     LatticeSpec,
+    QuantumState,
     assemble_operator,
     ground_state,
     hubbard_terms,
@@ -111,6 +112,59 @@ def test_k_matrix_mixed_state_stationary():
     c_true = ob.coefficient_vector()
     for cand in enumerate_candidates(lat):
         assert abs(eng.row(cand) @ c_true) < 1e-10
+
+
+# A random density matrix is not stationary, so every ensemble member shows
+# in the rows.  A thermal state's members are eigenvectors of H: dropping one
+# still leaves rows that annihilate the couplings.
+MIXED_LATTICE = LatticeSpec(2, 2, j=1.0, u=4.0, nup=2, ndown=1)
+
+
+def _random_sector_density(lat, seed, rank=None):
+    """Ginibre density matrix G G+ / tr over a fermionic sector."""
+    basis = FermionBasis(lat)
+    g = make_rng(seed, "sector-rho").normal(size=(basis.dim, rank or basis.dim, 2)) @ [1, 1j]
+    rho = g @ g.conj().T
+    return QuantumState(rho / np.trace(rho).real, basis)
+
+
+def _dense(basis, op):
+    return assemble_operator(basis, list(op.terms)).toarray()
+
+
+@pytest.mark.parametrize("rank", [None, 3])
+def test_k_rows_mixed_state_match_dense_trace(rank):
+    rho = _random_sector_density(MIXED_LATTICE, 31, rank)
+    ob = build_operator_basis(MIXED_LATTICE)
+    eng = KRowEngine(rho, ob)
+    s_dense = [_dense(rho.basis, e) for e in ob.elements]
+    for cand in enumerate_candidates(MIXED_LATTICE):
+        a = _dense(rho.basis, cand)
+        want = [2.0 * np.imag(np.trace(a @ s @ rho.data)) for s in s_dense]
+        np.testing.assert_allclose(eng.row(cand), want, rtol=0, atol=1e-12)
+
+
+def test_born_means_mixed_state_match_exact_rows():
+    rho = _random_sector_density(MIXED_LATTICE, 32)
+    ob = build_operator_basis(MIXED_LATTICE)
+    cs = build_constraints(rho, ob, n_constraints=6)
+    exact = k_matrix_exact(rho, ob, cs).values
+    sampler = KSampler(rho, ob, cs, method="born")
+    means = np.array([[probs @ w for w, probs in row] for row in sampler._spectral])
+    np.testing.assert_allclose(means, exact, rtol=0, atol=1e-12)
+
+
+def test_surrogate_variance_mixed_state_matches_dense_oracle():
+    rho = _random_sector_density(MIXED_LATTICE, 33)
+    ob = build_operator_basis(MIXED_LATTICE)
+    cs = build_constraints(rho, ob, n_constraints=6)
+    sampler = KSampler(rho, ob, cs, method="surrogate")
+    s_dense = [_dense(rho.basis, e) for e in ob.elements]
+    for n, cand in enumerate(cs.ops):
+        a = _dense(rho.basis, cand)
+        for m, s in enumerate(s_dense):
+            want = observable_variance(rho, -1j * (a @ s - s @ a))
+            assert abs(sampler._vars[n, m] - want) < 1e-12
 
 
 def test_constraint_selection_rank_saturates_at_m_minus_1():

@@ -194,6 +194,18 @@ def test_apply_local_unitaries_pure_and_mixed():
     assert np.allclose(rho_rot.data, full @ rho.data @ full.conj().T)
 
 
+def test_apply_local_unitaries_full_rank_density():
+    rng = make_rng(8, "rot-mixed")
+    rho = random_density_state(3, rng)
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    full = np.kron(np.kron(u, np.eye(2)), h)
+    got = apply_local_unitaries(rho.data, [u, None, h])
+    np.testing.assert_allclose(got, full @ rho.data @ full.conj().T, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        apply_local_unitaries(np.eye(2, 8), [u, h])
+
+
 def test_reduced_density_pure_and_mixed():
     st = ghz_state(3)
     red = st.reduced([0, 2])

@@ -704,6 +704,17 @@ class TestVerifyEnergy:
         assert res.n_test_failures == 0
         assert abs(res.estimate - e0) < 5 * res.std_error
 
+    def test_rejects_no_rounds_and_all_zero_couplings(self):
+        inst, gs, _ = _tfi_instance()
+        for n_rounds in (0, -3):
+            with pytest.raises(ValueError, match="round"):
+                verify_energy(inst, HonestProver(gs), n_rounds, 0.5, seed=1)
+        # 0/0 sampling weights: a NaN probability vector before this check
+        zero = HamiltonianInstance(2, (PauliTerm(0.0, "ZZ"), PauliTerm(0.0, "XI")), -1.0, 0.0)
+        prover = HonestProver(QuantumState(np.eye(4, dtype=complex)[0], QubitBasis(2)))
+        with pytest.raises(ValueError, match="nonzero"):
+            verify_energy(zero, prover, 10, 0.5, seed=1)
+
     def test_honest_accepted_on_pinned_instance(self):
         inst, gs, e0 = _tfi_instance()
         res = verify_energy(inst, HonestProver(gs), 1000, 0.5, seed=23)
