@@ -68,14 +68,12 @@ from .hamlearn import (
 from .hamlearn.curves import fit_loglog_slope
 from .ioutil import atomic_write_text
 from .qsim import (
-    FermionBasis,
     LatticeSpec,
     QuantumState,
     QubitBasis,
-    assemble_operator,
     ghz_state,
     ground_state,
-    hubbard_terms,
+    hubbard_ground_state,
     parse_state_spec,
     reduced_density,
     theta_state,
@@ -250,15 +248,6 @@ def _emit(config: dict, stem: str, argv: list[str], report: Report) -> None:
         print(f"wrote {p}")
 
 
-def _hubbard_ground_state(lattice: str, j: float, u: float, nup: int, ndown: int):
-    rows, cols = _parse_lattice(lattice)
-    lat = LatticeSpec(rows, cols, j=j, u=u, nup=nup, ndown=ndown)
-    basis = FermionBasis(lat)
-    ham = assemble_operator(basis, hubbard_terms(lat))
-    energy, state = ground_state(ham, basis)
-    return lat, energy, state
-
-
 def _solution_distance(result, c_true: np.ndarray) -> float:
     """Distance from the true couplings to what the reconstruction recovered.
 
@@ -288,7 +277,8 @@ _CURVE_COLUMNS = ["control", "median_distance", "q25", "q75", "gap", "smallest_s
 def _cmd_hamlearn_run(args) -> Report:
     shots = _parse_shots(args.shots)
     shots_label = "exact" if shots is None else shots
-    lat, energy, state = _hubbard_ground_state(args.lattice, args.j, args.u, args.nup, args.ndown)
+    lat = LatticeSpec(*_parse_lattice(args.lattice), j=args.j, u=args.u, nup=args.nup, ndown=args.ndown)
+    energy, state = hubbard_ground_state(lat)
     op_basis = build_operator_basis(lat)
     if args.constraints < 0:
         raise ValueError(f"constraint count {args.constraints} is negative (0: basis size)")
@@ -431,6 +421,10 @@ def _cmd_randmeas_compare(args) -> Report:
 
 
 def _cmd_randmeas_exact(args) -> Report:
+    if args.nu is not None and args.nu < 1:
+        raise ValueError(f"--nu {args.nu}: the number of sampled settings must be positive")
+    if args.nu is None and args.ensemble == "haar":
+        raise ValueError("--ensemble haar needs --nu: Haar settings have no exact enumeration")
     state1 = _state_arg(args.state, args.seed, "randmeas", "1")
     state2 = _state_arg(args.state2, args.seed, "randmeas", "2") if args.state2 else state1
     sub = _parse_subsystem(args.subsystem)
@@ -440,7 +434,7 @@ def _cmd_randmeas_exact(args) -> Report:
         ensemble=args.ensemble,
         subsystem=sub,
         n_settings=args.nu,
-        seed=child_seed(args.seed, "cli", "randmeas", "settings") if args.nu else None,
+        seed=None if args.nu is None else child_seed(args.seed, "cli", "randmeas", "settings"),
     )
     se = est.std_error
     body = {"value": float(est.value), "std_error": se, "n_settings": est.n_settings}
@@ -704,7 +698,8 @@ def _fig1b(seed: int):
     Half filling keeps the recovered coupling vector unique; the two-site
     dimer's solution span is degenerate and would flatten the curve.
     """
-    lat, _, state = _hubbard_ground_state("2x2", 1.0, 8.0, 2, 2)
+    lat = LatticeSpec(2, 2, j=1.0, u=8.0, nup=2, ndown=2)
+    _, state = hubbard_ground_state(lat)
     op_basis = build_operator_basis(lat)
     constraints = build_constraints(
         state, op_basis, 24, shuffle_seed=child_seed(seed, "cli", "fig1b", "constraints")
@@ -724,7 +719,8 @@ def _fig1b(seed: int):
 
 def _fig1c(seed: int):
     """Constraint-count curve on the 2x3 lattice: monotone, exact endpoint."""
-    lat, _, state = _hubbard_ground_state("2x3", 1.0, 4.0, 3, 3)
+    lat = LatticeSpec(2, 3, j=1.0, u=4.0, nup=3, ndown=3)
+    _, state = hubbard_ground_state(lat)
     op_basis = build_operator_basis(lat)
     engine = KRowEngine(state, op_basis)
     grid = [5, 16, 17, 18, 20]

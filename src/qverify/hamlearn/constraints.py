@@ -122,55 +122,55 @@ def build_constraints(
         )
     eng = engine if engine is not None else KRowEngine(state, op_basis)
 
+    rows = eng.rows(pool)  # in visiting order
+    norms = np.linalg.norm(rows, axis=1)
+    nonzero = norms > 1e-14 * np.maximum(np.maximum.accumulate(norms), 1.0)
     accepted: list[ConstraintOp] = []
     independent: list[bool] = []
     residuals: list[float] = []
     rejected: list[tuple[ConstraintOp, float]] = []
-    qrows: list[np.ndarray] = []  # orthonormal basis of the accepted span
-    row_scale = 0.0
-
-    for cand in pool:
-        if len(accepted) >= n_constraints:
+    rank = 0
+    # rows[start:] hold the residuals of the unvisited candidates against the
+    # accepted span; each accepted row projects them once
+    start = 0
+    while len(accepted) < n_constraints and start < len(pool):
+        rel = np.zeros(len(pool) - start)
+        np.divide(np.linalg.norm(rows[start:], axis=1), norms[start:], out=rel, where=nonzero[start:])
+        hits = np.flatnonzero(rel >= INDEPENDENCE_TOL)
+        stop = start + int(hits[0]) if hits.size else len(pool)
+        rejected += [(pool[i], float(rel[i - start])) for i in range(start, stop)]
+        if not hits.size:
             break
-        row = eng.row(cand)
-        nrm = float(np.linalg.norm(row))
-        row_scale = max(row_scale, nrm)
-        if nrm <= 1e-14 * max(row_scale, 1.0):
-            rejected.append((cand, 0.0))
-            continue
-        resid = row.copy()
-        for q in qrows:
-            resid -= (q @ resid) * q
-        rel = float(np.linalg.norm(resid)) / nrm
-        if rel >= INDEPENDENCE_TOL:
-            qrows.append(resid / np.linalg.norm(resid))
-            accepted.append(cand)
-            independent.append(True)
-            residuals.append(rel)
-        else:
-            rejected.append((cand, rel))
+        q = rows[stop] / np.linalg.norm(rows[stop])
+        accepted.append(pool[stop])
+        independent.append(True)
+        residuals.append(float(rel[stop - start]))
+        rank += 1
+        tail = rows[stop + 1 :]
+        tail -= np.outer(tail @ q, q)
+        start = stop + 1
 
     # fill with dependent rows once the achievable rank is exhausted: a
     # candidate rejected against a smaller span stays dependent later on
     fill_iter = iter(rejected)
     while len(accepted) < n_constraints:
         try:
-            cand, rel = next(fill_iter)
+            cand, resid = next(fill_iter)
         except StopIteration:
             raise ValueError(
                 f"constraint pool exhausted at {len(accepted)} rows "
-                f"(rank {len(qrows)}) before reaching {n_constraints}"
+                f"(rank {rank}) before reaching {n_constraints}"
             )
         accepted.append(cand)
         independent.append(False)
-        residuals.append(rel)
+        residuals.append(resid)
 
     return ConstraintSet(
         lattice=op_basis.lattice,
         ops=accepted,
         independent=independent,
         residuals=residuals,
-        rank=len(qrows),
+        rank=rank,
         tol=INDEPENDENCE_TOL,
         shuffle_seed=shuffle_seed,
         provenance={

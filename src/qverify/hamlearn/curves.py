@@ -79,7 +79,7 @@ def learning_curve(
                 shuffle_seed=seed,
                 engine=eng,
             )
-            rows = np.stack([eng.row(op) for op in cs.ops])
+            rows = eng.rows(cs.ops)
             labels = [op.label for op in cs.ops]
             for n in grid:
                 km = KMatrix(

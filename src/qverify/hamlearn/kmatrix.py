@@ -1,8 +1,9 @@
 """Constraint matrix K_nm = <-i [A_n, S_m]> on a (near-)stationary state.
 
 For Hermitian A and S the identity <-i[A,S]> = 2 Im <A S> turns every entry
-into one inner product: with phi_m = S_m|psi> cached, a whole row costs one
-operator application (chi_n = A_n|psi>) plus a matrix-vector product.
+into one inner product: with phi_m = S_m|psi> cached, a row is
+2 Im(chi_n^H Phi) for chi_n = A_n|psi>.  Candidates sharing a bond current
+share most of chi_n, so rows are evaluated a (bond, spin) bundle at a time.
 A mixed state enters as the ensemble of its eigenpairs (p_k, v_k), and each
 expectation is the p_k-weighted sum of the pure-state ones.
 """
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg
 
-from ..qsim.fermion import FermionBasis, apply_terms, assemble_operator
+from ..qsim.fermion import SPIN_UP, FermionBasis, apply_terms, assemble_operator, current_terms
 from ..qsim.solve import DENSE_CUTOFF
 from ..qsim.state import QuantumState
 from ..rng import make_rng, rng_provenance
@@ -24,6 +25,14 @@ from .opbasis import OperatorBasis
 
 if TYPE_CHECKING:  # avoid a circular import; constraints.py uses KRowEngine
     from .constraints import ConstraintOp, ConstraintSet
+
+# sector states per GEMM block of a bundle: bounds the (block, M) work arrays
+# to a few MB whatever the sector size
+ROW_BLOCK = 8192
+
+
+def _modes(terms) -> set[int]:
+    return {mode for t in terms for mode, _ in t.ops}
 
 
 @dataclass
@@ -46,6 +55,13 @@ class KRowEngine:
     ``ensemble`` is [(p_k, v_k)]: [(1.0, psi)] for a pure state, the
     eigenpairs of rho with p > 0 for a mixed one.  ``phi[k]`` holds the
     columns S_m v_k.
+
+    Every candidate is {J, n_k}/2 for a (bond, spin) current J, which equals
+    n_k J when the two commute and J/2 otherwise (see constraints.py).  So
+    A v = d * (J v) with d the occupation of k on the image state, or 1/2,
+    and the rows of one (bond, spin) bundle share g = J v: they are
+    sum_k p_k 2 Im(d^T (conj(g_k) * Phi_k)), one real GEMM per block of
+    sector states.
     """
 
     def __init__(self, state: QuantumState, op_basis: OperatorBasis):
@@ -66,25 +82,70 @@ class KRowEngine:
             np.stack([apply_terms(self.fbasis, t, vec) for t in terms], axis=1)
             for _, vec in self.ensemble
         ]
+        self._supports = [_modes(t) for t in terms]
+
+    def _density(self, cop: ConstraintOp, lo: int = 0, hi: int | None = None):
+        """The factor d of A = d * J on sector states lo:hi (a scalar 1/2 when
+        n_k does not commute with the current)."""
+        if cop.k_spin == cop.spin and cop.k_site in cop.bond:
+            return 0.5
+        occ = self.fbasis.state_up if cop.k_spin == SPIN_UP else self.fbasis.state_down
+        return ((occ[lo:hi] >> cop.k_site) & 1).astype(float)
+
+    def _current(self, cop: ConstraintOp, vec: np.ndarray) -> np.ndarray:
+        return apply_terms(self.fbasis, current_terms(*cop.bond, cop.spin), vec)
+
+    def apply(self, cop: ConstraintOp, vec: np.ndarray) -> np.ndarray:
+        """A_n vec."""
+        return self._density(cop) * self._current(cop, vec)
 
     def chi(self, cop: ConstraintOp) -> list[np.ndarray]:
         """A_n v_k for each ensemble member."""
-        return [apply_terms(self.fbasis, list(cop.terms), vec) for _, vec in self.ensemble]
+        return [self.apply(cop, vec) for _, vec in self.ensemble]
+
+    def _bundle_rows(self, cops: list[ConstraintOp]) -> np.ndarray:
+        """Rows of candidates sharing one (bond, spin) current."""
+        gs = [self._current(cops[0], vec) for _, vec in self.ensemble]
+        out = np.zeros((len(cops), self.op_basis.m))
+        dim = self.fbasis.dim
+        for lo in range(0, dim, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, dim)
+            # sum_k p_k Im(conj(g_k) * Phi_k) on this block, in real arithmetic
+            w = np.zeros((hi - lo, self.op_basis.m))
+            for (p, _), g, phi in zip(self.ensemble, gs, self.phi):
+                f = phi[lo:hi]
+                w -= (p * g.imag[lo:hi, None]) * f.real
+                if np.iscomplexobj(f):
+                    w += (p * g.real[lo:hi, None]) * f.imag
+            d = np.empty((len(cops), hi - lo))
+            for r, cop in enumerate(cops):
+                d[r] = self._density(cop, lo, hi)
+            out += d @ w
+        # even operators on disjoint modes commute, so these entries are zero;
+        # left at rounding level they carry a random sign, and which vector
+        # an SVD picks from a degenerate null space of K depends on it
+        for r, cop in enumerate(cops):
+            support = _modes(cop.terms)
+            out[r, [not (support & s) for s in self._supports]] = 0.0
+        return 2.0 * out
+
+    def rows(self, cops: list[ConstraintOp]) -> np.ndarray:
+        """(len(cops), M) K rows; rows not yet memoized are evaluated bundle
+        by bundle."""
+        bundles: dict[tuple, dict[str, ConstraintOp]] = {}
+        for cop in cops:
+            if cop.label not in self._rows:
+                bundles.setdefault((cop.bond, cop.spin), {})[cop.label] = cop
+        for group in bundles.values():
+            self._rows.update(zip(group, self._bundle_rows(list(group.values()))))
+        return np.stack([self._rows[cop.label] for cop in cops])
 
     def row(self, cop: ConstraintOp) -> np.ndarray:
-        cached = self._rows.get(cop.label)
-        if cached is not None:
-            return cached
-        parts = zip(self.ensemble, self.chi(cop), self.phi)
-        row = reduce(np.add, (p * (2.0 * np.imag(c.conj() @ f)) for (p, _), c, f in parts))
-        row = np.ascontiguousarray(row, dtype=float)
-        self._rows[cop.label] = row
-        return row
+        return self.rows([cop])[0]
 
     def matrix(self, constraints: ConstraintSet) -> KMatrix:
-        rows = np.stack([self.row(op) for op in constraints.ops])
         return KMatrix(
-            values=rows,
+            values=self.rows(constraints.ops),
             constraint_labels=[op.label for op in constraints.ops],
             basis_labels=self.op_basis.labels(),
             mode="exact",
@@ -159,22 +220,20 @@ class KSampler:
 
     def _precompute_surrogate(self):
         fb = self.engine.fbasis
-        means = np.zeros((self.n_rows, self.n_cols))
+        means = self.engine.rows(self.constraints.ops)
         variances = np.zeros((self.n_rows, self.n_cols))
         for n, cop in enumerate(self.constraints.ops):
             chis = self.engine.chi(cop)
-            row = self.engine.row(cop)
             for m, elem in enumerate(self.op_basis.elements):
                 second = 0.0
                 for (p, _), chi, phi in zip(self.engine.ensemble, chis, self.engine.phi):
                     # O v = -i (A phi_m - S chi_n); <O^2> = sum_k p_k ||O v_k||^2
                     w = -1j * (
-                        apply_terms(fb, list(cop.terms), phi[:, m])
+                        self.engine.apply(cop, phi[:, m])
                         - apply_terms(fb, list(elem.terms), chi)
                     )
                     second += p * float(np.real(np.vdot(w, w)))
-                means[n, m] = row[m]
-                variances[n, m] = max(second - row[m] ** 2, 0.0)
+                variances[n, m] = max(second - means[n, m] ** 2, 0.0)
         return means, variances
 
     def sample(self, shots_per_entry: int, seed: int | None) -> KMatrix:

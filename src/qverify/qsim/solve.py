@@ -12,6 +12,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .fermion import FermionBasis, LatticeSpec, assemble_operator, hubbard_terms
 from .state import Basis, QuantumState
 
 DENSE_CUTOFF = 4096
@@ -52,6 +53,12 @@ def ground_state(op, basis: Basis, maxiter: int = 2000) -> tuple[float, QuantumS
             f"eigensolver residual {resid:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||H|| ({hnorm:.3e})"
         )
     return energy, QuantumState(vec, basis)
+
+
+def hubbard_ground_state(lattice: LatticeSpec) -> tuple[float, QuantumState]:
+    """Ground energy and state of the lattice's Hubbard model in its sector."""
+    basis = FermionBasis(lattice)
+    return ground_state(assemble_operator(basis, hubbard_terms(lattice)), basis)
 
 
 def expectation(state: QuantumState, op) -> float:

@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from qverify.qsim import QuantumState
+from qverify.qsim import QuantumState, apply_terms
 from qverify.qsim import solve as qsolve
 from qverify.randmeas import Estimate, FidelityEstimate
 from qverify.randmeas.estimators import _jackknife_se, _loo_means, _mean_with_jackknife
@@ -90,6 +90,48 @@ def fock_terms_matrix(n_modes: int, terms) -> np.ndarray:
             m = m @ f
         out += t.coeff * m
     return out
+
+
+# ---------------------------------------------------------------- hamlearn
+# The per-candidate routes the package replaced: each K row applies the
+# candidate's own monomials, and selection runs Gram-Schmidt row by row.
+
+
+def monomial_k_row(engine, cop) -> np.ndarray:
+    """sum_k p_k 2 Im((A v_k)^H Phi_k) with A applied term by term."""
+    return sum(
+        p * 2.0 * np.imag(apply_terms(engine.fbasis, list(cop.terms), vec).conj() @ phi)
+        for (p, vec), phi in zip(engine.ensemble, engine.phi)
+    )
+
+
+def greedy_selection(rows: np.ndarray, pool: list, n_constraints: int, tol: float):
+    """(labels, independent, rank, n_rejected) of greedy selection over
+    ``rows`` (in visiting order), one candidate at a time."""
+    accepted, independent, rejected, qrows = [], [], [], []
+    row_scale = 0.0
+    for cand, row in zip(pool, rows):
+        if len(accepted) >= n_constraints:
+            break
+        nrm = float(np.linalg.norm(row))
+        row_scale = max(row_scale, nrm)
+        if nrm <= 1e-14 * max(row_scale, 1.0):
+            rejected.append(cand)
+            continue
+        resid = row.copy()
+        for q in qrows:
+            resid -= (q @ resid) * q
+        if float(np.linalg.norm(resid)) / nrm >= tol:
+            qrows.append(resid / np.linalg.norm(resid))
+            accepted.append(cand)
+            independent.append(True)
+        else:
+            rejected.append(cand)
+    n_rejected = len(rejected)
+    fill = rejected[: n_constraints - len(accepted)]
+    accepted += fill
+    independent += [False] * len(fill)
+    return [c.label for c in accepted], independent, len(qrows), n_rejected
 
 
 # ---------------------------------------------------------------- qubits

@@ -24,15 +24,12 @@ from qverify.hamlearn import (
 )
 from qverify.hamlearn.curves import fit_loglog_slope
 from qverify.qsim import (
-    FermionBasis,
     LatticeSpec,
     PauliTerm,
     QuantumState,
     QubitBasis,
-    assemble_operator,
     ghz_state,
-    ground_state,
-    hubbard_terms,
+    hubbard_ground_state,
     random_density_state,
     reduced_density,
     theta_state,
@@ -72,14 +69,6 @@ from qverify.verifyproto import (
 )
 
 
-def _hubbard_ground_state(rows, cols, j, u, nup, ndown):
-    lat = LatticeSpec(rows, cols, j=j, u=u, nup=nup, ndown=ndown)
-    basis = FermionBasis(lat)
-    ham = assemble_operator(basis, hubbard_terms(lat))
-    energy, state = ground_state(ham, basis)
-    return lat, energy, state
-
-
 def _non_increasing(values) -> bool:
     return all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(values, values[1:]))
 
@@ -87,7 +76,8 @@ def _non_increasing(values) -> bool:
 @pytest.fixture(scope="module")
 def hubbard_3x4():
     """3x4 lattice at J=1, U=8, five particles per spin: ~627k-dim sector."""
-    lat, energy, state = _hubbard_ground_state(3, 4, 1.0, 8.0, 5, 5)
+    lat = LatticeSpec(3, 4, j=1.0, u=8.0, nup=5, ndown=5)
+    energy, state = hubbard_ground_state(lat)
     op_basis = build_operator_basis(lat)
     engine = KRowEngine(state, op_basis)
     return lat, energy, state, op_basis, engine
@@ -138,7 +128,8 @@ def test_02_median_distance_non_increasing_in_constraint_count(hubbard_3x4):
     assert _non_increasing(medians)
     assert medians[-1] < 1e-6
 
-    lat23, _, state23 = _hubbard_ground_state(2, 3, 1.0, 4.0, 3, 3)
+    lat23 = LatticeSpec(2, 3, j=1.0, u=4.0, nup=3, ndown=3)
+    _, state23 = hubbard_ground_state(lat23)
     ob23 = build_operator_basis(lat23)
     assert ob23.m == 20
     points = learning_curve(
@@ -152,7 +143,8 @@ def test_02_median_distance_non_increasing_in_constraint_count(hubbard_3x4):
 def test_03_shot_noise_scaling_slope():
     """Median error vs shots per constraint follows a -1/2 power law over
     two decades (20 noise seeds per point, 2x2 plaquette at half filling)."""
-    lat, _, state = _hubbard_ground_state(2, 2, 1.0, 8.0, 2, 2)
+    lat = LatticeSpec(2, 2, j=1.0, u=8.0, nup=2, ndown=2)
+    _, state = hubbard_ground_state(lat)
     op_basis = build_operator_basis(lat)
     constraints = build_constraints(state, op_basis, 24, shuffle_seed=2)
     points = learning_curve(

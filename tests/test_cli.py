@@ -646,6 +646,25 @@ def test_non_positive_count_flag_is_invalid_input(name, instance_file, tmp_path,
     assert not out.exists()
 
 
+# --nu 0 is a count, not an absent flag, and Haar settings cannot be
+# enumerated: both name the flag and the reason
+_BAD_NU = {
+    "exact-nu-0": (["--nu", "0"], "must be positive"),
+    "exact-haar-without-nu": (["--ensemble", "haar"], "no exact enumeration"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_NU))
+def test_randmeas_exact_bad_nu_is_invalid_input(name, tmp_path, capsys):
+    flags, reason = _BAD_NU[name]
+    out = tmp_path / "out"
+    assert dispatch(["randmeas", "exact", "--state", "ghz:2", *flags, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["category"] == "invalid-input"
+    assert "--nu" in err["message"] and reason in err["message"]
+    assert not out.exists()
+
+
 class TestReproduce:
     @pytest.mark.parametrize("figure", ["fig1b", "fig1c", "fig2c-style", "fig3-demo"])
     def test_figure_passes_and_writes_reports(self, figure, tmp_path):

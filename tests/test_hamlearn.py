@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracle_helpers import observable_variance, thermal_state
+from oracle_helpers import greedy_selection, monomial_k_row, observable_variance, thermal_state
 from qverify.hamlearn import (
     KRowEngine,
     KSampler,
@@ -16,15 +16,19 @@ from qverify.hamlearn import (
     parameter_distance,
     reconstruct,
 )
+from qverify.hamlearn.constraints import INDEPENDENCE_TOL
 from qverify.hamlearn.curves import fit_loglog_slope
 from qverify.qsim import (
     FermionBasis,
     LatticeSpec,
     QuantumState,
     assemble_operator,
+    current_terms,
     ground_state,
     hubbard_terms,
+    number_terms,
 )
+from qverify.qsim.fermion import multiply_terms, scale_terms
 from qverify.rng import make_rng
 
 
@@ -142,6 +146,86 @@ def test_k_rows_mixed_state_match_dense_trace(rank):
         a = _dense(rho.basis, cand)
         want = [2.0 * np.imag(np.trace(a @ s @ rho.data)) for s in s_dense]
         np.testing.assert_allclose(eng.row(cand), want, rtol=0, atol=1e-12)
+
+
+def test_candidate_terms_are_symmetrized_current_densities():
+    # the factored rows read a candidate off (bond, spin, k_site, k_spin)
+    for cand in enumerate_candidates(LatticeSpec(2, 3, nup=1, ndown=1)):
+        cur = current_terms(*cand.bond, cand.spin)
+        den = number_terms(cand.k_site, cand.k_spin)
+        sym = scale_terms(multiply_terms(cur, den) + multiply_terms(den, cur), 0.5)
+        assert cand.terms == tuple(sym), cand.label
+
+
+def _factored_vs_monomial(state):
+    ob = build_operator_basis(state.basis.lattice)
+    eng = KRowEngine(state, ob)
+    pool = enumerate_candidates(state.basis.lattice)
+    factored = eng.rows(pool)
+    for cand, row in zip(pool, factored):
+        want = monomial_k_row(eng, cand)
+        assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want), cand.label
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [LatticeSpec(2, 2, j=1.0, u=8.0, nup=2, ndown=2), LatticeSpec(2, 3, j=1.0, u=4.0, nup=3, ndown=3)],
+    ids=["2x2", "2x3"],
+)
+def test_factored_rows_match_monomial_oracle_pure(lat):
+    _factored_vs_monomial(_ground(lat)[3])
+
+
+@pytest.mark.parametrize("rank", [None, 3])
+def test_factored_rows_match_monomial_oracle_mixed(rank):
+    _factored_vs_monomial(_random_sector_density(MIXED_LATTICE, 34, rank))
+
+
+def test_entries_of_disjoint_operators_are_exact_zeros():
+    # rounding noise of random sign in place of these zeros would decide which
+    # vector the SVD returns from a degenerate null space
+    _, _, _, state = _ground(MIXED_LATTICE)
+    ob = build_operator_basis(MIXED_LATTICE)
+    pool = enumerate_candidates(MIXED_LATTICE)
+    rows = KRowEngine(state, ob).rows(pool)
+
+    def modes(op):
+        return {mode for t in op.terms for mode, _ in t.ops}
+
+    n_disjoint = 0
+    for cand, row in zip(pool, rows):
+        a = _dense(state.basis, cand)
+        for m, elem in enumerate(ob.elements):
+            if not modes(cand) & modes(elem):
+                s = _dense(state.basis, elem)
+                assert np.array_equal(a @ s, s @ a)
+                assert row[m] == 0.0, (cand.label, elem.label)
+                n_disjoint += 1
+    assert n_disjoint > len(pool)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [
+        LatticeSpec(1, 2, j=1.0, u=8.0, nup=1, ndown=1),
+        LatticeSpec(2, 2, j=1.0, u=8.0, nup=2, ndown=2),
+        LatticeSpec(2, 3, j=1.0, u=4.0, nup=3, ndown=3),
+    ],
+    ids=["1x2", "2x2", "2x3"],
+)
+def test_selection_matches_per_candidate_oracle(lat):
+    _, _, _, state = _ground(lat)
+    ob = build_operator_basis(lat)
+    eng = KRowEngine(state, ob)
+    pool = enumerate_candidates(lat)
+    for seed in [None, *range(50)]:
+        order = range(len(pool)) if seed is None else make_rng(seed, "constraint-shuffle").permutation(len(pool))
+        visit = [pool[i] for i in order]
+        rows = eng.rows(visit)
+        for n in range(1, ob.m + 1):
+            cs = build_constraints(state, ob, n, shuffle_seed=seed, engine=eng)
+            got = ([op.label for op in cs.ops], cs.independent, cs.rank, cs.provenance["n_rejected_pool"])
+            assert got == greedy_selection(rows, visit, n, INDEPENDENCE_TOL), (seed, n)
 
 
 def test_born_means_mixed_state_match_exact_rows():
