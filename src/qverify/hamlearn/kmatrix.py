@@ -5,7 +5,7 @@ into one inner product: with phi_m = S_m|psi> cached, a row is
 2 Im(chi_n^H Phi) for chi_n = A_n|psi>.  Candidates sharing a bond current
 share most of chi_n, so rows are evaluated a (bond, spin) bundle at a time.
 A mixed state enters as the ensemble of its eigenpairs (p_k, v_k), and each
-expectation is the p_k-weighted sum of the pure-state ones.
+entry is the p_k-weighted sum of the pure-state ones.
 """
 
 from __future__ import annotations
@@ -140,9 +140,6 @@ class KRowEngine:
             self._rows.update(zip(group, self._bundle_rows(list(group.values()))))
         return np.stack([self._rows[cop.label] for cop in cops])
 
-    def row(self, cop: ConstraintOp) -> np.ndarray:
-        return self.rows([cop])[0]
-
     def matrix(self, constraints: ConstraintSet) -> KMatrix:
         return KMatrix(
             values=self.rows(constraints.ops),
@@ -160,7 +157,7 @@ def k_matrix_exact(
     constraints: ConstraintSet,
     engine: KRowEngine | None = None,
 ) -> KMatrix:
-    """Exact-expectation K for the selected constraints."""
+    """Exact K for the selected constraints."""
     eng = engine if engine is not None else KRowEngine(state, op_basis)
     return eng.matrix(constraints)
 

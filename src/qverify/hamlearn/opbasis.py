@@ -43,12 +43,11 @@ class OperatorBasis:
     def labels(self) -> list[str]:
         return [e.label for e in self.elements]
 
-    def coefficient_vector(self, j: float | None = None, u: float | None = None) -> np.ndarray:
+    def coefficient_vector(self) -> np.ndarray:
         """Hubbard coefficients in basis order: -J on hoppings, U on doublons."""
-        jj = self.lattice.j if j is None else j
-        uu = self.lattice.u if u is None else u
+        lat = self.lattice
         return np.array(
-            [-jj if e.kind == "hopping" else uu for e in self.elements], dtype=float
+            [-lat.j if e.kind == "hopping" else lat.u for e in self.elements], dtype=float
         )
 
     def __repr__(self) -> str:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -80,27 +79,16 @@ def pauli_entries(term: PauliTerm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cols ^ x, cols, (complex(term.coeff) * _I_POWERS[n_y % 4]) * signs
 
 
-def pauli_term_matrix(term: PauliTerm) -> np.ndarray:
-    """Dense matrix of one Pauli term (qubit 0 = most significant factor)."""
-    return assemble_pauli_operator(term.n, [term])
-
-
-def assemble_pauli_operator(
-    n: int, terms: Sequence[PauliTerm], sparse: bool = False
-):
-    """Sum of Pauli terms on n qubits as a dense array (or CSR)."""
+def assemble_pauli_operator(n: int, terms: Sequence[PauliTerm]) -> np.ndarray:
+    """Sum of Pauli terms on n qubits as a dense array (qubit 0 = most
+    significant factor)."""
     for t in terms:
         if t.n != n:
             raise ValueError(f"term {t.factors!r} does not act on {n} qubits")
     dim = 1 << n
-    entries = [pauli_entries(t) for t in terms]
-    if sparse:
-        if not entries:
-            return sp.csr_matrix((dim, dim), dtype=complex)
-        rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
     out = np.zeros((dim, dim), dtype=complex)
-    for rows, cols, vals in entries:
+    for t in terms:
+        rows, cols, vals = pauli_entries(t)
         out[rows, cols] += vals
     return out
 

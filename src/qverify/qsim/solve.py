@@ -1,8 +1,8 @@
-"""Eigensolvers, expectations, and Born sampling.
+"""Ground states and Born sampling.
 
-Dense linear algebra below DENSE_CUTOFF dimensions, iterative sparse
-(Lanczos) above.  Every ground-state call verifies
-its residual against the operator norm before returning.
+Ground states use dense linear algebra up to DENSE_CUTOFF dimensions and
+sparse Lanczos above; every call checks its residual against the operator
+norm before returning.
 """
 
 from __future__ import annotations
@@ -59,17 +59,6 @@ def hubbard_ground_state(lattice: LatticeSpec) -> tuple[float, QuantumState]:
     """Ground energy and state of the lattice's Hubbard model in its sector."""
     basis = FermionBasis(lattice)
     return ground_state(assemble_operator(basis, hubbard_terms(lattice)), basis)
-
-
-def expectation(state: QuantumState, op) -> float:
-    """<O> for a Hermitian operator; the imaginary residue must vanish."""
-    if state.is_pure:
-        val = complex(np.vdot(state.data, op @ state.data))
-    else:
-        val = complex(np.trace(op @ state.data))
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation has imaginary part {val.imag:.3e}; operator not Hermitian?")
-    return float(val.real)
 
 
 def sample_counts(state: QuantumState, n_shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,6 @@
 from .cliffords import (
     CLIFFORD_TABLE,
     NUM_CLIFFORDS,
-    clifford_index,
     phase_normalize,
 )
 from .dataset import RandMeasDataset, collect
@@ -14,7 +13,6 @@ from .estimators import (
     estimate_overlap,
     estimate_purity,
     exact_mode_overlap,
-    marginal_probabilities,
 )
 from .scaling import ScalingPoint, ScalingResult, scaling_probe
 from .settings import MeasurementSetting, haar_unitary, sample_settings
@@ -28,14 +26,12 @@ __all__ = [
     "RandMeasDataset",
     "ScalingPoint",
     "ScalingResult",
-    "clifford_index",
     "collect",
     "estimate_fmax",
     "estimate_overlap",
     "estimate_purity",
     "exact_mode_overlap",
     "haar_unitary",
-    "marginal_probabilities",
     "phase_normalize",
     "sample_settings",
     "scaling_probe",

@@ -64,12 +64,3 @@ def _generate_table() -> np.ndarray:
 CLIFFORD_TABLE: np.ndarray = _generate_table()
 
 NUM_CLIFFORDS: int = CLIFFORD_TABLE.shape[0]
-
-
-def clifford_index(u: np.ndarray) -> int:
-    """Look up the table index of ``u`` up to global phase."""
-    v = phase_normalize(np.asarray(u, dtype=complex))
-    for i in range(NUM_CLIFFORDS):
-        if np.allclose(CLIFFORD_TABLE[i], v, atol=1e-9):
-            return i
-    raise ValueError("matrix is not in the single-qubit Clifford table")

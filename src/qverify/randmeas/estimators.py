@@ -58,16 +58,6 @@ def _marginal_index(ints: np.ndarray, num_qubits: int, subsystem: tuple[int, ...
     return out
 
 
-def marginal_probabilities(
-    probs: np.ndarray, num_qubits: int, subsystem: tuple[int, ...]
-) -> np.ndarray:
-    """Sum a full-register distribution down to the given qubits (order kept)."""
-    sub = _marginal_index(np.arange(len(probs), dtype=np.int64), num_qubits, subsystem)
-    out = np.zeros(2 ** len(subsystem))
-    np.add.at(out, sub, probs)
-    return out
-
-
 def _counts_arrays(
     counts: np.ndarray, num_qubits: int, subsystem: tuple[int, ...] | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +96,15 @@ def _align(ds1: RandMeasDataset, ds2: RandMeasDataset, subsystem: tuple[int, ...
     for u, (a, b) in enumerate(zip(ds1.settings, ds2.settings)):
         if not a.matches(b, qubits=subsystem):
             raise ValueError(f"settings differ at position {u} (setting id {a.setting_id})")
+
+
+def _same_data(ds1: RandMeasDataset, ds2: RandMeasDataset) -> bool:
+    """Whether two aligned datasets are one record: the cross product of
+    identical counts is biased by same-shot pairs, so their overlap is the
+    purity U-statistic."""
+    return ds1 is ds2 or (
+        ds1.device_id == ds2.device_id and all(map(np.array_equal, ds1.counts, ds2.counts))
+    )
 
 
 def _cross_terms(
@@ -163,11 +162,14 @@ def estimate_overlap(
     ds2: RandMeasDataset,
     subsystem: tuple[int, ...] | None = None,
 ) -> Estimate:
-    """Tr[rho_1 rho_2] from shared-settings counts, marginalized to ``subsystem``."""
+    """Tr[rho_1 rho_2] from shared-settings counts, marginalized to ``subsystem``.
+
+    Two datasets with one device id and equal counts are one record, and
+    their overlap is its purity."""
     sub = _check_subsystem(ds1.num_qubits, subsystem)
-    if ds1 is ds2:
-        return estimate_purity(ds1, sub)
     _align(ds1, ds2, sub)
+    if _same_data(ds1, ds2):
+        return _mean_with_jackknife(_purity_terms(ds1, sub))
     return _mean_with_jackknife(_cross_terms(ds1, ds2, sub))
 
 
@@ -202,11 +204,7 @@ def estimate_fmax(
     _align(a, b, sub)
     pa = _purity_terms(a, sub)
     pb = pa if b is a else _purity_terms(b, sub)
-    # comparing a dataset with itself: the cross product of identical counts
-    # is biased by same-shot pairs, so the overlap IS the purity there
-    # (_align has matched the number of settings)
-    same = a is b or (a.device_id == b.device_id and all(map(np.array_equal, a.counts, b.counts)))
-    o = pa.copy() if same else _cross_terms(a, b, sub)
+    o = pa.copy() if _same_data(a, b) else _cross_terms(a, b, sub)
 
     def fmax_of(om: float, pam: float, pbm: float) -> float:
         denom = max(pam, pbm)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..qsim import PauliTerm, QuantumState, assemble_pauli_operator, expectation
+from ..qsim import PauliTerm, assemble_pauli_operator
 from ..randmeas.estimators import _jackknife_se, _loo_means
 from ..repostore.format import (
     FORMAT_VERSION,
@@ -72,10 +72,6 @@ class HamiltonianInstance:
 
     def matrix(self) -> np.ndarray:
         return assemble_pauli_operator(self.num_qubits, self.terms)
-
-    def exact_expectation(self, state: QuantumState) -> float:
-        op = assemble_pauli_operator(self.num_qubits, self.terms, sparse=True)
-        return expectation(state, op)
 
 
 @dataclass(frozen=True)

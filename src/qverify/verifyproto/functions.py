@@ -47,10 +47,6 @@ class TrapdoorKey:
         if len(self.table) != 4 or any(not 0 <= t < 4 for t in self.table):
             raise ValueError("table must map the four inputs into 0..3")
 
-    def public_message(self) -> dict:
-        """The only data the other party ever receives about this key."""
-        return {"label": self.label, "table": list(self.table)}
-
     def apply(self, b: int, x: int) -> int:
         return self.table[2 * b + x]
 

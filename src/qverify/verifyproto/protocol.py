@@ -24,12 +24,6 @@ TEST_ROUND = "test"
 MEASUREMENT_ROUND = "measurement"
 
 
-def _as_rng(rng, *path) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return make_rng(rng, *path)
-
-
 @dataclass(frozen=True)
 class CommittedState:
     """System state with one qubit entangled into fresh registers.
@@ -99,13 +93,14 @@ def commit(state: QuantumState, qubit: int, table) -> CommittedState:
     )
 
 
-def commit_measure_image(committed: CommittedState, rng) -> tuple[int, QuantumState]:
+def commit_measure_image(
+    committed: CommittedState, rng: np.random.Generator
+) -> tuple[int, QuantumState]:
     """Born-sample the image register; return (y, collapsed remainder).
 
     The remainder keeps the n system qubits plus the preimage qubit at
     index n; the measured image register is dropped.
     """
-    rng = _as_rng(rng, "image")
     blocks = committed.state.data.reshape(-1, 4)
     probs = (np.abs(blocks) ** 2).sum(axis=0)
     probs = probs / probs.sum()
@@ -116,14 +111,13 @@ def commit_measure_image(committed: CommittedState, rng) -> tuple[int, QuantumSt
     return y, QuantumState(residual, QubitBasis(n_rest))
 
 
-def sample_bits(state: QuantumState, ops, rng) -> tuple[int, ...]:
+def sample_bits(state: QuantumState, ops, rng: np.random.Generator) -> tuple[int, ...]:
     """Jointly sample the listed qubits, each in its own basis.
 
     ``ops`` is a sequence of (qubit, 'x'|'z') pairs.  All qubits are
     measured in one Born draw and the listed bits are read off, so the
     returned tuple follows the exact joint marginal.
     """
-    rng = _as_rng(rng, "bits")
     n = state.num_qubits
     units: list[np.ndarray | None] = [None] * n
     for q, basis in ops:
@@ -195,27 +189,6 @@ def finish_round(
     if not key.in_image(y):
         return replace(transcript, verdict=False), direct
     return replace(transcript, decoded=decode(transcript, key)), direct
-
-
-def run_round(
-    kind: str,
-    key: TrapdoorKey,
-    committed: CommittedState,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> ProtocolTranscript:
-    """Play one round against an already-committed state.
-
-    Test rounds open the committed registers in Z and check consistency
-    with the key's table; measurement rounds record the X outcomes (u, v)
-    for later decoding.
-    """
-    if rng is None:
-        rng = make_rng(seed, "round", kind)
-    transcript, _ = finish_round(kind, key, HonestSession(committed, (), rng), seed)
-    if kind == MEASUREMENT_ROUND:
-        transcript = replace(transcript, verdict=None, decoded=None)
-    return transcript
 
 
 def decode(transcript: ProtocolTranscript, key: TrapdoorKey) -> int:

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from qverify.qsim import QuantumState, apply_terms
 from qverify.qsim import solve as qsolve
-from qverify.randmeas import Estimate, FidelityEstimate
+from qverify.randmeas import CLIFFORD_TABLE, Estimate, FidelityEstimate, phase_normalize
 from qverify.randmeas.estimators import _jackknife_se, _loo_means, _mean_with_jackknife
 from qverify.repostore import dataset_to_document
 
@@ -196,6 +196,17 @@ def time_evolve(state: QuantumState, op, t: float) -> QuantumState:
     return QuantumState(u @ state.data @ u.conj().T, state.basis)
 
 
+def expectation(state: QuantumState, op) -> float:
+    """<O> for a Hermitian operator; the imaginary residue must vanish."""
+    if state.is_pure:
+        val = complex(np.vdot(state.data, op @ state.data))
+    else:
+        val = complex(np.trace(op @ state.data))
+    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
+        raise ValueError(f"expectation has imaginary part {val.imag:.3e}; operator not Hermitian?")
+    return float(val.real)
+
+
 def observable_variance(state: QuantumState, op) -> float:
     """Var(O) = <O^2> - <O>^2 on the state (op Hermitian)."""
     if state.is_pure:
@@ -240,6 +251,25 @@ def sample_observable(
 
 
 # ---------------------------------------------------------------- randomized measurements
+
+
+def clifford_index(u: np.ndarray) -> int:
+    """Table index of ``u`` up to global phase."""
+    v = phase_normalize(np.asarray(u, dtype=complex))
+    for i, c in enumerate(CLIFFORD_TABLE):
+        if np.allclose(c, v, atol=1e-9):
+            return i
+    raise ValueError("matrix is not in the single-qubit Clifford table")
+
+
+def marginal_probabilities(probs: np.ndarray, num_qubits: int, subsystem) -> np.ndarray:
+    """Sum a full-register distribution down to ``subsystem``, in its order."""
+    rest = tuple(q for q in range(num_qubits) if q not in subsystem)
+    p = np.asarray(probs).reshape((2,) * num_qubits).sum(axis=rest)
+    # the summed array keeps the subsystem's axes in ascending qubit order
+    return np.transpose(p, np.argsort(np.argsort(subsystem))).reshape(-1)
+
+
 # The string-keyed estimators: every outcome is a bitstring key, read back
 # from the dataset's file document and parsed with int(b, 2) on each call,
 # with the kernel evaluated string against string.
@@ -293,8 +323,15 @@ def string_purity_terms(ds, subsystem=None) -> np.ndarray:
     return np.array(out)
 
 
+def _string_same_data(ds1, ds2) -> bool:
+    """One record: the same object, or one device id with equal counts."""
+    return ds1 is ds2 or (
+        ds1.device_id == ds2.device_id and bitstring_counts(ds1) == bitstring_counts(ds2)
+    )
+
+
 def string_overlap(ds1, ds2, subsystem=None) -> Estimate:
-    if ds1 is ds2:
+    if _string_same_data(ds1, ds2):
         return _mean_with_jackknife(string_purity_terms(ds1, subsystem))
     return _mean_with_jackknife(string_cross_terms(ds1, ds2, subsystem))
 
@@ -305,8 +342,7 @@ def string_fmax(ds1, ds2, subsystem=None) -> FidelityEstimate:
     key1, key2 = ((d.device_id, d.state_label, repr(bitstring_counts(d))) for d in (ds1, ds2))
     a, b = (ds1, ds2) if key1 <= key2 else (ds2, ds1)
     pa, pb = string_purity_terms(a, subsystem), string_purity_terms(b, subsystem)
-    same = a is b or (a.device_id == b.device_id and bitstring_counts(a) == bitstring_counts(b))
-    o = pa.copy() if same else string_cross_terms(a, b, subsystem)
+    o = pa.copy() if _string_same_data(a, b) else string_cross_terms(a, b, subsystem)
 
     def fmax_of(om, pam, pbm):
         denom = max(pam, pbm)

@@ -62,11 +62,12 @@ from qverify.verifyproto import (
     commit,
     delegate_rounds,
     enumerate_functions,
+    finish_round,
     keygen,
     minimal_clock_instance,
-    run_round,
     verify_energy,
 )
+from qverify.verifyproto.protocol import HonestSession
 
 
 def _non_increasing(values) -> bool:
@@ -312,7 +313,8 @@ def test_09_minimal_seven_qubit_verification_end_to_end():
     key = keygen("x", seed=9)
     committed = commit(clock.eta, 0, key.table)
     assert committed.state.num_qubits == 7
-    transcript = run_round(TEST_ROUND, key, committed, seed=9)
+    session = HonestSession(committed, (), make_rng(9, "round"))
+    transcript, _ = finish_round(TEST_ROUND, key, session)
     assert transcript.verdict is True
 
     terms = [PauliTerm(-1.0, "XXII"), PauliTerm(-1.0, "IXXI"), PauliTerm(-1.0, "IIXX")]

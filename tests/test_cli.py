@@ -721,19 +721,20 @@ def _output_digest(out: Path, stem: str) -> str:
 
 # Seeded output pinned by digest: rewriting the round engine, the Pauli
 # operators or the estimators beneath these commands must not move a byte.
+# Braced names are the placeholder values of ``config_inputs``.
 _PINNED_RUNS = {
     "verify-run-honest": (
-        ["verify", "run", "--rounds", "400", "--seed", "7"],
+        ["verify", "run", "--instance", "{instance}", "--rounds", "400", "--seed", "7"],
         "verify_run",
         "6d9488b6fbe81fd5bbcd677d89d63497a17856aeff1080bf8537e23f1ef37f55",
     ),
     "verify-run-mixed": (
-        ["verify", "run", "--rounds", "400", "--prover", "mixed", "--seed", "7"],
+        ["verify", "run", "--instance", "{instance}", "--rounds", "400", "--prover", "mixed", "--seed", "7"],
         "verify_run",
         "91d519330d0903193a7bf7faba29698962385f6e1d8789a0ff584edc680e79ff",
     ),
     "verify-run-basis-guess": (
-        ["verify", "run", "--rounds", "400", "--prover", "basis-guess", "--seed", "7"],
+        ["verify", "run", "--instance", "{instance}", "--rounds", "400", "--prover", "basis-guess", "--seed", "7"],
         "verify_run",
         "b90a84eb44aa9a3a18838c588954804be35fd8f4f0ada7715ad9cc4f5eb5c119",
     ),
@@ -762,16 +763,40 @@ _PINNED_RUNS = {
         "reproduce_fig3_demo",
         "419105d6db96de9680009ef4f550b86b52f66e7b4efee8ebc39d208c49a382cf",
     ),
+    # the cross-platform route, on the two seeded datasets of ``two_datasets``
+    "randmeas-compare-full": (
+        ["randmeas", "compare", "{file_1}", "{file_2}"],
+        "randmeas_compare",
+        "3e2ded37fa1ee142156f6fb3bc8b790286378f5a786952f450a881f9972c070e",
+    ),
+    "randmeas-compare-01": (
+        ["randmeas", "compare", "{file_1}", "{file_2}", "--subsystem", "0,1"],
+        "randmeas_compare",
+        "14685d73185d754854ac907cb89990db34296ed48b669fe58283aecaddaa01ba",
+    ),
+    "randmeas-exact-ghz-random": (
+        ["randmeas", "exact", "--state", "ghz:2", "--state2", "random:2"],
+        "randmeas_exact",
+        "30c2b00fa3a07631c27c359d98e39862cb560c16ffeb489e8e096f723a0f72bb",
+    ),
+    "repo-compare": (
+        ["repo", "compare", "{id_1}", "{id_2}", "--root", "{root}", "--subsystem", "0", "--subsystem", "full"],
+        "repo_compare",
+        "e832cf3c1b7fa7d1ef5d4ceb87764d96832861cc082f35dbb5cddd27253db452",
+    ),
+    "repo-matrix": (
+        ["repo", "matrix", "{id_1}", "{id_2}", "--root", "{root}"],
+        "repo_matrix",
+        "9e9af1da32538582da5ef2c72017a01239a5e4d2df2b6aa6967d722e3db2816f",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
-def test_seeded_output_matches_pinned_digest(name, instance_file, tmp_path):
+def test_seeded_output_matches_pinned_digest(name, config_inputs, tmp_path):
     argv, stem, expected = _PINNED_RUNS[name]
-    if argv[:2] == ["verify", "run"]:
-        argv = argv + ["--instance", str(instance_file)]
     out = tmp_path / "out"
-    assert dispatch(argv + ["--out", str(out)]) == 0
+    assert dispatch([a.format(**config_inputs) for a in argv] + ["--out", str(out)]) == 0
     assert _output_digest(out, stem) == expected
 
 

@@ -84,7 +84,7 @@ def test_k_entries_match_commutator_expectation():
     psi = state.data
     for cand in pool:
         a = assemble_operator(basis, list(cand.terms)).toarray()
-        row = eng.row(cand)
+        row = eng.rows([cand])[0]
         for m, elem in enumerate(ob.elements):
             s = assemble_operator(basis, list(elem.terms)).toarray()
             comm = -1j * (a @ s - s @ a)
@@ -115,7 +115,7 @@ def test_k_matrix_mixed_state_stationary():
     eng = KRowEngine(rho, ob)
     c_true = ob.coefficient_vector()
     for cand in enumerate_candidates(lat):
-        assert abs(eng.row(cand) @ c_true) < 1e-10
+        assert abs(eng.rows([cand])[0] @ c_true) < 1e-10
 
 
 # A random density matrix is not stationary, so every ensemble member shows
@@ -145,7 +145,7 @@ def test_k_rows_mixed_state_match_dense_trace(rank):
     for cand in enumerate_candidates(MIXED_LATTICE):
         a = _dense(rho.basis, cand)
         want = [2.0 * np.imag(np.trace(a @ s @ rho.data)) for s in s_dense]
-        np.testing.assert_allclose(eng.row(cand), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eng.rows([cand])[0], want, rtol=0, atol=1e-12)
 
 
 def test_candidate_terms_are_symmetrized_current_densities():

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 from oracle_helpers import (
+    expectation,
     kron_chain,
     observable_variance,
     sample_observable,
@@ -22,11 +23,9 @@ from qverify.qsim import (
     apply_local_unitaries,
     assemble_operator,
     assemble_pauli_operator,
-    expectation,
     ghz_state,
     ground_state,
     hubbard_terms,
-    pauli_term_matrix,
     parse_state_spec,
     plus_state,
     random_density_state,
@@ -48,16 +47,11 @@ def test_pauli_term_matrix_matches_kron_oracle():
             factors = "".join(letters)
             coeff = complex(rng.normal(), rng.normal())
             expected = coeff * kron_chain(factors)
-            assert np.array_equal(pauli_term_matrix(PauliTerm(coeff, factors)), expected)
-            sparse = assemble_pauli_operator(n, [PauliTerm(coeff, factors)], sparse=True)
-            assert np.array_equal(sparse.toarray(), expected)
-
-
-def test_assemble_pauli_sparse_dense_agree():
+            assert np.array_equal(assemble_pauli_operator(n, [PauliTerm(coeff, factors)]), expected)
+    # a sum of terms is the sum of their kron products
     terms = [PauliTerm(-1.0, "XXI"), PauliTerm(0.5, "ZIZ"), PauliTerm(0.25, "IYI")]
-    dense = assemble_pauli_operator(3, terms)
-    sparse = assemble_pauli_operator(3, terms, sparse=True).toarray()
-    assert np.allclose(dense, sparse)
+    expected = sum(t.coeff * kron_chain(t.factors) for t in terms)
+    assert np.allclose(assemble_pauli_operator(3, terms), expected, rtol=0, atol=1e-15)
 
 
 def test_ground_state_dense_vs_sparse_consistent():
@@ -160,7 +154,7 @@ def test_sample_counts_chi_square():
 
 def test_sample_observable_unbiased_and_exact_variance():
     st = plus_state(1)
-    z = pauli_term_matrix(PauliTerm(1.0, "Z"))
+    z = assemble_pauli_operator(1, [PauliTerm(1.0, "Z")])
     stats = sample_observable(st, z, 40000, make_rng(9, "obs"))
     # mean of +-1 samples, exact mean 0, sd 1/sqrt(n)
     assert abs(stats.mean) < 5 / np.sqrt(40000)

@@ -11,9 +11,11 @@ import scipy.linalg
 
 from oracle_helpers import (
     bitstring_counts,
+    clifford_index,
     dense_fmax,
     dense_overlap,
     hamming_kernel,
+    marginal_probabilities,
     string_fmax,
     string_overlap,
     string_purity_terms,
@@ -31,18 +33,17 @@ from qverify.randmeas import (
     NUM_CLIFFORDS,
     MeasurementSetting,
     RandMeasDataset,
-    clifford_index,
     collect,
     estimate_fmax,
     estimate_overlap,
     estimate_purity,
     exact_mode_overlap,
-    marginal_probabilities,
     sample_settings,
     scaling_probe,
 )
 from qverify.randmeas.cliffords import _generate_table
 from qverify.randmeas.estimators import _purity_terms
+from qverify.repostore import load_dataset_text, serialize_dataset
 from qverify.rng import make_rng
 
 
@@ -299,6 +300,19 @@ class TestEstimateOverlap:
         estimate_overlap(d1, d2, subsystem=(0,))
         with pytest.raises(ValueError):
             estimate_overlap(d1, d2)
+
+    def test_reloaded_copy_is_the_same_record(self):
+        # a copy read back from its file is the same data as the original:
+        # both estimators give the purity U-statistic, not the cross product
+        # biased by same-shot pairs
+        ds = collect(ghz_state(4), sample_settings(4, 200, seed=50), 64, seed=51, device_id="a")
+        copy, _ = load_dataset_text(serialize_dataset(ds))
+        assert copy is not ds
+        for sub in (None, (0, 2)):
+            purity = estimate_purity(ds, sub)
+            assert estimate_overlap(ds, copy, sub) == purity
+            assert estimate_overlap(copy, ds, sub) == purity
+            assert estimate_fmax(ds, copy, sub).overlap == purity.value
 
 
 class TestEstimatePurity:

@@ -46,16 +46,16 @@ from qverify.verifyproto import (
     decoded_distribution,
     delegate_rounds,
     enumerate_functions,
+    finish_round,
     key_decoded_distribution,
     keygen,
     load_instance_text,
     minimal_clock_instance,
     pauli_expansion,
-    run_round,
     serialize_instance,
     verify_energy,
 )
-from qverify.verifyproto.protocol import _round_atoms
+from qverify.verifyproto.protocol import HonestSession, _round_atoms
 
 THETA_GRID = np.linspace(0.0, np.pi, 17)
 
@@ -143,14 +143,6 @@ class TestFunctionFamily:
     def test_keygen_rejects_unknown_basis(self):
         with pytest.raises(ValueError, match="basis"):
             keygen("y", seed=0)
-
-    def test_public_message_carries_only_label_and_table(self):
-        for key in (keygen("z", seed=1), keygen("x", seed=1)):
-            msg = key.public_message()
-            assert set(msg) == {"label", "table"}
-            text = json.dumps(msg)
-            assert "one-to-one" not in text
-            assert "two-to-one" not in text
 
     def test_preimages_error_outside_image(self):
         _, twos = enumerate_functions()
@@ -315,8 +307,10 @@ class TestRoundsAndDecoding:
         ones, twos = enumerate_functions()
         for key in list(ones) + list(twos):
             for i, theta in enumerate((0.0, 0.4, 1.1, 2.2)):
-                committed = commit(theta_state(theta), 0, key.table)
-                t = run_round(TEST_ROUND, key, committed, seed=1000 + i)
+                session = HonestSession(
+                    commit(theta_state(theta), 0, key.table), (), make_rng(1000 + i, "round")
+                )
+                t, _ = finish_round(TEST_ROUND, key, session)
                 assert t.verdict is True
                 assert t.round_type == TEST_ROUND
                 assert t.key_label == key.label
@@ -338,8 +332,8 @@ class TestRoundsAndDecoding:
         corrupted = tuple(t ^ 1 for t in key.table)
         fails = 0
         for r in range(100):
-            committed = commit(theta_state(0.8), 0, corrupted)
-            t = run_round(TEST_ROUND, key, committed, seed=r)
+            session = HonestSession(commit(theta_state(0.8), 0, corrupted), (), make_rng(r, "round"))
+            t, _ = finish_round(TEST_ROUND, key, session)
             fails += not t.verdict
         assert fails > 0  # here the corruption is detected every round
         assert fails == 100
@@ -347,8 +341,14 @@ class TestRoundsAndDecoding:
     def test_transcript_determinism(self):
         key = keygen("x", seed=9)
         state = theta_state(1.0)
-        a = run_round(MEASUREMENT_ROUND, key, commit(state, 0, key.table), seed=42)
-        b = run_round(MEASUREMENT_ROUND, key, commit(state, 0, key.table), seed=42)
+        a, b = (
+            finish_round(
+                MEASUREMENT_ROUND,
+                key,
+                HonestSession(commit(state, 0, key.table), (), make_rng(42, "round")),
+            )
+            for _ in range(2)
+        )
         assert a == b
 
     def test_x_decode_formula_exhaustive_oracle(self):
@@ -669,7 +669,7 @@ class TestHamiltonianInstance:
 
     def test_matrix_and_expectation(self):
         inst, gs, e0 = _tfi_instance()
-        assert abs(inst.exact_expectation(gs) - e0) < 1e-10
+        assert abs(np.vdot(gs.data, inst.matrix() @ gs.data).real - e0) < 1e-10
         assert abs(inst.midpoint - (-2.175)) < 1e-12
 
     def test_serialization_roundtrip(self):
