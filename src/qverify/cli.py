@@ -57,10 +57,10 @@ import numpy as np
 
 from .hamlearn import (
     KRowEngine,
+    KSampler,
     build_constraints,
     build_operator_basis,
     k_matrix_exact,
-    k_matrix_sampled,
     learning_curve,
     parameter_distance,
     reconstruct,
@@ -277,29 +277,27 @@ _CURVE_COLUMNS = ["control", "median_distance", "q25", "q75", "gap", "smallest_s
 def _cmd_hamlearn_run(args) -> Report:
     shots = _parse_shots(args.shots)
     shots_label = "exact" if shots is None else shots
+    if args.constraints < 0:
+        raise ValueError(f"constraint count {args.constraints} is negative (0: basis size)")
     lat = LatticeSpec(*_parse_lattice(args.lattice), j=args.j, u=args.u, nup=args.nup, ndown=args.ndown)
     energy, state = hubbard_ground_state(lat)
     op_basis = build_operator_basis(lat)
-    if args.constraints < 0:
-        raise ValueError(f"constraint count {args.constraints} is negative (0: basis size)")
     n_constraints = args.constraints or op_basis.m
+    # one engine: the K reconstructed from holds the rows selection tested
+    engine = KRowEngine(state, op_basis)
     constraints = build_constraints(
         state,
         op_basis,
         n_constraints,
         shuffle_seed=child_seed(args.seed, "cli", "hamlearn", "constraints"),
+        engine=engine,
     )
     if shots is None:
-        km = k_matrix_exact(state, op_basis, constraints)
+        k = k_matrix_exact(state, op_basis, constraints, engine=engine)
     else:
-        km = k_matrix_sampled(
-            state,
-            op_basis,
-            constraints,
-            shots,
-            seed=child_seed(args.seed, "cli", "hamlearn", "shots"),
-        )
-    result = reconstruct(km)
+        seed = child_seed(args.seed, "cli", "hamlearn", "shots")
+        k = KSampler(engine, constraints).sample(shots, seed)
+    result = reconstruct(k)
     c_true = op_basis.coefficient_vector()
     distance = _solution_distance(result, c_true)
     smallest = float(result.singular_values[-1])
@@ -701,12 +699,19 @@ def _fig1b(seed: int):
     lat = LatticeSpec(2, 2, j=1.0, u=8.0, nup=2, ndown=2)
     _, state = hubbard_ground_state(lat)
     op_basis = build_operator_basis(lat)
+    engine = KRowEngine(state, op_basis)
     constraints = build_constraints(
-        state, op_basis, 24, shuffle_seed=child_seed(seed, "cli", "fig1b", "constraints")
+        state,
+        op_basis,
+        24,
+        shuffle_seed=child_seed(seed, "cli", "fig1b", "constraints"),
+        engine=engine,
     )
     grid = [100, 316, 1000, 3162, 10000]
     reps = [child_seed(seed, "cli", "fig1b", "rep", i) for i in range(20)]
-    points = learning_curve(state, op_basis, shot_grid=grid, constraints=constraints, seeds=reps)
+    points = learning_curve(
+        state, op_basis, shot_grid=grid, constraints=constraints, seeds=reps, engine=engine
+    )
     slope = fit_loglog_slope(points)
     checks = [
         _check("loglog-slope", float(slope), "|slope - (-0.5)| <= 0.15", abs(slope + 0.5) <= 0.15)

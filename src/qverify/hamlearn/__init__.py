@@ -7,7 +7,7 @@ from .constraints import (
     enumerate_candidates,
     build_constraints,
 )
-from .kmatrix import KMatrix, KRowEngine, KSampler, k_matrix_exact, k_matrix_sampled
+from .kmatrix import KRowEngine, KSampler, k_matrix_exact
 from .reconstruct import LearnResult, reconstruct, parameter_distance
 from .curves import CurvePoint, learning_curve
 
@@ -19,11 +19,9 @@ __all__ = [
     "ConstraintSet",
     "enumerate_candidates",
     "build_constraints",
-    "KMatrix",
     "KRowEngine",
     "KSampler",
     "k_matrix_exact",
-    "k_matrix_sampled",
     "LearnResult",
     "reconstruct",
     "parameter_distance",

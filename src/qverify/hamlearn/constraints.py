@@ -18,7 +18,7 @@ rows are harmless for exact reconstruction and add signal under shot noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,14 +82,11 @@ def enumerate_candidates(lattice: LatticeSpec) -> list[ConstraintOp]:
 
 @dataclass
 class ConstraintSet:
-    lattice: LatticeSpec
     ops: list[ConstraintOp]
     independent: list[bool]
-    residuals: list[float]
     rank: int
-    tol: float
-    shuffle_seed: int | None
-    provenance: dict = field(default_factory=dict)
+    # n_rejected_pool: candidates visited and rejected before selection stopped
+    provenance: dict
 
     @property
     def n_constraints(self) -> int:
@@ -126,10 +123,7 @@ def build_constraints(
     norms = np.linalg.norm(rows, axis=1)
     nonzero = norms > 1e-14 * np.maximum(np.maximum.accumulate(norms), 1.0)
     accepted: list[ConstraintOp] = []
-    independent: list[bool] = []
-    residuals: list[float] = []
-    rejected: list[tuple[ConstraintOp, float]] = []
-    rank = 0
+    rejected: list[ConstraintOp] = []
     # rows[start:] hold the residuals of the unvisited candidates against the
     # accepted span; each accepted row projects them once
     start = 0
@@ -138,44 +132,23 @@ def build_constraints(
         np.divide(np.linalg.norm(rows[start:], axis=1), norms[start:], out=rel, where=nonzero[start:])
         hits = np.flatnonzero(rel >= INDEPENDENCE_TOL)
         stop = start + int(hits[0]) if hits.size else len(pool)
-        rejected += [(pool[i], float(rel[i - start])) for i in range(start, stop)]
+        rejected += pool[start:stop]
         if not hits.size:
             break
         q = rows[stop] / np.linalg.norm(rows[stop])
         accepted.append(pool[stop])
-        independent.append(True)
-        residuals.append(float(rel[stop - start]))
-        rank += 1
         tail = rows[stop + 1 :]
         tail -= np.outer(tail @ q, q)
         start = stop + 1
 
     # fill with dependent rows once the achievable rank is exhausted: a
-    # candidate rejected against a smaller span stays dependent later on
-    fill_iter = iter(rejected)
-    while len(accepted) < n_constraints:
-        try:
-            cand, resid = next(fill_iter)
-        except StopIteration:
-            raise ValueError(
-                f"constraint pool exhausted at {len(accepted)} rows "
-                f"(rank {rank}) before reaching {n_constraints}"
-            )
-        accepted.append(cand)
-        independent.append(False)
-        residuals.append(resid)
-
+    # candidate rejected against a smaller span stays dependent later on.
+    # Unless the request is filled, every candidate of the pool (at least
+    # n_constraints of them) was accepted or rejected, so the fill suffices.
+    rank = len(accepted)
     return ConstraintSet(
-        lattice=op_basis.lattice,
-        ops=accepted,
-        independent=independent,
-        residuals=residuals,
+        ops=accepted + rejected[: n_constraints - rank],
+        independent=[True] * rank + [False] * (n_constraints - rank),
         rank=rank,
-        tol=INDEPENDENCE_TOL,
-        shuffle_seed=shuffle_seed,
-        provenance={
-            "pool_size": len(pool),
-            "n_rejected_pool": len(rejected),
-            "selection": "greedy-independence+dependent-fill",
-        },
+        provenance={"n_rejected_pool": len(rejected)},
     )

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..qsim.state import QuantumState
 from .constraints import ConstraintSet, build_constraints, enumerate_candidates
-from .kmatrix import KMatrix, KRowEngine, KSampler
+from .kmatrix import KRowEngine, KSampler
 from .opbasis import OperatorBasis
 from .reconstruct import parameter_distance, reconstruct
 
@@ -22,7 +22,6 @@ class CurvePoint:
     gap: float  # median correlation-matrix gap
     smallest_singular_value: float  # median sigma_min
     n_seeds: int
-    extra: dict = field(default_factory=dict)
 
 
 def _aggregate(control, dists, gaps, sigmas) -> CurvePoint:
@@ -53,21 +52,25 @@ def learning_curve(
     Exactly one of ``constraint_grid`` (exact K, per-seed shuffled candidate
     order) or ``shot_grid`` (sampled K on a fixed constraint set, per-seed
     measurement noise) must be given.  Distances are against the
-    lattice's Hubbard coefficients.
+    lattice's Hubbard coefficients.  One engine, ``engine`` or one built
+    once the arguments are checked, serves either grid.
     """
     if (constraint_grid is None) == (shot_grid is None):
         raise ValueError("give exactly one of constraint_grid or shot_grid")
-    c_true = op_basis.coefficient_vector()
+    kind, grid = ("constraint", constraint_grid) if shot_grid is None else ("shot", shot_grid)
+    grid = sorted(set(int(n) for n in grid))
+    if not grid or grid[0] < 1:
+        raise ValueError(f"{kind} counts must be positive")
+    if shot_grid is not None and constraints is None:
+        raise ValueError("shot_grid curves need a fixed ConstraintSet")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    c_true = op_basis.coefficient_vector()
+    eng = engine if engine is not None else KRowEngine(state, op_basis)
 
     points: list[CurvePoint] = []
     if constraint_grid is not None:
-        grid = sorted(set(int(n) for n in constraint_grid))
-        if grid[0] < 1:
-            raise ValueError("constraint counts must be positive")
-        eng = engine if engine is not None else KRowEngine(state, op_basis)
         pool = enumerate_candidates(op_basis.lattice)
         per_seed: dict[int, list[tuple[float, float, float]]] = {n: [] for n in grid}
         for seed in seeds:
@@ -80,16 +83,8 @@ def learning_curve(
                 engine=eng,
             )
             rows = eng.rows(cs.ops)
-            labels = [op.label for op in cs.ops]
             for n in grid:
-                km = KMatrix(
-                    values=rows[:n],
-                    constraint_labels=labels[:n],
-                    basis_labels=op_basis.labels(),
-                    mode="exact",
-                    shots_per_entry=None,
-                )
-                res = reconstruct(km)
+                res = reconstruct(rows[:n])
                 d = parameter_distance(c_true, res.coefficients)
                 per_seed[n].append((d, res.gap, res.singular_values[-1]))
         for n in grid:
@@ -97,17 +92,11 @@ def learning_curve(
             points.append(_aggregate(n, ds, gs, ss))
         return points
 
-    grid = sorted(set(int(s) for s in shot_grid))
-    if grid[0] < 1:
-        raise ValueError("shot counts must be positive")
-    if constraints is None:
-        raise ValueError("shot_grid curves need a fixed ConstraintSet")
-    sampler = KSampler(state, op_basis, constraints)
+    sampler = KSampler(eng, constraints)
     for shots in grid:
         dists, gaps, sigmas = [], [], []
         for seed in seeds:
-            km = sampler.sample(shots, seed)
-            res = reconstruct(km)
+            res = reconstruct(sampler.sample(shots, seed))
             dists.append(parameter_distance(c_true, res.coefficients))
             gaps.append(res.gap)
             sigmas.append(res.singular_values[-1])

@@ -6,11 +6,14 @@ into one inner product: with phi_m = S_m|psi> cached, a row is
 share most of chi_n, so rows are evaluated a (bond, spin) bundle at a time.
 A mixed state enters as the ensemble of its eigenpairs (p_k, v_k), and each
 entry is the p_k-weighted sum of the pure-state ones.
+
+One engine per state is the only source of K in a learning run: selection,
+exact K and both shot models read its rows, ensemble and Phi.  K itself is
+a plain (n_constraints, M) float array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import TYPE_CHECKING
 
@@ -20,7 +23,7 @@ import scipy.linalg
 from ..qsim.fermion import SPIN_UP, FermionBasis, apply_terms, assemble_operator, current_terms
 from ..qsim.solve import DENSE_CUTOFF
 from ..qsim.state import QuantumState
-from ..rng import make_rng, rng_provenance
+from ..rng import make_rng
 from .opbasis import OperatorBasis
 
 if TYPE_CHECKING:  # avoid a circular import; constraints.py uses KRowEngine
@@ -33,20 +36,6 @@ ROW_BLOCK = 8192
 
 def _modes(terms) -> set[int]:
     return {mode for t in terms for mode, _ in t.ops}
-
-
-@dataclass
-class KMatrix:
-    values: np.ndarray  # (n_constraints, M) real
-    constraint_labels: list[str]
-    basis_labels: list[str]
-    mode: str  # "exact" | "born" | "surrogate"
-    shots_per_entry: int | None
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 class KRowEngine:
@@ -67,7 +56,6 @@ class KRowEngine:
     def __init__(self, state: QuantumState, op_basis: OperatorBasis):
         if not isinstance(state.basis, FermionBasis):
             raise TypeError("hamlearn operates on fermionic sector states")
-        self.state = state
         self.op_basis = op_basis
         self.fbasis: FermionBasis = state.basis
         self._rows: dict[str, np.ndarray] = {}
@@ -140,46 +128,34 @@ class KRowEngine:
             self._rows.update(zip(group, self._bundle_rows(list(group.values()))))
         return np.stack([self._rows[cop.label] for cop in cops])
 
-    def matrix(self, constraints: ConstraintSet) -> KMatrix:
-        return KMatrix(
-            values=self.rows(constraints.ops),
-            constraint_labels=[op.label for op in constraints.ops],
-            basis_labels=self.op_basis.labels(),
-            mode="exact",
-            shots_per_entry=None,
-            provenance={"state_pure": self.state.is_pure},
-        )
-
 
 def k_matrix_exact(
     state: QuantumState,
     op_basis: OperatorBasis,
     constraints: ConstraintSet,
     engine: KRowEngine | None = None,
-) -> KMatrix:
-    """Exact K for the selected constraints."""
+) -> np.ndarray:
+    """Exact (n_constraints, M) K for the selected constraints."""
     eng = engine if engine is not None else KRowEngine(state, op_basis)
-    return eng.matrix(constraints)
+    return eng.rows(constraints.ops)
 
 
 class KSampler:
     """Shot-noise models for K: per-entry Born sampling or a Gaussian surrogate.
 
-    Entry (n, m) draws from its own derived stream, so results do not depend
-    on evaluation order.  Spectral data (Born) and exact means/variances
+    Both models read the state, its rows and Phi from ``engine``.  Entry
+    (n, m) draws from its own derived stream, so results do not depend on
+    evaluation order.  Spectral data (Born) and exact means/variances
     (surrogate) are precomputed once and reused across sample() calls.
     """
 
-    def __init__(
-        self,
-        state: QuantumState,
-        op_basis: OperatorBasis,
-        constraints: ConstraintSet,
-        method: str = "auto",
-    ):
-        self.op_basis = op_basis
+    def __init__(self, engine: KRowEngine, constraints: ConstraintSet, method: str = "auto"):
+        if method not in ("auto", "born", "surrogate"):
+            raise ValueError(f"unknown K sampling method {method!r}: use auto, born or surrogate")
+        self.engine = engine
+        self.op_basis = engine.op_basis
         self.constraints = constraints
-        dim = state.dim
+        dim = engine.fbasis.dim
         if method == "auto":
             method = "born" if dim <= DENSE_CUTOFF else "surrogate"
         if method == "born" and dim > DENSE_CUTOFF:
@@ -187,9 +163,8 @@ class KSampler:
                 f"born sampling needs dense-feasible dimension (got {dim})"
             )
         self.method = method
-        self.engine = KRowEngine(state, op_basis)
         self.n_rows = len(constraints.ops)
-        self.n_cols = op_basis.m
+        self.n_cols = self.op_basis.m
         if method == "born":
             self._spectral = self._precompute_spectral()
         else:
@@ -233,7 +208,8 @@ class KSampler:
                 variances[n, m] = max(second - means[n, m] ** 2, 0.0)
         return means, variances
 
-    def sample(self, shots_per_entry: int, seed: int | None) -> KMatrix:
+    def sample(self, shots_per_entry: int, seed: int | None) -> np.ndarray:
+        """(n_constraints, M) K estimated from ``shots_per_entry`` shots per entry."""
         if shots_per_entry < 1:
             raise ValueError("shots_per_entry must be positive")
         vals = np.zeros((self.n_rows, self.n_cols))
@@ -249,28 +225,4 @@ class KSampler:
                 else:
                     sd = float(np.sqrt(self._vars[n, m] / shots_per_entry))
                     vals[n, m] = self._means[n, m] + rng.normal(0.0, sd)
-        return KMatrix(
-            values=vals,
-            constraint_labels=[op.label for op in self.constraints.ops],
-            basis_labels=self.op_basis.labels(),
-            mode=self.method,
-            shots_per_entry=shots_per_entry,
-            provenance={
-                "rng": rng_provenance(seed, "kentry"),
-                "per_entry_streams": True,
-            },
-        )
-
-
-def k_matrix_sampled(
-    state: QuantumState,
-    op_basis: OperatorBasis,
-    constraints: ConstraintSet,
-    shots_per_entry: int,
-    seed: int | None,
-    method: str = "auto",
-) -> KMatrix:
-    """Shot-sampled K (convenience wrapper over KSampler)."""
-    return KSampler(state, op_basis, constraints, method=method).sample(
-        shots_per_entry, seed
-    )
+        return vals

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .kmatrix import KMatrix
 
 DEGENERACY_RTOL = 1e-12
 
@@ -21,15 +19,13 @@ def _sign_gauge(v: np.ndarray) -> np.ndarray:
 class LearnResult:
     coefficients: np.ndarray  # unit norm, sign-gauged
     singular_values: np.ndarray  # descending, zero-padded to length M
-    correlation_spectrum: np.ndarray  # eigenvalues of K^T K, ascending
     gap: float  # lambda_2 - lambda_1 of K^T K
     degenerate: bool
     candidates: list[np.ndarray]  # smallest vector, plus runner-up if degenerate
-    provenance: dict = field(default_factory=dict)
 
 
-def reconstruct(kmatrix: KMatrix) -> LearnResult:
-    """Solve K c = 0 in the least-squares sense.
+def reconstruct(k: np.ndarray) -> LearnResult:
+    """Solve K c = 0 in the least-squares sense for an (n_constraints, M) K.
 
     The reconstruction is the right singular vector of the smallest singular
     value, unit-normalized with a deterministic sign gauge.  When the two
@@ -37,7 +33,7 @@ def reconstruct(kmatrix: KMatrix) -> LearnResult:
     the largest, the solution is flagged non-unique and both candidate
     vectors are reported.
     """
-    k = np.asarray(kmatrix.values, dtype=float)
+    k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.size == 0:
         raise ValueError("K must be a non-empty 2-d matrix")
     m = k.shape[1]
@@ -57,15 +53,9 @@ def reconstruct(kmatrix: KMatrix) -> LearnResult:
     return LearnResult(
         coefficients=v1,
         singular_values=np.sort(sig)[::-1],
-        correlation_spectrum=spectrum,
         gap=gap,
         degenerate=degenerate,
         candidates=candidates,
-        provenance={
-            "mode": kmatrix.mode,
-            "shots_per_entry": kmatrix.shots_per_entry,
-            "n_constraints": k.shape[0],
-        },
     )
 
 

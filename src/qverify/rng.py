@@ -50,11 +50,3 @@ def child_seed(seed: int, *path: object) -> int:
     """Independent integer seed for the sub-task ``path``, drawn from its stream."""
     return int(make_rng(seed, *path).integers(0, 2**63))
 
-
-def rng_provenance(seed: int | None, *path: object) -> dict:
-    """JSON-friendly record of how a stream was derived."""
-    return {
-        "algorithm": GENERATOR_ID,
-        "seed": seed,
-        "path": [str(p) for p in path],
-    }

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from qverify.cli import dispatch
-from qverify.qsim import PauliTerm
+from qverify.hamlearn import KRowEngine, build_constraints, build_operator_basis, reconstruct
+from qverify.qsim import LatticeSpec, PauliTerm, hubbard_ground_state
 from qverify.repostore import canonical_json, document_digest
+from qverify.rng import child_seed
 from qverify.verifyproto import HamiltonianInstance, serialize_instance
 
 
@@ -119,6 +121,34 @@ class TestHamlearnRun:
                 (out / stem).read_text().replace(str(out), "OUT") for out in outs
             ]
             assert texts[0] == texts[1]
+
+    def test_exact_run_reconstructs_from_the_rows_selection_tested(self, tmp_path):
+        # one engine serves selection and K, so the written couplings are
+        # those of the very rows build_constraints accepted, to the last bit
+        out = tmp_path / "out"
+        argv = ["hamlearn", "run", "--lattice", "2x2", "--nup", "2", "--ndown", "2", "--u", "4"]
+        assert dispatch(argv + ["--out", str(out)]) == 0
+        lat = LatticeSpec(2, 2, j=1.0, u=4.0, nup=2, ndown=2)
+        _, state = hubbard_ground_state(lat)
+        ob = build_operator_basis(lat)
+        eng = KRowEngine(state, ob)
+        seed = child_seed(0, "cli", "hamlearn", "constraints")
+        cs = build_constraints(state, ob, ob.m, shuffle_seed=seed, engine=eng)
+        want = reconstruct(eng.rows(cs.ops)).coefficients
+        assert _read_json(out / "hamlearn_run.json")["coefficients"] == [float(c) for c in want]
+
+    def test_negative_constraint_count_is_refused_before_the_eigensolve(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def eigensolve(lat):
+            raise RuntimeError("the ground state was computed")
+
+        monkeypatch.setattr("qverify.cli.hubbard_ground_state", eigensolve)
+        out = tmp_path / "out"
+        argv = ["hamlearn", "run", "--lattice", "3x4", "--constraints", "-1", "--out", str(out)]
+        assert dispatch(argv) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
+        assert not out.exists()
 
     def test_timestamps_only_in_meta_sidecar(self, tmp_path):
         out = tmp_path / "out"

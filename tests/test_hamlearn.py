@@ -11,7 +11,6 @@ from qverify.hamlearn import (
     build_operator_basis,
     enumerate_candidates,
     k_matrix_exact,
-    k_matrix_sampled,
     learning_curve,
     parameter_distance,
     reconstruct,
@@ -100,9 +99,9 @@ def test_k_rows_annihilate_true_coefficients():
         _, _, _, state = _ground(lat)
         ob = build_operator_basis(lat)
         cs = build_constraints(state, ob, n_constraints=ob.m)
-        km = k_matrix_exact(state, ob, cs)
+        k = k_matrix_exact(state, ob, cs)
         c_true = ob.coefficient_vector()
-        assert np.max(np.abs(km.values @ c_true)) < 1e-9
+        assert np.max(np.abs(k @ c_true)) < 1e-9
 
 
 def test_k_matrix_mixed_state_stationary():
@@ -232,8 +231,8 @@ def test_born_means_mixed_state_match_exact_rows():
     rho = _random_sector_density(MIXED_LATTICE, 32)
     ob = build_operator_basis(MIXED_LATTICE)
     cs = build_constraints(rho, ob, n_constraints=6)
-    exact = k_matrix_exact(rho, ob, cs).values
-    sampler = KSampler(rho, ob, cs, method="born")
+    exact = k_matrix_exact(rho, ob, cs)
+    sampler = KSampler(KRowEngine(rho, ob), cs, method="born")
     means = np.array([[probs @ w for w, probs in row] for row in sampler._spectral])
     np.testing.assert_allclose(means, exact, rtol=0, atol=1e-12)
 
@@ -242,7 +241,7 @@ def test_surrogate_variance_mixed_state_matches_dense_oracle():
     rho = _random_sector_density(MIXED_LATTICE, 33)
     ob = build_operator_basis(MIXED_LATTICE)
     cs = build_constraints(rho, ob, n_constraints=6)
-    sampler = KSampler(rho, ob, cs, method="surrogate")
+    sampler = KSampler(KRowEngine(rho, ob), cs, method="surrogate")
     s_dense = [_dense(rho.basis, e) for e in ob.elements]
     for n, cand in enumerate(cs.ops):
         a = _dense(rho.basis, cand)
@@ -303,17 +302,8 @@ def test_reconstruction_flags_degenerate_nullspace():
 
 
 def test_reconstruct_rejects_zero_k():
-    from qverify.hamlearn.kmatrix import KMatrix
-
-    km = KMatrix(
-        values=np.zeros((3, 4)),
-        constraint_labels=["a", "b", "c"],
-        basis_labels=list("wxyz"),
-        mode="exact",
-        shots_per_entry=None,
-    )
     with pytest.raises(ValueError):
-        reconstruct(km)
+        reconstruct(np.zeros((3, 4)))
 
 
 def test_parameter_distance_properties():
@@ -333,15 +323,15 @@ def test_born_sampling_unbiased_and_consistent():
     _, _, _, state = _ground(lat)
     ob = build_operator_basis(lat)
     cs = build_constraints(state, ob, n_constraints=4)
-    exact = k_matrix_exact(state, ob, cs).values
-    sampler = KSampler(state, ob, cs, method="born")
-    reps = [sampler.sample(400, seed=s).values for s in range(60)]
+    exact = k_matrix_exact(state, ob, cs)
+    sampler = KSampler(KRowEngine(state, ob), cs, method="born")
+    reps = [sampler.sample(400, seed=s) for s in range(60)]
     mean = np.mean(reps, axis=0)
     # per-entry SE <= 1/sqrt(400*60); allow 5 sigma with a conservative bound
     assert np.max(np.abs(mean - exact)) < 5 * 1.0 / np.sqrt(400 * 60) * 4
     # determinism: same seed, same sample
-    s1 = sampler.sample(123, seed=9).values
-    s2 = sampler.sample(123, seed=9).values
+    s1 = sampler.sample(123, seed=9)
+    s2 = sampler.sample(123, seed=9)
     np.testing.assert_array_equal(s1, s2)
 
 
@@ -350,7 +340,7 @@ def test_surrogate_variance_matches_dense_oracle():
     basis, _, _, state = _ground(lat)
     ob = build_operator_basis(lat)
     cs = build_constraints(state, ob, n_constraints=4)
-    sampler = KSampler(state, ob, cs, method="surrogate")
+    sampler = KSampler(KRowEngine(state, ob), cs, method="surrogate")
     for n, cand in enumerate(cs.ops):
         a = assemble_operator(basis, list(cand.terms)).toarray()
         for m, elem in enumerate(ob.elements):
@@ -392,16 +382,26 @@ def test_learning_curve_constraint_grid_endpoint():
     assert all(np.isfinite(p.median_distance) for p in pts)
 
 
-def test_learning_curve_argument_validation():
+def test_learning_curve_argument_validation(monkeypatch):
     lat = LatticeSpec(1, 2, j=1.0, u=8.0, nup=1, ndown=1)
     _, _, _, state = _ground(lat)
     ob = build_operator_basis(lat)
-    with pytest.raises(ValueError):
-        learning_curve(state, ob, seeds=[0])
-    with pytest.raises(ValueError):
-        learning_curve(
-            state, ob, constraint_grid=[2], shot_grid=[10], seeds=[0]
-        )
+
+    # every argument is checked before the one engine is built
+    def engine(*args):
+        raise AssertionError("engine built before the arguments were checked")
+
+    monkeypatch.setattr("qverify.hamlearn.curves.KRowEngine", engine)
+    for kwargs in (
+        {},
+        {"constraint_grid": [2], "shot_grid": [10]},
+        {"constraint_grid": [0, 2]},
+        {"constraint_grid": []},
+        {"shot_grid": [100]},  # no ConstraintSet
+        {"constraint_grid": [2], "seeds": []},
+    ):
+        with pytest.raises(ValueError):
+            learning_curve(state, ob, **{"seeds": [0], **kwargs})
 
 
 def test_k_matrix_sampled_wrapper_modes():
@@ -409,11 +409,23 @@ def test_k_matrix_sampled_wrapper_modes():
     _, _, _, state = _ground(lat)
     ob = build_operator_basis(lat)
     cs = build_constraints(state, ob, n_constraints=3)
-    born = k_matrix_sampled(state, ob, cs, 500, seed=1, method="born")
-    sur = k_matrix_sampled(state, ob, cs, 500, seed=1, method="surrogate")
-    exact = k_matrix_exact(state, ob, cs)
-    assert born.mode == "born" and sur.mode == "surrogate"
-    assert born.shape == sur.shape == exact.values.shape
+    eng = KRowEngine(state, ob)
+    born = KSampler(eng, cs, method="born")
+    sur = KSampler(eng, cs, method="surrogate")
+    assert born.method == "born" and sur.method == "surrogate"
+    assert KSampler(eng, cs).method == "born"  # auto on a dense-feasible sector
+    born, sur = born.sample(500, seed=1), sur.sample(500, seed=1)
+    exact = k_matrix_exact(state, ob, cs, engine=eng)
+    assert born.shape == sur.shape == exact.shape
     # both noise models stay within a loose envelope of the exact values
-    assert np.max(np.abs(born.values - exact.values)) < 0.5
-    assert np.max(np.abs(sur.values - exact.values)) < 0.5
+    assert np.max(np.abs(born - exact)) < 0.5
+    assert np.max(np.abs(sur - exact)) < 0.5
+
+
+def test_k_sampler_rejects_unknown_method():
+    lat = LatticeSpec(1, 2, j=1.0, u=8.0, nup=1, ndown=1)
+    _, _, _, state = _ground(lat)
+    ob = build_operator_basis(lat)
+    cs = build_constraints(state, ob, n_constraints=3)
+    with pytest.raises(ValueError, match="auto, born or surrogate"):
+        KSampler(KRowEngine(state, ob), cs, method="bron")
