@@ -60,6 +60,7 @@ from .hamlearn import (
     KSampler,
     build_constraints,
     build_operator_basis,
+    enumerate_candidates,
     k_matrix_exact,
     learning_curve,
     parameter_distance,
@@ -280,9 +281,12 @@ def _cmd_hamlearn_run(args) -> Report:
     if args.constraints < 0:
         raise ValueError(f"constraint count {args.constraints} is negative (0: basis size)")
     lat = LatticeSpec(*_parse_lattice(args.lattice), j=args.j, u=args.u, nup=args.nup, ndown=args.ndown)
-    energy, state = hubbard_ground_state(lat)
     op_basis = build_operator_basis(lat)
     n_constraints = args.constraints or op_basis.m
+    pool_size = len(enumerate_candidates(lat))  # refused here, not after the eigensolve
+    if n_constraints > pool_size:
+        raise ValueError(f"requested {n_constraints} constraints but the pool has {pool_size}")
+    energy, state = hubbard_ground_state(lat)
     # one engine: the K reconstructed from holds the rows selection tested
     engine = KRowEngine(state, op_basis)
     constraints = build_constraints(
@@ -387,27 +391,17 @@ _FIDELITY_COLUMNS = [
 
 def _fidelity_row(est: dict) -> list:
     sub = est.get("subsystem")
-    return [
-        _subsystem_label(tuple(sub) if sub is not None else None),
-        est["fmax"],
-        est["se_fmax"],
-        est["overlap"],
-        est["se_overlap"],
-        est["purity_1"],
-        est["se_purity_1"],
-        est["purity_2"],
-        est["se_purity_2"],
-        est["n_settings"],
-        bool(est["unreliable"]),
-    ]
+    label = _subsystem_label(tuple(sub) if sub is not None else None)
+    cells = {**est, "subsystem": label, "unreliable": bool(est["unreliable"])}
+    return [cells[c] for c in _FIDELITY_COLUMNS]
 
 
 def _cmd_randmeas_compare(args) -> Report:
     sub = _parse_subsystem(args.subsystem)
-    ds1, digest1 = load_dataset_text(Path(args.file_1).read_text(encoding="utf-8"))
-    ds2, digest2 = load_dataset_text(Path(args.file_2).read_text(encoding="utf-8"))
+    ds1, doc1 = load_dataset_text(Path(args.file_1).read_text(encoding="utf-8"))
+    ds2, doc2 = load_dataset_text(Path(args.file_2).read_text(encoding="utf-8"))
     est = fidelity_to_dict(estimate_fmax(ds1, ds2, sub))
-    body = {"digest_1": digest1, "digest_2": digest2, "estimate": est}
+    body = {"digest_1": doc1["digest"], "digest_2": doc2["digest"], "estimate": est}
     a, b = est["devices"]
     human = [
         f"Fmax({a}, {b}) = {_num(est['fmax'], '.6f')} +/- {_num(est['se_fmax'], '.6f')} "

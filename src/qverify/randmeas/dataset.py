@@ -23,14 +23,18 @@ class RandMeasDataset:
     provenance: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        """Check every dataset invariant; each message names its setting."""
         if len(self.settings) != len(self.counts):
-            raise ValueError("one counts array per setting required")
+            u = min(len(self.settings), len(self.counts))
+            raise ValueError(
+                f"setting {u}: {len(self.settings)} settings but {len(self.counts)} counts arrays"
+            )
         ids = [s.setting_id for s in self.settings]
         if len(set(ids)) != len(ids):
             raise ValueError("setting ids must be unique")
-        for s in self.settings:
+        for u, s in enumerate(self.settings):
             if s.num_qubits != self.num_qubits:
-                raise ValueError("setting width does not match qubit count")
+                raise ValueError(f"setting {u}: width {s.num_qubits} != {self.num_qubits} qubits")
         for u, c in enumerate(self.counts):
             if not (isinstance(c, np.ndarray) and c.dtype == np.int64 and c.shape[1:] == (2,)):
                 raise ValueError(f"setting {u}: counts must be an int64 (K, 2) array")
@@ -40,10 +44,10 @@ class RandMeasDataset:
                 raise ValueError(f"setting {u}: outcomes must ascend strictly within the register")
             if np.any(n < 0):
                 raise ValueError(f"setting {u}: negative count")
-            total = int(n.sum())
+            total = sum(n.tolist())  # exact: an int64 sum could wrap
             if total != self.shots_per_setting:
                 raise ValueError(
-                    f"counts sum {total} != shots_per_setting {self.shots_per_setting}"
+                    f"setting {u}: counts sum {total} != shots_per_setting {self.shots_per_setting}"
                 )
 
     @property

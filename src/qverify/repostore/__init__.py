@@ -10,11 +10,9 @@ from .format import (
     dataset_ensemble,
     dataset_to_document,
     document_digest,
-    document_to_dataset,
     fnv1a64,
     json_safe,
     load_dataset_text,
-    parse_dataset_document,
     serialize_dataset,
 )
 from .repository import Repository, fidelity_to_dict
@@ -30,11 +28,9 @@ __all__ = [
     "dataset_ensemble",
     "dataset_to_document",
     "document_digest",
-    "document_to_dataset",
     "fidelity_to_dict",
     "fnv1a64",
     "json_safe",
     "load_dataset_text",
-    "parse_dataset_document",
     "serialize_dataset",
 ]

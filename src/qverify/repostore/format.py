@@ -21,6 +21,7 @@ from ..randmeas.settings import MeasurementSetting
 
 FORMAT_VERSION = 1
 MAX_QUBITS = 63  # outcome indices are held as int64
+MAX_COUNT = 2**63 - 1  # and so are counts
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -207,8 +208,10 @@ def check_digest(doc: dict) -> None:
         raise DigestMismatchError(f"digest {doc['digest']!r} != computed {want!r}")
 
 
-def _validate_fields(doc: dict) -> None:
-    """Check every field's type and the counts invariants."""
+def _check_fields(doc: dict) -> None:
+    """Check what only the file format can: JSON types, the ensemble tag, the
+    qubit range, integer shots, the setting specs and the counts entries.
+    The dataset invariants are ``RandMeasDataset.validate``'s to check."""
     for key, kind in _FIELD_TYPES:
         if not isinstance(doc[key], kind):
             got = type(doc[key]).__name__
@@ -221,10 +224,6 @@ def _validate_fields(doc: dict) -> None:
     shots = doc["shots_per_setting"]
     if not is_int(shots):
         raise MalformedDatasetError(f"bad shots_per_setting {shots!r}")
-    if len(doc["settings"]) != len(doc["counts"]):
-        raise MalformedDatasetError(
-            f"{len(doc['settings'])} settings but {len(doc['counts'])} counts blocks"
-        )
     for u, spec in enumerate(doc["settings"]):
         if not isinstance(spec, list) or (
             doc["ensemble"] == "clifford" and not all(is_int(i) for i in spec)
@@ -233,63 +232,53 @@ def _validate_fields(doc: dict) -> None:
     for u, block in enumerate(doc["counts"]):
         if not isinstance(block, list):
             raise MalformedDatasetError(f"setting {u}: counts block {block!r}")
-        total = 0
-        seen = set()
         for entry in block:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise MalformedDatasetError(f"setting {u}: counts entry {entry!r}")
             bits, cnt = entry
             if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
                 raise MalformedDatasetError(f"setting {u}: malformed bitstring {bits!r}")
-            if bits in seen:
-                raise MalformedDatasetError(f"setting {u}: duplicate bitstring {bits!r}")
-            seen.add(bits)
-            if not is_int(cnt) or cnt < 0:
+            if not is_int(cnt) or abs(cnt) > MAX_COUNT:
                 raise MalformedDatasetError(f"setting {u}: bad count {cnt!r}")
-            total += cnt
-        if total != shots:
-            raise MalformedDatasetError(
-                f"setting {u}: counts sum {total} != shots_per_setting {shots}"
-            )
 
 
-def parse_dataset_document(text: str) -> dict:
-    doc = parse_envelope(text, _REQUIRED_KEYS)
-    _validate_fields(doc)
-    check_digest(doc)
-    return doc
-
-
-def document_to_dataset(doc: dict) -> RandMeasDataset:
-    n = doc["num_qubits"]
+def _to_dataset(doc: dict) -> RandMeasDataset:
     settings = []
     for u, spec in enumerate(doc["settings"]):
         try:
             if doc["ensemble"] == "clifford":
-                setting = MeasurementSetting(u, clifford_indices=tuple(spec))
+                settings.append(MeasurementSetting(u, clifford_indices=tuple(spec)))
             else:
-                setting = MeasurementSetting(u, matrices=tuple(_pairs_to_matrix(q) for q in spec))
+                matrices = tuple(_pairs_to_matrix(q) for q in spec)
+                settings.append(MeasurementSetting(u, matrices=matrices))
         except ValueError as exc:
             raise MalformedDatasetError(f"setting {u}: {exc}") from None
-        if setting.num_qubits != n:
-            raise MalformedDatasetError(f"setting {u}: width {setting.num_qubits} != {n}")
-        settings.append(setting)
-    rows = [sorted((int(b, 2), c) for b, c in block) for block in doc["counts"]]
-    counts = [np.array(r, dtype=np.int64).reshape(-1, 2) for r in rows]
+    counts = [
+        np.array(sorted((int(b, 2), c) for b, c in block), dtype=np.int64).reshape(-1, 2)
+        for block in doc["counts"]
+    ]
     ds = RandMeasDataset(
         device_id=doc["device_id"],
         state_label=doc["state_label"],
-        num_qubits=n,
+        num_qubits=doc["num_qubits"],
         settings=settings,
         counts=counts,
         shots_per_setting=doc["shots_per_setting"],
         provenance=dict(doc["provenance"]),
     )
-    ds.validate()
+    try:
+        ds.validate()
+    except ValueError as exc:
+        raise MalformedDatasetError(str(exc)) from None
     return ds
 
 
-def load_dataset_text(text: str) -> tuple[RandMeasDataset, str]:
-    """Parse + validate; returns the dataset and its digest."""
-    doc = parse_dataset_document(text)
-    return document_to_dataset(doc), doc["digest"]
+def load_dataset_text(text: str) -> tuple[RandMeasDataset, dict]:
+    """The one reader of a dataset file: envelope, field types, conversion
+    (which runs the dataset's own invariant checks), then the digest.
+    Returns the dataset and the parsed document."""
+    doc = parse_envelope(text, _REQUIRED_KEYS)
+    _check_fields(doc)
+    ds = _to_dataset(doc)
+    check_digest(doc)
+    return ds, doc

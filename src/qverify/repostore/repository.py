@@ -28,14 +28,19 @@ from .format import (
     MalformedDatasetError,
     canonical_json,
     dataset_ensemble,
-    document_to_dataset,
     json_safe,
-    parse_dataset_document,
+    load_dataset_text,
 )
 
 
 def fidelity_to_dict(est: FidelityEstimate) -> dict:
     return json_safe(asdict(est))
+
+
+def _check_same_ensemble(ds1: RandMeasDataset, ds2: RandMeasDataset) -> None:
+    e1, e2 = dataset_ensemble(ds1), dataset_ensemble(ds2)
+    if e1 != e2:
+        raise MalformedDatasetError(f"ensemble mismatch: {e1} vs {e2}")
 
 
 class Repository:
@@ -58,7 +63,13 @@ class Repository:
     def _read_index(self) -> dict:
         if not self.index_path.exists():
             return {"datasets": {}}
-        return json.loads(self.index_path.read_text(encoding="utf-8"))
+        index = json.loads(self.index_path.read_text(encoding="utf-8"))
+        datasets = index.get("datasets") if isinstance(index, dict) else None
+        if not (isinstance(datasets, dict) and all(isinstance(v, dict) for v in datasets.values())):
+            raise MalformedDatasetError(
+                f"{self.index_path}: index must be an object whose datasets map ids to objects"
+            )
+        return index
 
     def _write_index(self, index: dict) -> None:
         atomic_write_text(self.index_path, canonical_json(index) + "\n")
@@ -67,21 +78,19 @@ class Repository:
         append_line(self.log_path, canonical_json(record))
 
     @staticmethod
-    def _summary(doc: dict) -> dict:
+    def _summary(ds: RandMeasDataset) -> dict:
         return {
-            "device_id": doc["device_id"],
-            "state_label": doc["state_label"],
-            "num_qubits": doc["num_qubits"],
-            "ensemble": doc["ensemble"],
-            "n_settings": len(doc["settings"]),
-            "shots_per_setting": doc["shots_per_setting"],
+            "device_id": ds.device_id,
+            "state_label": ds.state_label,
+            "num_qubits": ds.num_qubits,
+            "ensemble": dataset_ensemble(ds),
+            "n_settings": ds.n_settings,
+            "shots_per_setting": ds.shots_per_setting,
         }
 
     def ingest(self, path: Path | str) -> str:
         """Validate and store a dataset file; the id is its content digest."""
-        text = Path(path).read_text(encoding="utf-8")
-        doc = parse_dataset_document(text)
-        document_to_dataset(doc)  # full invariant check, not just schema
+        ds, doc = load_dataset_text(Path(path).read_text(encoding="utf-8"))
         ds_id = doc["digest"]
         with self._locked():
             index = self._read_index()
@@ -100,7 +109,7 @@ class Repository:
                     )
                     + "\n",
                 )
-                index["datasets"][ds_id] = self._summary(doc)
+                index["datasets"][ds_id] = self._summary(ds)
                 self._write_index(index)
             self._log({"op": "ingest", "id": ds_id, "duplicate": duplicate})
         return ds_id
@@ -118,14 +127,14 @@ class Repository:
             raise KeyError(f"unknown dataset id {ds_id!r}")
         return path
 
-    def load(self, ds_id: str) -> tuple[RandMeasDataset, dict]:
-        """Re-parse and revalidate the stored file (digest check included)."""
-        doc = parse_dataset_document(self._dataset_path(ds_id).read_text(encoding="utf-8"))
+    def load(self, ds_id: str) -> RandMeasDataset:
+        """Re-read the stored file, whose digest must equal its id."""
+        ds, doc = load_dataset_text(self._dataset_path(ds_id).read_text(encoding="utf-8"))
         if doc["digest"] != ds_id:
             raise MalformedDatasetError(
                 f"stored file digest {doc['digest']!r} does not match id {ds_id!r}"
             )
-        return document_to_dataset(doc), doc
+        return ds
 
     def compare(
         self,
@@ -134,15 +143,9 @@ class Repository:
         subsystems: list[tuple[int, ...] | None] | None = None,
     ) -> dict:
         """F_max per requested subsystem (None entry = full system)."""
-        ds1, doc1 = self.load(id_1)
-        if id_2 == id_1:
-            ds2, doc2 = ds1, doc1  # same object so overlap routes to purity
-        else:
-            ds2, doc2 = self.load(id_2)
-        if doc1["ensemble"] != doc2["ensemble"]:
-            raise MalformedDatasetError(
-                f"ensemble mismatch: {doc1['ensemble']} vs {doc2['ensemble']}"
-            )
+        ds1 = self.load(id_1)
+        ds2 = ds1 if id_2 == id_1 else self.load(id_2)  # same object: overlap routes to purity
+        _check_same_ensemble(ds1, ds2)
         estimates = [
             {"subsystem": json_safe(sub), **fidelity_to_dict(estimate_fmax(ds1, ds2, sub))}
             for sub in (subsystems if subsystems is not None else [None])
@@ -150,8 +153,8 @@ class Repository:
         report = {
             "id_1": id_1,
             "id_2": id_2,
-            "digest_1": doc1["digest"],
-            "digest_2": doc2["digest"],
+            "digest_1": id_1,  # load proved each digest equal to its id
+            "digest_2": id_2,
             "estimates": estimates,
         }
         with self._locked():
@@ -178,9 +181,8 @@ class Repository:
                     for ds_id in (ids[i], ids[j]):
                         if ds_id in failed:
                             raise failed[ds_id]
-                    (ds_i, doc_i), (ds_j, doc_j) = loaded[ids[i]], loaded[ids[j]]
-                    if doc_i["ensemble"] != doc_j["ensemble"]:
-                        raise MalformedDatasetError("ensemble mismatch")
+                    ds_i, ds_j = loaded[ids[i]], loaded[ids[j]]
+                    _check_same_ensemble(ds_i, ds_j)
                     matrix[i][j] = matrix[j][i] = estimate_fmax(ds_i, ds_j, subsystem).fmax
                 except (ValueError, KeyError) as exc:
                     errors[f"{ids[i]},{ids[j]}"] = str(exc)
@@ -205,8 +207,8 @@ class Repository:
         for line in self.log_path.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
             if record.get("op") == "ingest" and not record.get("duplicate"):
-                doc = parse_dataset_document(
+                ds, _ = load_dataset_text(
                     (self.datasets_dir / f"{record['id']}.json").read_text(encoding="utf-8")
                 )
-                rebuilt["datasets"][record["id"]] = self._summary(doc)
+                rebuilt["datasets"][record["id"]] = self._summary(ds)
         return rebuilt

@@ -147,7 +147,7 @@ def verify_energy(
         key = keygen(dbasis, rng=vrng)
         session = prover.open_round(tuple(key.table), dq, others, prng)
         kind = TEST_ROUND if vrng.random() < test_fraction else MEASUREMENT_ROUND
-        transcript, direct = finish_round(kind, key, session, seed)
+        transcript, direct = finish_round(kind, key, session)
         record = {
             "round": r,
             "type": kind,
@@ -204,7 +204,7 @@ def verify_energy(
 # instance (de)serialization, following the package-wide canonical JSON rules
 
 
-def instance_to_document(instance: HamiltonianInstance) -> dict:
+def serialize_instance(instance: HamiltonianInstance) -> str:
     doc = {
         "format_version": FORMAT_VERSION,
         "record_kind": "hamiltonian-instance",
@@ -217,11 +217,7 @@ def instance_to_document(instance: HamiltonianInstance) -> dict:
         "threshold_no": float(instance.threshold_no),
     }
     doc["digest"] = document_digest(doc)
-    return doc
-
-
-def serialize_instance(instance: HamiltonianInstance) -> str:
-    return canonical_json(instance_to_document(instance)) + "\n"
+    return canonical_json(doc) + "\n"
 
 
 _INSTANCE_KEYS = (
@@ -239,8 +235,9 @@ def _is_term(t) -> bool:
     return isinstance(t, dict) and isinstance(t.get("factors"), str) and is_number(t.get("coeff"))
 
 
-def parse_instance_document(text: str) -> dict:
-    """Parse the dataset envelope, check every field's type, then the digest."""
+def load_instance_text(text: str) -> HamiltonianInstance:
+    """The one reader of an instance file: envelope, field types, digest,
+    then the instance's own checks."""
     doc = parse_envelope(text, _INSTANCE_KEYS)
     if doc["record_kind"] != "hamiltonian-instance":
         raise MalformedDatasetError(f"unexpected record kind {doc['record_kind']!r}")
@@ -252,18 +249,9 @@ def parse_instance_document(text: str) -> dict:
         if not is_number(doc[key]):
             raise MalformedDatasetError(f"{key} must be a number, not {doc[key]!r}")
     check_digest(doc)
-    return doc
-
-
-def document_to_instance(doc: dict) -> HamiltonianInstance:
-    terms = tuple(PauliTerm(complex(t["coeff"]), t["factors"]) for t in doc["terms"])
     return HamiltonianInstance(
         num_qubits=doc["num_qubits"],
-        terms=terms,
+        terms=tuple(PauliTerm(complex(t["coeff"]), t["factors"]) for t in doc["terms"]),
         threshold_yes=float(doc["threshold_yes"]),
         threshold_no=float(doc["threshold_no"]),
     )
-
-
-def load_instance_text(text: str) -> HamiltonianInstance:
-    return document_to_instance(parse_instance_document(text))

@@ -21,9 +21,6 @@ from ..rng import make_rng
 ONE_TO_ONE = "one-to-one"
 TWO_TO_ONE = "two-to-one"
 
-#: basis letter -> function kind used when delegating that measurement
-KIND_FOR_BASIS = {"z": ONE_TO_ONE, "x": TWO_TO_ONE}
-
 
 @dataclass(frozen=True)
 class TrapdoorKey:
@@ -123,6 +120,16 @@ def enumerate_functions() -> tuple[tuple[TrapdoorKey, ...], tuple[TrapdoorKey, .
     return _FAMILIES
 
 
+def key_family(basis: str) -> tuple[TrapdoorKey, ...]:
+    """Keys that delegate a ``basis`` measurement: one-to-one for Z,
+    two-to-one for X.  Any other basis is refused."""
+    b = basis.lower()
+    if b not in ("x", "z"):
+        raise ValueError(f"basis must be 'x' or 'z', got {basis!r}")
+    ones, twos = enumerate_functions()
+    return ones if b == "z" else twos
+
+
 def keygen(
     basis: str,
     seed: int | None = None,
@@ -130,14 +137,9 @@ def keygen(
 ) -> TrapdoorKey:
     """Uniform key from the family matching the basis to be delegated.
 
-    Z-basis delegation draws a one-to-one key, X-basis a two-to-one key.
     Pass either a ``seed`` (reproducible stream) or an existing generator.
     """
-    b = basis.lower()
-    if b not in KIND_FOR_BASIS:
-        raise ValueError(f"basis must be 'x' or 'z', got {basis!r}")
+    family = key_family(basis)
     if rng is None:
-        rng = make_rng(seed, "keygen", b)
-    ones, twos = enumerate_functions()
-    family = ones if b == "z" else twos
+        rng = make_rng(seed, "keygen", basis.lower())
     return family[int(rng.integers(len(family)))]

@@ -18,7 +18,7 @@ import numpy as np
 from ..qsim import QuantumState, QubitBasis
 from ..qsim.qubit import HADAMARD
 from ..rng import make_rng
-from .functions import ONE_TO_ONE, TrapdoorKey, enumerate_functions
+from .functions import ONE_TO_ONE, TrapdoorKey, key_family
 
 TEST_ROUND = "test"
 MEASUREMENT_ROUND = "measurement"
@@ -55,7 +55,6 @@ class ProtocolTranscript:
     outcomes: tuple[int, int]
     verdict: bool | None
     decoded: int | None
-    seed: int | None
 
 
 def commit(state: QuantumState, qubit: int, table) -> CommittedState:
@@ -166,9 +165,7 @@ class HonestSession:
         return (bits[0], bits[1]), tuple(bits[2:])
 
 
-def finish_round(
-    kind: str, key: TrapdoorKey, session, seed: int | None = None
-) -> tuple[ProtocolTranscript, tuple[int, ...]]:
+def finish_round(kind: str, key: TrapdoorKey, session) -> tuple[ProtocolTranscript, tuple[int, ...]]:
     """Verifier side of one round once the prover has announced its image.
 
     Test rounds open the committed registers in Z and check them against
@@ -181,11 +178,11 @@ def finish_round(
     if kind == TEST_ROUND:
         b, x = session.reveal_test()
         verdict = key.table[2 * b + x] == y
-        return ProtocolTranscript(kind, key.label, y, (b, x), verdict, None, seed), ()
+        return ProtocolTranscript(kind, key.label, y, (b, x), verdict, None), ()
     if kind != MEASUREMENT_ROUND:
         raise ValueError(f"unknown round type {kind!r}")
     (u, v), direct = session.reveal_measurement()
-    transcript = ProtocolTranscript(kind, key.label, y, (int(u), int(v)), None, None, seed)
+    transcript = ProtocolTranscript(kind, key.label, y, (int(u), int(v)), None, None)
     if not key.in_image(y):
         return replace(transcript, verdict=False), direct
     return replace(transcript, decoded=decode(transcript, key)), direct
@@ -219,7 +216,6 @@ class DelegationSummary:
     decoded_counts: dict[int, int] | None
     n_pass: int | None
     n_fail: int | None
-    seed: int | None
 
 
 def _round_atoms(state: QuantumState, key: TrapdoorKey, round_type: str) -> np.ndarray:
@@ -251,7 +247,7 @@ def _atom_outcomes(state: QuantumState, key: TrapdoorKey, round_type: str):
         if p <= 0.0:
             continue
         if round_type == MEASUREMENT_ROUND:
-            t = ProtocolTranscript(round_type, key.label, y, (b1, b2), None, None, None)
+            t = ProtocolTranscript(round_type, key.label, y, (b1, b2), None, None)
             yield p, decode(t, key)
         else:
             yield p, key.table[2 * b1 + b2] == y
@@ -267,8 +263,7 @@ def key_decoded_distribution(state: QuantumState, key: TrapdoorKey) -> np.ndarra
 
 def decoded_distribution(state: QuantumState, basis: str) -> np.ndarray:
     """Exact decoded distribution averaged over the matching key family."""
-    ones, twos = enumerate_functions()
-    keys = ones if basis.lower() == "z" else twos
+    keys = key_family(basis)
     out = np.zeros(2)
     for key in keys:
         out += key_decoded_distribution(state, key)
@@ -293,8 +288,7 @@ def delegate_rounds(
         raise ValueError("delegation driver expects a single-qubit state")
     if round_type not in (TEST_ROUND, MEASUREMENT_ROUND):
         raise ValueError(f"unknown round type {round_type!r}")
-    ones, twos = enumerate_functions()
-    keys = ones if basis.lower() == "z" else twos
+    keys = key_family(basis)
     atoms = [
         (p / len(keys), outcome)
         for key in keys
@@ -320,5 +314,4 @@ def delegate_rounds(
         decoded_counts=decoded_counts,
         n_pass=n_pass,
         n_fail=n_fail,
-        seed=seed,
     )

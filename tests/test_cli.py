@@ -150,6 +150,20 @@ class TestHamlearnRun:
         assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
         assert not out.exists()
 
+    def test_oversized_constraint_count_is_refused_before_the_eigensolve(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def eigensolve(lat):
+            raise RuntimeError("the ground state was computed")
+
+        monkeypatch.setattr("qverify.cli.hubbard_ground_state", eigensolve)
+        out = tmp_path / "out"
+        argv = ["hamlearn", "run", "--lattice", "1x2", "--constraints", "9", "--out", str(out)]
+        assert dispatch(argv) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"] == "requested 9 constraints but the pool has 8"
+        assert not out.exists()
+
     def test_timestamps_only_in_meta_sidecar(self, tmp_path):
         out = tmp_path / "out"
         assert dispatch(["hamlearn", "run", "--out", str(out)]) == 0

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from qverify.cli import dispatch
 from qverify.qsim import QuantumState, QubitBasis, ghz_state, zero_state
 from qverify.randmeas import (
     MeasurementSetting,
@@ -23,9 +24,8 @@ from qverify.repostore import (
     canonical_json,
     dataset_to_document,
     document_digest,
-    document_to_dataset,
     fnv1a64,
-    parse_dataset_document,
+    load_dataset_text,
     serialize_dataset,
 )
 
@@ -120,7 +120,7 @@ class TestSerialization:
     def test_roundtrip_clifford(self):
         ds = collect(ghz_state(2), sample_settings(2, 6, seed=1), 32, seed=2)
         text = serialize_dataset(ds)
-        back = document_to_dataset(parse_dataset_document(text))
+        back = load_dataset_text(text)[0]
         assert serialize_dataset(back) == text
         assert len(back.counts) == len(ds.counts)
         assert all(np.array_equal(a, b) for a, b in zip(back.counts, ds.counts))
@@ -134,7 +134,7 @@ class TestSerialization:
             ghz_state(2), sample_settings(2, 4, seed=3, ensemble="haar"), 16, seed=4
         )
         text = serialize_dataset(ds)
-        back = document_to_dataset(parse_dataset_document(text))
+        back = load_dataset_text(text)[0]
         assert serialize_dataset(back) == text
         for a, b in zip(back.settings, ds.settings):
             for ma, mb in zip(a.matrices, b.matrices):
@@ -144,13 +144,13 @@ class TestSerialization:
         doc = dataset_to_document(tiny_dataset())
         doc["digest"] = ("0" if doc["digest"][0] != "0" else "1") + doc["digest"][1:]
         with pytest.raises(DigestMismatchError):
-            parse_dataset_document(canonical_json(doc))
+            load_dataset_text(canonical_json(doc))
 
     def test_corrupt_count_sum_names_setting(self):
         doc = dataset_to_document(tiny_dataset())
         doc["counts"][0][0][1] = 99
         with pytest.raises(MalformedDatasetError, match="setting 0"):
-            parse_dataset_document(canonical_json(doc))
+            load_dataset_text(canonical_json(doc))
 
     def test_counts_parsed_to_sorted_index_rows(self):
         # a document may list outcomes in any order; the dataset holds them
@@ -159,7 +159,7 @@ class TestSerialization:
         doc = dataset_to_document(ds)
         doc["counts"] = [list(reversed(block)) for block in doc["counts"]]
         doc["digest"] = document_digest(doc)
-        back = document_to_dataset(parse_dataset_document(canonical_json(doc)))
+        back = load_dataset_text(canonical_json(doc))[0]
         for block, rows in zip(doc["counts"], back.counts):
             assert rows.dtype == np.int64
             assert rows.tolist() == sorted([int(bits, 2), cnt] for bits, cnt in block)
@@ -186,7 +186,7 @@ class TestSerialization:
         doc[field] = value
         doc["digest"] = document_digest(doc)
         with pytest.raises(RepoFormatError):
-            parse_dataset_document(canonical_json(doc))
+            load_dataset_text(canonical_json(doc))
 
     @pytest.mark.parametrize(
         "counts,settings",
@@ -207,18 +207,95 @@ class TestSerialization:
         doc["counts"], doc["settings"] = counts, settings
         doc["digest"] = document_digest(doc)
         with pytest.raises(MalformedDatasetError):
-            parse_dataset_document(canonical_json(doc))
+            load_dataset_text(canonical_json(doc))
 
     def test_unsupported_version(self):
         doc = dataset_to_document(tiny_dataset())
         doc["format_version"] = 99
         with pytest.raises(UnsupportedVersionError):
-            parse_dataset_document(canonical_json(doc))
+            load_dataset_text(canonical_json(doc))
 
     def test_serialization_deterministic(self):
         a = collect(ghz_state(2), sample_settings(2, 5, seed=9), 16, seed=10)
         b = collect(ghz_state(2), sample_settings(2, 5, seed=9), 16, seed=10)
         assert serialize_dataset(a) == serialize_dataset(b)
+
+
+def two_setting_document() -> dict:
+    ds = RandMeasDataset(
+        device_id="devA",
+        state_label="zero",
+        num_qubits=1,
+        settings=[
+            MeasurementSetting(0, clifford_indices=(5,)),
+            MeasurementSetting(1, clifford_indices=(3,)),
+        ],
+        counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)] * 2,
+        shots_per_setting=2,
+    )
+    return dataset_to_document(ds)
+
+
+def _duplicate(doc):
+    doc["counts"][1] = [["0", 1], ["0", 1]]
+
+
+def _negative(doc):
+    doc["counts"][1] = [["0", 3], ["1", -1]]
+
+
+def _wrong_sum(doc):
+    doc["counts"][1] = [["0", 1], ["1", 2]]
+
+
+def _missing_block(doc):
+    del doc["counts"][1]
+
+
+def _wrong_width(doc):
+    doc["settings"][1] = [3, 3]
+
+
+# each counts invariant is checked once, by RandMeasDataset.validate, and the
+# reader reports it as a format error naming the setting
+INVARIANT_CASES = [
+    pytest.param(_duplicate, "setting 1: outcomes must ascend strictly", id="duplicate-bitstring"),
+    pytest.param(_negative, "setting 1: negative count", id="negative-count"),
+    pytest.param(_wrong_sum, "setting 1: counts sum 3 != shots_per_setting 2", id="wrong-sum"),
+    pytest.param(_missing_block, "setting 1: 2 settings but 1 counts arrays", id="missing-block"),
+    pytest.param(_wrong_width, "setting 1: width 2 != 1 qubits", id="wrong-width"),
+]
+
+
+class TestDatasetInvariants:
+    @pytest.mark.parametrize("corrupt,message", INVARIANT_CASES)
+    def test_reader_rejects_and_names_the_setting(self, corrupt, message):
+        doc = two_setting_document()
+        corrupt(doc)
+        doc["digest"] = document_digest(doc)
+        with pytest.raises(MalformedDatasetError, match=message):
+            load_dataset_text(canonical_json(doc))
+
+    @pytest.mark.parametrize("corrupt,message", INVARIANT_CASES)
+    def test_ingest_refuses_and_writes_nothing(self, corrupt, message, tmp_path, capsys):
+        root = tmp_path / "repo"
+        Repository(root).ingest(write_dataset(tmp_path, tiny_dataset()))
+        doc = two_setting_document()
+        corrupt(doc)
+        doc["digest"] = document_digest(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(canonical_json(doc) + "\n")
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        argv = ["repo", "ingest", str(bad), "--root", str(root), "--out", str(tmp_path / "o")]
+        assert dispatch(argv) == 3
+        assert message in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+        assert not (tmp_path / "o").exists()
+
+    def test_clean_document_reads(self):
+        ds, doc = load_dataset_text(canonical_json(two_setting_document()))
+        assert ds.n_settings == 2 and doc["digest"] == document_digest(doc)
 
 
 @pytest.fixture()
@@ -289,6 +366,30 @@ class TestRepository:
         i2 = repo.ingest(write_dataset(tmp_path, d2, "b.json"))
         with pytest.raises(MalformedDatasetError, match="ensemble"):
             repo.compare(i1, i2)
+
+    def test_matrix_ensemble_mismatch_carries_the_compare_message(self, repo, tmp_path):
+        d1 = collect(zero_state(1), sample_settings(1, 4, seed=1), 8, seed=2)
+        d2 = collect(zero_state(1), sample_settings(1, 4, seed=1, ensemble="haar"), 8, seed=2)
+        i1 = repo.ingest(write_dataset(tmp_path, d1, "a.json"))
+        i2 = repo.ingest(write_dataset(tmp_path, d2, "b.json"))
+        with pytest.raises(MalformedDatasetError) as raised:
+            repo.compare(i1, i2)
+        report = repo.compare_matrix([i1, i2])
+        assert report["matrix"][0][1] is None and report["matrix"][1][0] is None
+        assert report["errors"] == {f"{i1},{i2}": str(raised.value)}
+        assert str(raised.value) == "ensemble mismatch: clifford vs haar"
+
+    @pytest.mark.parametrize("index", ["[]", '{"datasets": {"x": 5}}', '{"datasets": []}', "{}"])
+    def test_malformed_index_is_invalid_input(self, index, tmp_path, capsys):
+        root = tmp_path / "repo"
+        root.mkdir()
+        (root / "index.json").write_text(index)
+        out = tmp_path / "o"
+        assert dispatch(["repo", "list", "--root", str(root), "--out", str(out)]) == 3
+        ds_path = write_dataset(tmp_path, tiny_dataset())
+        assert dispatch(["repo", "ingest", str(ds_path), "--root", str(root), "--out", str(out)]) == 3
+        assert not (root / "datasets").exists()
+        assert not out.exists()
 
     def test_matrix_single_id(self, repo, tmp_path):
         ds_id = repo.ingest(write_dataset(tmp_path, tiny_dataset()))

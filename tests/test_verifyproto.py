@@ -144,6 +144,19 @@ class TestFunctionFamily:
         with pytest.raises(ValueError, match="basis"):
             keygen("y", seed=0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: keygen("y", seed=0),
+            lambda: decoded_distribution(theta_state(0.3), "y"),
+            lambda: delegate_rounds(theta_state(0.3), "y", 10, seed=1),
+        ],
+        ids=["keygen", "decoded_distribution", "delegate_rounds"],
+    )
+    def test_unknown_basis_rejected_not_run_as_x(self, call):
+        with pytest.raises(ValueError, match="basis must be 'x' or 'z'"):
+            call()
+
     def test_preimages_error_outside_image(self):
         _, twos = enumerate_functions()
         key = twos[0]
@@ -404,12 +417,12 @@ class TestRoundsAndDecoding:
 
     def test_decode_guards(self):
         key = keygen("x", seed=4)
-        test_t = ProtocolTranscript(TEST_ROUND, key.label, 0, (0, 0), True, None, None)
+        test_t = ProtocolTranscript(TEST_ROUND, key.label, 0, (0, 0), True, None)
         with pytest.raises(ValueError, match="measurement-round"):
             decode(test_t, key)
         missing = [y for y in range(4) if not key.in_image(y)][0]
         corrupt = ProtocolTranscript(
-            MEASUREMENT_ROUND, key.label, missing, (0, 0), None, None, None
+            MEASUREMENT_ROUND, key.label, missing, (0, 0), None, None
         )
         with pytest.raises(ValueError, match="no preimage"):
             decode(corrupt, key)
@@ -437,7 +450,7 @@ class TestRoundsAndDecoding:
                 for u in (0, 1):
                     for v in (0, 1):
                         t = ProtocolTranscript(
-                            MEASUREMENT_ROUND, key.label, y, (u, v), None, None, None
+                            MEASUREMENT_ROUND, key.label, y, (u, v), None, None
                         )
                         if prob[u, :, v].sum() < 1e-18:
                             continue
