@@ -29,6 +29,10 @@ class RandMeasDataset:
             raise ValueError(
                 f"setting {u}: {len(self.settings)} settings but {len(self.counts)} counts arrays"
             )
+        if not self.settings:
+            raise ValueError("settings must be non-empty")
+        if self.shots_per_setting < 1:
+            raise ValueError("need at least one shot per setting")
         ids = [s.setting_id for s in self.settings]
         if len(set(ids)) != len(ids):
             raise ValueError("setting ids must be unique")
@@ -64,10 +68,6 @@ def collect(
     state_label: str = "state",
 ) -> RandMeasDataset:
     """Rotate by each setting and record computational-basis counts."""
-    if not settings:
-        raise ValueError("settings must be non-empty")
-    if shots_per_setting < 1:
-        raise ValueError("need at least one shot per setting")
     counts = []
     for u, setting in enumerate(settings):
         rotated = state.rotated(setting.unitaries())

@@ -58,22 +58,90 @@ def _marginal_index(ints: np.ndarray, num_qubits: int, subsystem: tuple[int, ...
     return out
 
 
-def _counts_arrays(
-    counts: np.ndarray, num_qubits: int, subsystem: tuple[int, ...] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    ints, cnt = counts[:, 0], counts[:, 1].astype(float)
-    if subsystem is not None:
-        sub = _marginal_index(ints, num_qubits, subsystem)
-        uniq, inv = np.unique(sub, return_inverse=True)
-        agg = np.zeros(len(uniq))
-        np.add.at(agg, inv, cnt)
-        return uniq, agg
-    return ints, cnt
-
-
 def _kernel_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = np.bitwise_count((a[:, None] ^ b[None, :]).astype(np.uint64))
     return (-0.5) ** d.astype(float)
+
+
+# The count estimators' kernel in integers.  Per setting u,
+#   T_u = sum_{s,t} c1[s] c2[t] 2^{n_A} (-1/2)^{D(s,t)}
+#       = sum_{s,t} c1[s] c2[t] (-1)^D 2^{n_A - D},
+# an exact integer, so every estimator term is one correctly rounded
+# division.  The dense and the pairwise form return the same T_u.
+
+_DENSE_CELLS = 2**22  # histogram cells per block of settings in the dense form
+
+
+def _histograms(
+    blocks: list[np.ndarray], num_qubits: int, subsystem: tuple[int, ...] | None, n_a: int
+) -> np.ndarray:
+    """(2^n_A, settings) int64 counts of each block's outcomes on the subsystem;
+    settings run along the contiguous axis, so every step below is a long run."""
+    rows = np.concatenate(blocks)
+    setting = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    outcome = rows[:, 0] if subsystem is None else _marginal_index(rows[:, 0], num_qubits, subsystem)
+    hist = np.zeros((2**n_a, len(blocks)), dtype=np.int64)
+    np.add.at(hist, (outcome, setting), rows[:, 1])
+    return hist
+
+
+def _dense_sums(
+    ds1: RandMeasDataset, ds2: RandMeasDataset, subsystem: tuple[int, ...] | None, n_a: int
+) -> list[int]:
+    """T_u of many settings at once: 2^{n_A} (-1/2)^D = prod_q M[s_q, t_q] with
+    M = [[2, -1], [-1, 2]], applied along every qubit axis of one histogram."""
+    step = max(1, _DENSE_CELLS >> n_a)
+    out: list[int] = []
+    for lo in range(0, ds1.n_settings, step):
+        h1 = _histograms(ds1.counts[lo : lo + step], ds1.num_qubits, subsystem, n_a)
+        if ds2 is ds1:
+            g = h1.copy()
+        else:
+            g = _histograms(ds2.counts[lo : lo + step], ds2.num_qubits, subsystem, n_a)
+        for q in range(n_a):
+            pair = g.reshape(2**q, 2, -1)  # (M x)_s = 3 x_s - (x_0 + x_1)
+            both = pair.sum(axis=1, keepdims=True)
+            pair *= 3
+            pair -= both
+        out += np.einsum("su,su->u", h1, g).tolist()
+    return out
+
+
+def _pairwise_sums(
+    ds1: RandMeasDataset, ds2: RandMeasDataset, subsystem: tuple[int, ...] | None, n_a: int
+) -> list[int]:
+    """T_u setting by setting: the products c1 c2 binned by Hamming distance D,
+    then weighted by (-1)^D 2^{n_A - D} in Python integers."""
+    # a bin holds at most N1 N2; past int64 the bins hold Python integers
+    n12 = int(ds1.shots_per_setting) * int(ds2.shots_per_setting)
+    dtype = np.int64 if n12 < 2**63 else object
+    weights = [(-1) ** d * 2 ** (n_a - d) for d in range(n_a + 1)]
+    out = []
+    for b1, b2 in zip(ds1.counts, ds2.counts):
+        o1, o2 = b1[:, 0], b2[:, 0]
+        if subsystem is not None:  # repeated marginal outcomes are fine: T_u is bilinear
+            o1 = _marginal_index(o1, ds1.num_qubits, subsystem)
+            o2 = _marginal_index(o2, ds2.num_qubits, subsystem)
+        d = np.bitwise_count((o1[:, None] ^ o2[None, :]).astype(np.uint64))
+        products = np.multiply.outer(b1[:, 1].astype(dtype), b2[:, 1].astype(dtype))
+        bins = np.zeros(n_a + 1, dtype=dtype)
+        np.add.at(bins, d.ravel(), products.ravel())
+        out.append(sum(w * int(b) for w, b in zip(weights, bins.tolist())))
+    return out
+
+
+def _hamming_sums(
+    ds1: RandMeasDataset, ds2: RandMeasDataset, subsystem: tuple[int, ...] | None
+) -> list[int]:
+    """T_u per setting from the cheaper form.  The dense form costs n_A 2^{n_A}
+    per setting against K1 K2 pairs, and its intermediates stay below
+    2^{n_A} N1 N2, so it runs only while that bound fits in int64."""
+    n_a = ds1.num_qubits if subsystem is None else len(subsystem)
+    n12 = int(ds1.shots_per_setting) * int(ds2.shots_per_setting)
+    pairs = sum(len(b1) * len(b2) for b1, b2 in zip(ds1.counts, ds2.counts))
+    if ds1.n_settings * n_a * 2**n_a <= pairs and n_a + n12.bit_length() < 63:
+        return _dense_sums(ds1, ds2, subsystem, n_a)
+    return _pairwise_sums(ds1, ds2, subsystem, n_a)
 
 
 def _check_subsystem(num_qubits: int, subsystem: tuple[int, ...] | None) -> tuple[int, ...] | None:
@@ -110,31 +178,18 @@ def _same_data(ds1: RandMeasDataset, ds2: RandMeasDataset) -> bool:
 def _cross_terms(
     ds1: RandMeasDataset, ds2: RandMeasDataset, subsystem: tuple[int, ...] | None
 ) -> np.ndarray:
-    n_a = ds1.num_qubits if subsystem is None else len(subsystem)
-    scale = 2.0**n_a
-    out = np.empty(ds1.n_settings)
-    for u in range(ds1.n_settings):
-        i1, c1 = _counts_arrays(ds1.counts[u], ds1.num_qubits, subsystem)
-        i2, c2 = _counts_arrays(ds2.counts[u], ds2.num_qubits, subsystem)
-        f1 = c1 / ds1.shots_per_setting
-        f2 = c2 / ds2.shots_per_setting
-        out[u] = scale * (f1 @ _kernel_matrix(i1, i2) @ f2)
-    return out
+    n12 = int(ds1.shots_per_setting) * int(ds2.shots_per_setting)
+    return np.array([t / n12 for t in _hamming_sums(ds1, ds2, subsystem)])
 
 
 def _purity_terms(ds: RandMeasDataset, subsystem: tuple[int, ...] | None) -> np.ndarray:
     if ds.shots_per_setting < 2:
         raise ValueError("purity needs at least two shots per setting")
     n_a = ds.num_qubits if subsystem is None else len(subsystem)
-    scale = 2.0**n_a
-    n_m = ds.shots_per_setting
-    out = np.empty(ds.n_settings)
-    for u in range(ds.n_settings):
-        ints, cnt = _counts_arrays(ds.counts[u], ds.num_qubits, subsystem)
-        # ordered pairs of distinct shots: subtract the N_M same-shot pairs
-        total = cnt @ _kernel_matrix(ints, ints) @ cnt
-        out[u] = scale * (total - n_m) / (n_m * (n_m - 1.0))
-    return out
+    n_m = int(ds.shots_per_setting)
+    # ordered pairs of distinct shots: drop the N_M same-shot pairs, 2^{n_A} each
+    same, pairs = n_m * 2**n_a, n_m * (n_m - 1)
+    return np.array([(t - same) / pairs for t in _hamming_sums(ds, ds, subsystem)])
 
 
 def _jackknife_se(loo: np.ndarray) -> float:
@@ -184,6 +239,8 @@ def estimate_purity(
 def _canonical_pair(
     ds1: RandMeasDataset, ds2: RandMeasDataset
 ) -> tuple[RandMeasDataset, RandMeasDataset]:
+    if ds1 is ds2:
+        return ds1, ds2
     key1, key2 = (ds1.device_id, ds1.state_label), (ds2.device_id, ds2.state_label)
     if key1 == key2:
         # break ties as bitstring-keyed counts did, so purity_1/purity_2 keep their order

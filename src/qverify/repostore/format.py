@@ -4,6 +4,10 @@ Canonical form: JSON with object keys sorted lexicographically, separators
 "," and ":" with no whitespace, strings escaped with ASCII-only stdlib rules,
 and floats printed via %.17g (17 significant digits round-trips IEEE doubles)
 with a ".0" suffix forced onto integral values so types survive re-parsing.
+A container whose leaves are all exactly str, int, bool or None, with str
+keys throughout, is written by one call of the stdlib C encoder, whose
+output for those types is the canonical text; anything else (floats, numpy
+scalars, other keys) takes the recursive writer and its errors.
 The integrity digest is 64-bit FNV-1a over the UTF-8 bytes of the canonical
 text of the document with the "digest" key removed, rendered as 16 lowercase
 hex digits.  UTF-8 text pins the byte order of the stream on every platform.
@@ -60,8 +64,20 @@ def _format_float(v: float) -> str:
     return s
 
 
-def canonical_json(obj) -> str:
-    """Serialize to the canonical text form (see module docstring)."""
+_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"), sort_keys=True)
+
+
+def _float_free(obj) -> bool:
+    """Whether every leaf is exactly a str, int, bool or None and every key a str."""
+    kind = type(obj)
+    if kind is dict:
+        return all(type(k) is str for k in obj) and all(map(_float_free, obj.values()))
+    if kind is list or kind is tuple:
+        return all(map(_float_free, obj))
+    return kind is str or kind is int or kind is bool or obj is None
+
+
+def _canonical_text(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -77,13 +93,18 @@ def canonical_json(obj) -> str:
             if not isinstance(k, str):
                 raise MalformedDatasetError(f"non-string key {k!r}")
         inner = ",".join(
-            f"{json.dumps(k, ensure_ascii=True)}:{canonical_json(obj[k])}"
+            f"{json.dumps(k, ensure_ascii=True)}:{_canonical_text(obj[k])}"
             for k in sorted(obj)
         )
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
+        return "[" + ",".join(_canonical_text(v) for v in obj) + "]"
     raise MalformedDatasetError(f"unserializable value of type {type(obj).__name__}")
+
+
+def canonical_json(obj) -> str:
+    """Serialize to the canonical text form (see module docstring)."""
+    return _ENCODER.encode(obj) if _float_free(obj) else _canonical_text(obj)
 
 
 def json_safe(value):

@@ -7,7 +7,9 @@ real cross-check rather than a tautology.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -18,7 +20,8 @@ from qverify.qsim import QuantumState, apply_terms
 from qverify.qsim import solve as qsolve
 from qverify.randmeas import CLIFFORD_TABLE, Estimate, FidelityEstimate, phase_normalize
 from qverify.randmeas.estimators import _jackknife_se, _loo_means, _mean_with_jackknife
-from qverify.repostore import dataset_to_document
+from qverify.repostore import MalformedDatasetError, dataset_to_document
+from qverify.repostore.format import _format_float
 
 # ---------------------------------------------------------------- fermions
 # Fock space of n_modes modes; basis index = occupation bitmask (bit m = mode m).
@@ -272,14 +275,15 @@ def marginal_probabilities(probs: np.ndarray, num_qubits: int, subsystem) -> np.
 
 # The string-keyed estimators: every outcome is a bitstring key, read back
 # from the dataset's file document and parsed with int(b, 2) on each call,
-# with the kernel evaluated string against string.
+# with the kernel evaluated string against string in exact rational
+# arithmetic, so each term is rounded once, when it becomes a float.
 
 
-def hamming_kernel(s: str, t: str) -> float:
+def hamming_kernel(s: str, t: str) -> Fraction:
     """(-2)^(-D) for the Hamming distance D between equal-length strings."""
     if len(s) != len(t):
         raise ValueError(f"length mismatch: {len(s)} vs {len(t)}")
-    return (-0.5) ** sum(a != b for a, b in zip(s, t))
+    return Fraction(-1, 2) ** sum(a != b for a, b in zip(s, t))
 
 
 def bitstring_counts(ds) -> list[dict[str, int]]:
@@ -287,39 +291,42 @@ def bitstring_counts(ds) -> list[dict[str, int]]:
     return [{bits: cnt for bits, cnt in block} for block in dataset_to_document(ds)["counts"]]
 
 
-def _string_marginal(counts_map: dict[str, int], subsystem) -> tuple[list[str], np.ndarray]:
-    if subsystem is not None:
-        marginal: dict[str, int] = {}
-        for bits, cnt in counts_map.items():
-            key = "".join(bits[q] for q in subsystem)
-            marginal[key] = marginal.get(key, 0) + cnt
-        counts_map = {k: marginal[k] for k in sorted(marginal)}
-    return list(counts_map), np.array(list(counts_map.values()), dtype=float)
+def _string_marginal(counts_map: dict[str, int], subsystem) -> dict[str, int]:
+    if subsystem is None:
+        return counts_map
+    marginal: dict[str, int] = {}
+    for bits, cnt in counts_map.items():
+        key = "".join(bits[q] for q in subsystem)
+        marginal[key] = marginal.get(key, 0) + cnt
+    return marginal
 
 
-def _string_kernel(keys1: list[str], keys2: list[str]) -> np.ndarray:
-    return np.array([[hamming_kernel(s, t) for t in keys2] for s in keys1])
+def _string_kernel_sum(m1: dict[str, int], m2: dict[str, int]) -> Fraction:
+    return sum(
+        (c1 * c2 * hamming_kernel(s, t) for s, c1 in m1.items() for t, c2 in m2.items()),
+        Fraction(0),
+    )
 
 
 def string_cross_terms(ds1, ds2, subsystem=None) -> np.ndarray:
-    scale = 2.0 ** (ds1.num_qubits if subsystem is None else len(subsystem))
+    scale = 2 ** (ds1.num_qubits if subsystem is None else len(subsystem))
+    n12 = ds1.shots_per_setting * ds2.shots_per_setting
     out = []
     for m1, m2 in zip(bitstring_counts(ds1), bitstring_counts(ds2)):
-        k1, c1 = _string_marginal(m1, subsystem)
-        k2, c2 = _string_marginal(m2, subsystem)
-        f1, f2 = c1 / ds1.shots_per_setting, c2 / ds2.shots_per_setting
-        out.append(scale * (f1 @ _string_kernel(k1, k2) @ f2))
+        total = _string_kernel_sum(_string_marginal(m1, subsystem), _string_marginal(m2, subsystem))
+        out.append(float(scale * total / n12))
     return np.array(out)
 
 
 def string_purity_terms(ds, subsystem=None) -> np.ndarray:
-    scale = 2.0 ** (ds.num_qubits if subsystem is None else len(subsystem))
+    scale = 2 ** (ds.num_qubits if subsystem is None else len(subsystem))
     n_m = ds.shots_per_setting
     out = []
     for m in bitstring_counts(ds):
-        keys, cnt = _string_marginal(m, subsystem)
-        total = cnt @ _string_kernel(keys, keys) @ cnt
-        out.append(scale * (total - n_m) / (n_m * (n_m - 1.0)))
+        marginal = _string_marginal(m, subsystem)
+        # ordered pairs of distinct shots: drop the N_M same-shot pairs
+        total = _string_kernel_sum(marginal, marginal) - n_m
+        out.append(float(scale * total / (n_m * (n_m - 1))))
     return np.array(out)
 
 
@@ -364,3 +371,32 @@ def string_fmax(ds1, ds2, subsystem=None) -> FidelityEstimate:
         n_settings=len(o),
         unreliable=not (max(pa_m, pb_m) > 0.0),
     )
+
+
+# ---------------------------------------------------------------- canonical text
+
+
+def recursive_canonical_json(obj) -> str:
+    """The canonical writer node by node: every type, every key, every error."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, dict):
+        for k in obj:
+            if not isinstance(k, str):
+                raise MalformedDatasetError(f"non-string key {k!r}")
+        inner = ",".join(
+            f"{json.dumps(k, ensure_ascii=True)}:{recursive_canonical_json(obj[k])}"
+            for k in sorted(obj)
+        )
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(recursive_canonical_json(v) for v in obj) + "]"
+    raise MalformedDatasetError(f"unserializable value of type {type(obj).__name__}")

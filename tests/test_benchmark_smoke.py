@@ -1,10 +1,12 @@
-"""Smoke test of the benchmark's Hamiltonian-learning workload.
+"""Smoke tests of the benchmark's workloads.
 
-``perfbench/workloads.py`` calls the ``hamlearn`` API the way the benchmark
-runs it: one ``KRowEngine`` shared by selection, exact K and a 100-shuffle
-constraint-count curve.  Running one setup and one job here, against the
-package under test, catches a change that breaks those calls without
-waiting for the benchmark's own self-test (``perfbench/test_counts.py``).
+``perfbench/workloads.py`` calls the package the way the benchmark runs it:
+for Hamiltonian learning, one ``KRowEngine`` shared by selection, exact K
+and a 100-shuffle constraint-count curve; for the cross-platform route, a
+GHZ(6) campaign of three devices through a repository.  Running one setup
+and one job of each here, against the package under test, catches a change
+that breaks those calls or their checks without waiting for the
+benchmark's own self-test (``perfbench/test_counts.py``).
 """
 
 import importlib.util
@@ -25,5 +27,13 @@ def _load(name: str):
 def test_hubbard_exact_job_passes_its_checks():
     spans, workloads = _load("spans"), _load("workloads")
     workload = workloads.HubbardExact()
+    inputs = workload.setup(0)
+    assert workload.job(inputs, spans.NullTracer()) == []
+
+
+def test_xplatform_job_passes_its_checks(tmp_path):
+    # 5-sigma Fmax, compare bit-identity with the direct estimate, complete matrix
+    spans, workloads = _load("spans"), _load("workloads")
+    workload = workloads.XPlatform(tmp_path)
     inputs = workload.setup(0)
     assert workload.job(inputs, spans.NullTracer()) == []

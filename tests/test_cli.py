@@ -428,6 +428,32 @@ class TestRepoCommands:
         assert sorted(root.rglob("*")) == before
         assert not (out / "rejected").exists()
 
+    @pytest.mark.parametrize("empty", ["no-settings", "no-shots"])
+    def test_empty_dataset_is_refused(self, repo_env, empty, capsys):
+        # both used to be stored with exit 0, and two setting-free files
+        # compared to nan with exit 0
+        root, out, _ = repo_env
+        doc = _read_json(out / "dataset-alpha.json")
+        if empty == "no-settings":
+            doc["settings"], doc["counts"] = [], []
+        else:
+            doc["counts"] = [[] for _ in doc["settings"]]
+            doc["shots_per_setting"] = 0
+        doc["digest"] = document_digest(doc)
+        bad = out / "empty.json"
+        bad.write_text(canonical_json(doc) + "\n")
+        before = sorted(root.rglob("*"))
+        capsys.readouterr()
+        assert dispatch(["repo", "ingest", str(bad), "--out", str(out / "rejected")]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["category"] == "invalid-input"
+        assert ("non-empty" if empty == "no-settings" else "at least one shot") in err["message"]
+        assert sorted(root.rglob("*")) == before
+        assert not (out / "rejected").exists()
+        code = dispatch(["randmeas", "compare", str(bad), str(bad), "--out", str(out / "cmp")])
+        assert code == 3
+        assert not (out / "cmp").exists()
+
     def test_rejected_ingest_creates_no_repository(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[]")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from oracle_helpers import (
     dense_overlap,
     hamming_kernel,
     marginal_probabilities,
+    string_cross_terms,
     string_fmax,
     string_overlap,
     string_purity_terms,
@@ -42,7 +44,13 @@ from qverify.randmeas import (
     scaling_probe,
 )
 from qverify.randmeas.cliffords import _generate_table
-from qverify.randmeas.estimators import _purity_terms
+from qverify.randmeas.estimators import (
+    _cross_terms,
+    _dense_sums,
+    _hamming_sums,
+    _pairwise_sums,
+    _purity_terms,
+)
 from qverify.repostore import load_dataset_text, serialize_dataset
 from qverify.rng import make_rng
 
@@ -404,6 +412,15 @@ class TestEstimateFmax:
                 assert want <= prev + 1e-12
             prev = want
 
+    def test_ghz10_full_size_estimate_is_fast(self):
+        settings = sample_settings(10, 500, seed=90)
+        d1 = collect(ghz_state(10), settings, 512, seed=91, device_id="a")
+        d2 = collect(ghz_state(10), settings, 512, seed=92, device_id="b")
+        start = time.perf_counter()
+        est = estimate_fmax(d1, d2)
+        assert time.perf_counter() - start < 0.5
+        assert abs(est.fmax - 1.0) < 5 * est.se_fmax
+
     def test_unreliable_flag_on_nonpositive_purity(self):
         ident = clifford_index(np.eye(2))
         def rigged(dev):
@@ -462,6 +479,102 @@ class TestStringKeyedOracle:
             est = estimate_fmax(a, b)
             assert est == string_fmax(a, b)
             assert est.purity_1 == first
+
+
+@pytest.fixture(scope="module")
+def suite_datasets() -> list[tuple[list[RandMeasDataset], list]]:
+    """Datasets of the shapes this suite measures, grouped by shared settings,
+    each group with the subsystems its tests take."""
+    rng = make_rng(21, "kernel-forms")
+    ident = clifford_index(np.eye(2))
+    two_shot = RandMeasDataset(
+        "d", "s", 1, [MeasurementSetting(0, clifford_indices=(ident,))],
+        [np.array([[0, 1], [1, 1]], dtype=np.int64)], 2,
+    )
+    groups = [([two_shot], [None, (0,), ()])]
+    for ensemble in ("clifford", "haar"):
+        settings = sample_settings(3, 12, seed=15, ensemble=ensemble)
+        states = (ghz_state(3), random_pure_state(3, rng), random_density_state(3, rng))
+        ds = [collect(st, settings, 24, seed=30 + k, device_id=f"d{k}") for k, st in enumerate(states)]
+        groups.append((ds, [None, (0,), (2, 0), (1, 2)]))
+    plain = ghz_state(10)
+    flipped = QuantumState(plain.data.copy(), plain.basis)
+    flipped.data[-1] *= -1.0
+    settings = sample_settings(10, 20, seed=80)
+    ds = [collect(st, settings, 64, seed=81 + k, device_id=f"d{k}") for k, st in enumerate((plain, flipped))]
+    groups.append((ds, [None, (0,), (9, 3, 5), tuple(range(7))]))
+    settings = sample_settings(6, 20, seed=3)
+    ds = [collect(ghz_state(6), settings, 512, seed=40 + k, device_id=f"d{k}") for k in range(2)]
+    groups.append((ds, [None, (5,), (0, 1, 2), (4, 2, 0, 1, 3)]))
+    return groups
+
+
+def _hand_built_dataset(device: str, num_qubits: int, rows: list[list[list[int]]]) -> RandMeasDataset:
+    settings = [
+        MeasurementSetting(u, clifford_indices=tuple((u + q) % NUM_CLIFFORDS for q in range(num_qubits)))
+        for u in range(len(rows))
+    ]
+    counts = [np.array(r, dtype=np.int64) for r in rows]
+    ds = RandMeasDataset(device, "s", num_qubits, settings, counts, int(counts[0][:, 1].sum()))
+    ds.validate()
+    return ds
+
+
+class TestHammingSums:
+    """The integer kernel T_u per setting: its dense and pairwise forms agree,
+    and both match exact rational arithmetic beyond the int64 range."""
+
+    def test_dense_and_pairwise_forms_agree(self, suite_datasets):
+        for ds, subsystems in suite_datasets:
+            for sub in subsystems:
+                n_a = ds[0].num_qubits if sub is None else len(sub)
+                for d1 in ds:
+                    for d2 in ds:
+                        dense = _dense_sums(d1, d2, sub, n_a)
+                        assert dense == _pairwise_sums(d1, d2, sub, n_a)
+                        assert len(dense) == d1.n_settings
+                        assert all(type(t) is int for t in dense)
+
+    def test_dense_blocks_of_settings_agree(self, suite_datasets, monkeypatch):
+        import qverify.randmeas.estimators as estimators
+
+        ds, _ = suite_datasets[-1]
+        whole = _dense_sums(ds[0], ds[1], None, 6)
+        monkeypatch.setattr(estimators, "_DENSE_CELLS", 3 * 2**6)  # blocks of 3 settings
+        assert _dense_sums(ds[0], ds[1], None, 6) == whole
+
+    @pytest.mark.parametrize(
+        "shots",
+        [
+            (2**31 + 5, 2**31 + 1),  # n_A + log2(N1 N2) >= 63: dense bound exceeded
+            (2**32 + 7, 2**31 + 3),  # N1 N2 >= 2^63: the bins themselves leave int64
+        ],
+    )
+    def test_huge_counts_match_the_fraction_oracle(self, shots):
+        def rows(n, k):
+            a, b = n // 3 + k, n // 5 - k
+            return [[[0, a], [3, b], [5, n - a - b]], [[1, n - 7], [6, 7]], [[2, n]]]
+
+        d1 = _hand_built_dataset("a", 3, rows(shots[0], 1))
+        d2 = _hand_built_dataset("b", 3, rows(shots[1], 2))
+        assert 3 + (shots[0] * shots[1]).bit_length() >= 63
+        for sub in (None, (2, 0), (1,)):
+            n_a = 3 if sub is None else len(sub)
+            assert _hamming_sums(d1, d2, sub) == _pairwise_sums(d1, d2, sub, n_a)
+            assert np.array_equal(_cross_terms(d1, d2, sub), string_cross_terms(d1, d2, sub))
+            for d in (d1, d2):
+                assert np.array_equal(_purity_terms(d, sub), string_purity_terms(d, sub))
+            assert estimate_fmax(d1, d2, sub) == string_fmax(d1, d2, sub)
+
+    def test_wide_register_matches_the_fraction_oracle(self):
+        top = 2**40 - 1
+        d1 = _hand_built_dataset("a", 40, [[[0, 3], [5, 2], [top, 1]], [[2**39, 6]], [[7, 1], [2**20, 5]]])
+        d2 = _hand_built_dataset("b", 40, [[[0, 1], [top, 5]], [[3, 2], [2**39, 4]], [[2**20 + 7, 6]]])
+        for sub in (None, (0, 39, 17), tuple(range(0, 40, 2))):
+            assert np.array_equal(_cross_terms(d1, d2, sub), string_cross_terms(d1, d2, sub))
+            for d in (d1, d2):
+                assert np.array_equal(_purity_terms(d, sub), string_purity_terms(d, sub))
+            assert estimate_fmax(d1, d2, sub) == string_fmax(d1, d2, sub)
 
 
 class TestDatasetValidate:

@@ -6,7 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_helpers import recursive_canonical_json
 from qverify.cli import dispatch
 from qverify.qsim import QuantumState, QubitBasis, ghz_state, zero_state
 from qverify.randmeas import (
@@ -28,6 +31,7 @@ from qverify.repostore import (
     load_dataset_text,
     serialize_dataset,
 )
+from qverify.repostore.format import _float_free
 
 
 def reference_fnv1a64(data: bytes) -> int:
@@ -36,6 +40,38 @@ def reference_fnv1a64(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * 1099511628211) % 2**64
     return h
+
+
+# strings that need escapes or are not ASCII, beside arbitrary text
+_TEXT = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028\xe9\U0001f600\ud800')),
+    max_size=6,
+)
+_PLAIN_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(2**70), 2**70), _TEXT)
+_ODD_LEAVES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.just(float("nan")),
+)
+
+
+def _trees(leaves, keys):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(keys, children, max_size=4),
+        ),
+        max_leaves=16,
+    )
+
+
+def _outcome(write, tree):
+    try:
+        return "text", write(tree)
+    except Exception as exc:  # the error is part of the contract
+        return type(exc), str(exc)
 
 
 class TestCanonicalJson:
@@ -64,6 +100,17 @@ class TestCanonicalJson:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             canonical_json(float("nan"))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(tree=_trees(_PLAIN_LEAVES, _TEXT))
+    def test_encoder_path_matches_the_recursive_writer(self, tree):
+        assert _float_free(tree)
+        assert canonical_json(tree) == recursive_canonical_json(tree)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(tree=_trees(st.one_of(_PLAIN_LEAVES, _ODD_LEAVES), st.one_of(_TEXT, st.integers(-3, 3))))
+    def test_any_tree_gives_the_recursive_writers_text_or_error(self, tree):
+        assert _outcome(canonical_json, tree) == _outcome(recursive_canonical_json, tree)
 
     def test_roundtrip_identity_on_canonical_form(self):
         doc = {"z": [1, 2.5, "s"], "a": {"k": [[0.1, -3]]}}
