@@ -102,6 +102,7 @@ from .verifyproto import (
     MEASUREMENT_ROUND,
     MixedStateProver,
     TEST_ROUND,
+    check_test_fraction,
     decoded_distribution,
     delegate_rounds,
     finish_round,
@@ -535,13 +536,8 @@ def _instance_ground_state(instance) -> QuantumState:
     return ground_state(instance.matrix(), QubitBasis(instance.num_qubits))[1]
 
 
-def _check_test_fraction(value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"test fraction {value} outside [0, 1]")
-
-
 def _cmd_verify_run(args) -> Report:
-    _check_test_fraction(args.test_fraction)
+    check_test_fraction(args.test_fraction)
     instance = load_instance_text(Path(args.instance).read_text(encoding="utf-8"))
     if args.prover == "mixed":
         prover = MixedStateProver(instance.num_qubits)
@@ -595,7 +591,7 @@ def _cmd_verify_run(args) -> Report:
 
 
 def _cmd_verify_delegate(args) -> Report:
-    _check_test_fraction(args.test_fraction)
+    check_test_fraction(args.test_fraction)
     state = _state_arg(args.state, args.seed, "delegate")
     if not 0 <= args.qubit < state.num_qubits:
         raise ValueError(f"qubit {args.qubit} outside the {state.num_qubits}-qubit state")

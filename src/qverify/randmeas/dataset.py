@@ -10,6 +10,8 @@ from ..qsim import QuantumState, sample_counts
 from ..rng import GENERATOR_ID, make_rng
 from .settings import MeasurementSetting
 
+NO_SHOTS = "need at least one shot per setting"
+
 
 @dataclass
 class RandMeasDataset:
@@ -32,7 +34,7 @@ class RandMeasDataset:
         if not self.settings:
             raise ValueError("settings must be non-empty")
         if self.shots_per_setting < 1:
-            raise ValueError("need at least one shot per setting")
+            raise ValueError(NO_SHOTS)
         ids = [s.setting_id for s in self.settings]
         if len(set(ids)) != len(ids):
             raise ValueError("setting ids must be unique")
@@ -68,6 +70,8 @@ def collect(
     state_label: str = "state",
 ) -> RandMeasDataset:
     """Rotate by each setting and record computational-basis counts."""
+    if shots_per_setting < 1:
+        raise ValueError(NO_SHOTS)
     counts = []
     for u, setting in enumerate(settings):
         rotated = state.rotated(setting.unitaries())

@@ -30,7 +30,7 @@ from ..repostore.format import (
 )
 from ..rng import make_rng
 from .functions import keygen
-from .protocol import MEASUREMENT_ROUND, TEST_ROUND, ProtocolTranscript, finish_round
+from .protocol import MEASUREMENT_ROUND, TEST_ROUND, ProtocolTranscript, born_cdf, finish_round
 
 _XZ_LETTERS = frozenset("IXZ")
 
@@ -91,6 +91,12 @@ class VerificationResult:
     commit_qubits: int
 
 
+def check_test_fraction(test_fraction: float) -> None:
+    """Refuse a test-round fraction outside [0, 1]."""
+    if not 0.0 <= test_fraction <= 1.0:
+        raise ValueError(f"test fraction {test_fraction} outside [0, 1]")
+
+
 def verify_energy(
     instance: HamiltonianInstance,
     prover,
@@ -118,8 +124,7 @@ def verify_energy(
     """
     if n_rounds < 1:
         raise ValueError(f"need at least one round (got {n_rounds})")
-    if not 0.0 <= test_fraction <= 1.0:
-        raise ValueError(f"test fraction {test_fraction} outside [0, 1]")
+    check_test_fraction(test_fraction)
     sampled = [t for t in instance.terms if t.factors.strip("I")]
     if not sampled:
         raise ValueError("instance has no non-identity terms to sample")
@@ -129,7 +134,8 @@ def verify_energy(
     one_norm = float(weights.sum())
     if not one_norm > 0:
         raise ValueError("instance has no nonzero non-identity terms to sample")
-    probs = weights / one_norm
+    # the term draw of Generator.choice(len(sampled), p=weights / one_norm)
+    term_cdf = born_cdf(weights / one_norm)
     # per term: delegated qubit and basis (the first non-identity factor),
     # the directly measured rest of the support, and the sign of its value
     plans = []
@@ -143,7 +149,8 @@ def verify_energy(
     for r in range(n_rounds):
         vrng = make_rng(seed, "verifier", r)
         prng = make_rng(seed, "prover", r)
-        factors, dq, dbasis, others, sign = plans[int(vrng.choice(len(sampled), p=probs))]
+        term = int(term_cdf.searchsorted(vrng.random(), side="right"))
+        factors, dq, dbasis, others, sign = plans[term]
         key = keygen(dbasis, rng=vrng)
         session = prover.open_round(tuple(key.table), dq, others, prng)
         kind = TEST_ROUND if vrng.random() < test_fraction else MEASUREMENT_ROUND

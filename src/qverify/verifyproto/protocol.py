@@ -5,7 +5,9 @@ entangled with a preimage qubit and a two-qubit image register according
 to a public function table, the image register is measured and announced,
 and the round then either opens the committed registers in Z (consistency
 test against the table) or measures them in X so the privately held
-inverse data can be turned into the delegated outcome.
+inverse data can be turned into the delegated outcome.  A ``BornMemo``
+keeps the Born distributions of these steps, so a prover of a fixed state
+commits it only when the memo misses.
 """
 
 from __future__ import annotations
@@ -74,17 +76,13 @@ def commit(state: QuantumState, qubit: int, table) -> CommittedState:
     tab = tuple(int(t) for t in table)
     if len(tab) != 4 or any(not 0 <= t < 4 for t in tab):
         raise ValueError("table must map the four inputs into 0..3")
-    vec = np.asarray(state.data, dtype=complex)
-    idx = np.arange(vec.size)
-    b = (idx >> (n - 1 - qubit)) & 1
-    out = np.zeros(vec.size * 8, dtype=complex)
-    amp = vec / np.sqrt(2.0)
-    tarr = np.asarray(tab)
-    for x in (0, 1):
-        y = tarr[2 * b + x]
-        out[idx * 8 + 4 * x + y] = amp
+    # amp axes: (qubits before the target, b, qubits after it); out appends (x, y)
+    amp = (np.asarray(state.data, dtype=complex) / np.sqrt(2.0)).reshape(1 << qubit, 2, -1)
+    out = np.zeros(amp.shape + (2, 4), dtype=complex)
+    for b, x in itertools.product((0, 1), (0, 1)):
+        out[:, b, :, x, tab[2 * b + x]] = amp[:, b, :]
     return CommittedState(
-        state=QuantumState(out, QubitBasis(n + 3)),
+        state=QuantumState(out.reshape(-1), QubitBasis(n + 3)),
         system_qubit=qubit,
         preimage_qubit=n,
         image_qubits=(n + 1, n + 2),
@@ -92,42 +90,96 @@ def commit(state: QuantumState, qubit: int, table) -> CommittedState:
     )
 
 
-def commit_measure_image(
-    committed: CommittedState, rng: np.random.Generator
-) -> tuple[int, QuantumState]:
-    """Born-sample the image register; return (y, collapsed remainder).
+# Byte budget of the CDFs one BornMemo keeps; an entry that would pass it is
+# computed for its round and not kept.
+MEMO_BYTES = 32 << 20
 
-    The remainder keeps the n system qubits plus the preimage qubit at
-    index n; the measured image register is dropped.
-    """
-    blocks = committed.state.data.reshape(-1, 4)
-    probs = (np.abs(blocks) ** 2).sum(axis=0)
-    probs = probs / probs.sum()
-    y = int(rng.choice(4, p=probs))
-    residual = blocks[:, y]
+
+def _image_probabilities(committed: CommittedState) -> np.ndarray:
+    probs = (np.abs(committed.state.data.reshape(-1, 4)) ** 2).sum(axis=0)
+    return probs / probs.sum()
+
+
+def _collapse(committed: CommittedState, y: int) -> QuantumState:
+    residual = committed.state.data.reshape(-1, 4)[:, y]
     residual = residual / np.linalg.norm(residual)
-    n_rest = committed.state.num_qubits - 2
-    return y, QuantumState(residual, QubitBasis(n_rest))
+    return QuantumState(residual, QubitBasis(committed.state.num_qubits - 2))
 
 
-def sample_bits(state: QuantumState, ops, rng: np.random.Generator) -> tuple[int, ...]:
-    """Jointly sample the listed qubits, each in its own basis.
-
-    ``ops`` is a sequence of (qubit, 'x'|'z') pairs.  All qubits are
-    measured in one Born draw and the listed bits are read off, so the
-    returned tuple follows the exact joint marginal.
-    """
-    n = state.num_qubits
-    units: list[np.ndarray | None] = [None] * n
+def _outcome_probabilities(state: QuantumState, ops) -> np.ndarray:
+    units: list[np.ndarray | None] = [None] * state.num_qubits
     for q, basis in ops:
         if basis == "x":
             units[q] = HADAMARD
         elif basis != "z":
             raise ValueError(f"unsupported measurement basis {basis!r}")
     rotated = state.rotated(units) if any(u is not None for u in units) else state
-    p = rotated.probabilities()
-    i = int(rng.choice(p.size, p=p))
-    return tuple((i >> (n - 1 - q)) & 1 for q, _ in ops)
+    return rotated.probabilities()
+
+
+def born_cdf(p: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(p.size, p=p)`` builds for a scalar draw:
+    one ``random()`` double searched in it with ``side="right"`` is the
+    index ``choice`` returns."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+class BornMemo:
+    """Born CDFs of the rounds played on one system state.
+
+    An image CDF is keyed by (committed table, qubit).  An outcome CDF is
+    keyed by (qubit, preimage class of the image, ops), the class being the
+    inputs k with table[k] == y: the collapsed residual keeps |z, x> exactly
+    when 2*b_z + x lies in it, so every table with that class gives the same
+    residual bit for bit.  A CDF is stored at its nonzero-probability
+    positions only, where a right-sided search always lands, so draws equal
+    ``Generator.choice`` on the full vector.  ``commit_fn(table, qubit)``
+    runs on a miss; consecutive misses of one pair share its result.
+    """
+
+    def __init__(self, num_qubits: int, commit_fn):
+        self.num_qubits = num_qubits
+        self.nbytes = 0
+        self._commit_fn = commit_fn
+        self._last: tuple | None = None
+        self._cdfs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _committed(self, table, qubit) -> CommittedState:
+        if self._last is None or self._last[0] != (table, qubit):
+            self._last = ((table, qubit), self._commit_fn(table, qubit))
+        return self._last[1]
+
+    def _draw(self, key, probabilities, rng) -> int:
+        entry = self._cdfs.get(key)
+        if entry is None:
+            p = probabilities()
+            pos = p.nonzero()[0]
+            entry = (pos, born_cdf(p)[pos])
+            size = pos.nbytes + entry[1].nbytes
+            if self.nbytes + size <= MEMO_BYTES:
+                self._cdfs[key] = entry
+                self.nbytes += size
+        pos, cdf = entry
+        return int(pos[cdf.searchsorted(rng.random(), side="right")])
+
+    def image(self, table, qubit, rng) -> int:
+        """Draw the announced image of a round committed with ``table``."""
+        return self._draw(
+            (table, qubit), lambda: _image_probabilities(self._committed(table, qubit)), rng
+        )
+
+    def sample(self, table, qubit, y, ops, rng) -> tuple[int, ...]:
+        """Jointly sample ``ops`` (qubit, 'x'|'z') on the residual of image
+        ``y`` in one Born draw and read the listed bits off."""
+        preimages = tuple(k for k in range(4) if table[k] == y)
+        i = self._draw(
+            (qubit, preimages, ops),
+            lambda: _outcome_probabilities(_collapse(self._committed(table, qubit), y), ops),
+            rng,
+        )
+        return tuple((i >> (self.num_qubits - q)) & 1 for q, _ in ops)
 
 
 class HonestSession:
@@ -141,17 +193,28 @@ class HonestSession:
     """
 
     def __init__(self, committed: CommittedState, other_ops, rng):
-        self.image, self._residual = commit_measure_image(committed, rng)
-        self._qubit = committed.system_qubit
-        self._preimage = committed.preimage_qubit
-        self._other_ops = tuple(other_ops)
-        self._rng = rng
+        memo = BornMemo(committed.preimage_qubit, lambda table, qubit: committed)
+        self._open(memo, committed.table, committed.system_qubit, other_ops, rng)
+
+    @classmethod
+    def from_memo(cls, memo: BornMemo, table, qubit, other_ops, rng) -> "HonestSession":
+        """A round on ``memo``'s state that commits only on a memo miss."""
+        session = cls.__new__(cls)
+        session._open(memo, tuple(table), qubit, other_ops, rng)
+        return session
+
+    def _open(self, memo, table, qubit, other_ops, rng) -> None:
+        self._memo, self._table, self._qubit, self._rng = memo, table, qubit, rng
+        self._preimage = memo.num_qubits
+        self._other_ops = tuple(tuple(op) for op in other_ops)
+        self.image = memo.image(table, qubit, rng)
+
+    def _sample(self, ops) -> tuple[int, ...]:
+        return self._memo.sample(self._table, self._qubit, self.image, tuple(ops), self._rng)
 
     def reveal_test(self) -> tuple[int, int]:
         """Open the committed registers in Z."""
-        return sample_bits(
-            self._residual, [(self._qubit, "z"), (self._preimage, "z")], self._rng
-        )
+        return self._sample(((self._qubit, "z"), (self._preimage, "z")))
 
     def reveal_measurement(self) -> tuple[tuple[int, int], tuple[int, ...]]:
         """X outcomes of the committed registers plus direct outcomes.
@@ -160,9 +223,8 @@ class HonestSession:
         between the delegated qubit and the directly measured ones are
         exact.
         """
-        ops = [(self._qubit, "x"), (self._preimage, "x")] + list(self._other_ops)
-        bits = sample_bits(self._residual, ops, self._rng)
-        return (bits[0], bits[1]), tuple(bits[2:])
+        bits = self._sample(((self._qubit, "x"), (self._preimage, "x")) + self._other_ops)
+        return (bits[0], bits[1]), bits[2:]
 
 
 def finish_round(kind: str, key: TrapdoorKey, session) -> tuple[ProtocolTranscript, tuple[int, ...]]:

@@ -3,7 +3,8 @@
 A prover exposes ``open_round(table, qubit, other_ops, rng)`` and returns
 a session carrying the announced image ``image`` plus the two reveal
 methods of ``protocol.HonestSession``.  The verifier closes every round
-with ``protocol.finish_round``.
+with ``protocol.finish_round``.  Provers of a fixed state draw from a
+``protocol.BornMemo``, so a round commits the state only on a memo miss.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..qsim import QuantumState, QubitBasis
-from .protocol import HonestSession, commit, sample_bits
+from .protocol import BornMemo, HonestSession, commit
 
 
 class HonestProver:
@@ -22,13 +23,14 @@ class HonestProver:
     def __init__(self, state: QuantumState):
         state.validate()
         self.state = state
+        self._memo = BornMemo(state.num_qubits, lambda table, qubit: commit(state, qubit, table))
 
     def _committed_table(self, table):
         return table
 
     def open_round(self, table, qubit, other_ops, rng) -> HonestSession:
-        committed = commit(self.state, qubit, self._committed_table(table))
-        return self.session_class(committed, other_ops, rng)
+        table = self._committed_table(table)
+        return self.session_class.from_memo(self._memo, table, qubit, other_ops, rng)
 
 
 class MixedStateProver:
@@ -52,10 +54,9 @@ class _BasisGuessSession(HonestSession):
     def reveal_measurement(self) -> tuple[tuple[int, int], tuple[int, ...]]:
         # measures the committed registers in Z anyway, then invents the
         # X outcomes it was asked for
-        ops = [(self._qubit, "z"), (self._preimage, "z")] + list(self._other_ops)
-        bits = sample_bits(self._residual, ops, self._rng)
+        bits = self._sample(((self._qubit, "z"), (self._preimage, "z")) + self._other_ops)
         fabricated = (int(self._rng.integers(2)), int(self._rng.integers(2)))
-        return fabricated, tuple(bits[2:])
+        return fabricated, bits[2:]
 
 
 class BasisGuessProver(HonestProver):

@@ -16,12 +16,14 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from qverify.qsim import QuantumState, apply_terms
+from qverify.qsim import QuantumState, QubitBasis, apply_terms
 from qverify.qsim import solve as qsolve
+from qverify.qsim.qubit import HADAMARD
 from qverify.randmeas import CLIFFORD_TABLE, Estimate, FidelityEstimate, phase_normalize
 from qverify.randmeas.estimators import _jackknife_se, _loo_means, _mean_with_jackknife
 from qverify.repostore import MalformedDatasetError, dataset_to_document
 from qverify.repostore.format import _format_float
+from qverify.verifyproto import commit
 
 # ---------------------------------------------------------------- fermions
 # Fock space of n_modes modes; basis index = occupation bitmask (bit m = mode m).
@@ -371,6 +373,110 @@ def string_fmax(ds1, ds2, subsystem=None) -> FidelityEstimate:
         n_settings=len(o),
         unreliable=not (max(pa_m, pb_m) > 0.0),
     )
+
+
+# ---------------------------------------------------------------- delegation rounds
+# The commit-every-round path the memoized provers replace: each round
+# commits the state afresh, draws the image with ``Generator.choice``,
+# collapses, rotates and draws the outcome with ``Generator.choice`` again.
+
+
+def image_probabilities(committed) -> np.ndarray:
+    """Born distribution of the two-qubit image register."""
+    probs = (np.abs(committed.state.data.reshape(-1, 4)) ** 2).sum(axis=0)
+    return probs / probs.sum()
+
+
+def collapse(committed, y: int) -> QuantumState:
+    """System plus preimage qubits after the image register read ``y``."""
+    residual = committed.state.data.reshape(-1, 4)[:, y]
+    residual = residual / np.linalg.norm(residual)
+    return QuantumState(residual, QubitBasis(committed.state.num_qubits - 2))
+
+
+def commit_measure_image(committed, rng: np.random.Generator) -> tuple[int, QuantumState]:
+    """Born-sample the image register; return (y, collapsed remainder).
+
+    The remainder keeps the n system qubits plus the preimage qubit at
+    index n; the measured image register is dropped.
+    """
+    y = int(rng.choice(4, p=image_probabilities(committed)))
+    return y, collapse(committed, y)
+
+
+def outcome_probabilities(state: QuantumState, ops) -> np.ndarray:
+    """Born distribution of ``state`` with every X-listed qubit rotated by H."""
+    units = [None] * state.num_qubits
+    for q, basis in ops:
+        if basis == "x":
+            units[q] = HADAMARD
+        elif basis != "z":
+            raise ValueError(f"unsupported measurement basis {basis!r}")
+    rotated = state.rotated(units) if any(u is not None for u in units) else state
+    return rotated.probabilities()
+
+
+def sample_bits(state: QuantumState, ops, rng: np.random.Generator) -> tuple[int, ...]:
+    """Jointly sample the listed (qubit, 'x'|'z') pairs in one Born draw."""
+    p = outcome_probabilities(state, ops)
+    i = int(rng.choice(p.size, p=p))
+    return tuple((i >> (state.num_qubits - 1 - q)) & 1 for q, _ in ops)
+
+
+class OracleSession:
+    """An honest round on a committed state, measured on construction."""
+
+    def __init__(self, committed, other_ops, rng):
+        self.image, self._residual = commit_measure_image(committed, rng)
+        self._qubit = committed.system_qubit
+        self._preimage = committed.preimage_qubit
+        self._other_ops = tuple(other_ops)
+        self._rng = rng
+
+    def reveal_test(self) -> tuple[int, int]:
+        return sample_bits(self._residual, [(self._qubit, "z"), (self._preimage, "z")], self._rng)
+
+    def reveal_measurement(self):
+        ops = [(self._qubit, "x"), (self._preimage, "x")] + list(self._other_ops)
+        bits = sample_bits(self._residual, ops, self._rng)
+        return (bits[0], bits[1]), tuple(bits[2:])
+
+
+class OracleBasisGuessSession(OracleSession):
+    """Measures the committed registers in Z and fabricates the X outcomes."""
+
+    def reveal_measurement(self):
+        ops = [(self._qubit, "z"), (self._preimage, "z")] + list(self._other_ops)
+        bits = sample_bits(self._residual, ops, self._rng)
+        fabricated = (int(self._rng.integers(2)), int(self._rng.integers(2)))
+        return fabricated, tuple(bits[2:])
+
+
+class OracleProver:
+    """Commits ``state`` every round: ``kind`` is "honest", "basis-guess" or
+    "wrong-table" (every committed image bit flipped)."""
+
+    def __init__(self, state: QuantumState, kind: str = "honest"):
+        self.state, self.kind = state, kind
+
+    def open_round(self, table, qubit, other_ops, rng):
+        if self.kind == "wrong-table":
+            table = tuple(int(t) ^ 1 for t in table)
+        session = OracleBasisGuessSession if self.kind == "basis-guess" else OracleSession
+        return session(commit(self.state, qubit, table), other_ops, rng)
+
+
+class OracleMixedProver:
+    """A fresh uniformly random computational basis state per round."""
+
+    def __init__(self, num_qubits: int):
+        self.num_qubits = num_qubits
+
+    def open_round(self, table, qubit, other_ops, rng):
+        vec = np.zeros(1 << self.num_qubits, dtype=complex)
+        vec[int(rng.integers(vec.size))] = 1.0
+        state = QuantumState(vec, QubitBasis(self.num_qubits))
+        return OracleProver(state).open_round(table, qubit, other_ops, rng)
 
 
 # ---------------------------------------------------------------- canonical text

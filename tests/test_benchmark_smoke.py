@@ -3,10 +3,12 @@
 ``perfbench/workloads.py`` calls the package the way the benchmark runs it:
 for Hamiltonian learning, one ``KRowEngine`` shared by selection, exact K
 and a 100-shuffle constraint-count curve; for the cross-platform route, a
-GHZ(6) campaign of three devices through a repository.  Running one setup
-and one job of each here, against the package under test, catches a change
-that breaks those calls or their checks without waiting for the
-benchmark's own self-test (``perfbench/test_counts.py``).
+GHZ(6) campaign of three devices through a repository; for energy
+verification, a 10-qubit chain against an honest prover and three
+cheaters.  Running one setup and one job of each here, against the package
+under test, catches a change that breaks those calls or their checks
+without waiting for the benchmark's own self-test
+(``perfbench/test_counts.py``).
 """
 
 import importlib.util
@@ -35,5 +37,14 @@ def test_xplatform_job_passes_its_checks(tmp_path):
     # 5-sigma Fmax, compare bit-identity with the direct estimate, complete matrix
     spans, workloads = _load("spans"), _load("workloads")
     workload = workloads.XPlatform(tmp_path)
+    inputs = workload.setup(0)
+    assert workload.job(inputs, spans.NullTracer()) == []
+
+
+def test_energy_verify_job_passes_its_checks():
+    # honest accepted within 5 sigma, a complete transcript, and every
+    # cheater rejected in more than 90% of its sessions
+    spans, workloads = _load("spans"), _load("workloads")
+    workload = workloads.EnergyVerify()
     inputs = workload.setup(0)
     assert workload.job(inputs, spans.NullTracer()) == []

@@ -735,6 +735,43 @@ def test_randmeas_exact_bad_nu_is_invalid_input(name, tmp_path, capsys):
     assert not out.exists()
 
 
+# One test-fraction check for both verify commands, made before the
+# instance's eigensolve or any round
+_TEST_FRACTION_COMMANDS = {
+    "run": ["verify", "run", "--instance", "{instance}"],
+    "delegate": ["verify", "delegate", "--state", "ghz:2", "--basis", "x"],
+}
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "-0.25"])
+@pytest.mark.parametrize("command", sorted(_TEST_FRACTION_COMMANDS))
+def test_bad_test_fraction_is_invalid_input(
+    command, fraction, instance_file, tmp_path, capsys, monkeypatch
+):
+    import qverify.cli as cli
+
+    def no_eigensolve(instance):
+        raise AssertionError("eigensolve ran before the test-fraction check")
+
+    monkeypatch.setattr(cli, "_instance_ground_state", no_eigensolve)
+    argv = [a.format(instance=instance_file) for a in _TEST_FRACTION_COMMANDS[command]]
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--test-fraction", fraction, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"category": "invalid-input", "message": f"test fraction {float(fraction)} outside [0, 1]"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nm", ["-1", "0"])
+def test_collect_without_shots_is_refused_before_sampling(nm, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["randmeas", "collect", "--state", "ghz:2", "--nu", "3", "--nm", nm, "--out", str(out)]
+    assert dispatch(argv) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"category": "invalid-input", "message": "need at least one shot per setting"}
+    assert not out.exists()
+
+
 class TestReproduce:
     @pytest.mark.parametrize("figure", ["fig1b", "fig1c", "fig2c-style", "fig3-demo"])
     def test_figure_passes_and_writes_reports(self, figure, tmp_path):

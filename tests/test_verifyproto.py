@@ -4,7 +4,9 @@ history-state instances, and interactive energy verification.
 Oracles are exact statevector enumerations (outcome atoms of a round) and
 dense diagonalization.  The X-basis decoding rule is gated on an
 exhaustive check against Born statistics for every claw key before any
-sampled test relies on it.
+sampled test relies on it.  The memoized provers are checked transcript
+for transcript against the commit-every-round path of ``oracle_helpers``,
+and their draws against ``Generator.choice``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ import json
 import numpy as np
 import pytest
 
-from oracle_helpers import kron_chain
+from oracle_helpers import (
+    OracleMixedProver,
+    OracleProver,
+    collapse,
+    commit_measure_image,
+    image_probabilities,
+    kron_chain,
+    outcome_probabilities,
+)
 from qverify.qsim import (
     PauliTerm,
     QuantumState,
@@ -41,7 +51,6 @@ from qverify.verifyproto import (
     build_clock_state,
     clock_qubits,
     commit,
-    commit_measure_image,
     decode,
     decoded_distribution,
     delegate_rounds,
@@ -55,6 +64,7 @@ from qverify.verifyproto import (
     serialize_instance,
     verify_energy,
 )
+from qverify.verifyproto import protocol
 from qverify.verifyproto.protocol import HonestSession, _round_atoms
 
 THETA_GRID = np.linspace(0.0, np.pi, 17)
@@ -297,8 +307,7 @@ class TestMeasureImage:
         rng = make_rng(77, "img-dist")
         counts = np.zeros(4)
         for _ in range(n):
-            y, _ = commit_measure_image(commit(state, 0, key.table), rng)
-            counts[y] += 1
+            counts[HonestSession(committed, (), rng).image] += 1
         for y in range(4):
             sigma = np.sqrt(n * exact[y] * (1 - exact[y])) + 1e-12
             assert abs(counts[y] - n * exact[y]) < 5 * sigma
@@ -809,3 +818,106 @@ class TestVerifyEnergy:
         res = verify_energy(inst, HonestProver(gs), 800, 0.5, seed=3)
         # every round yields the same eigenvalue here, so the error is 0
         assert abs(res.estimate - float(w[0])) <= 5 * res.std_error + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# memoized provers against the commit-every-round oracle
+
+
+def _clock_xz_instance() -> tuple[HamiltonianInstance, QuantumState]:
+    """The minimal history state with the X/Z-only terms of its certifying
+    operator: the verifier delegates X and Z measurements only."""
+    clock = minimal_clock_instance()
+    terms = tuple(
+        PauliTerm(complex(t.coeff).real, t.factors) for t in clock.pauli_terms if "Y" not in t.factors
+    )
+    inst = HamiltonianInstance(clock.num_qubits, terms, clock.threshold_yes, clock.threshold_no)
+    return inst, clock.eta
+
+
+def _xz6_instance() -> tuple[HamiltonianInstance, QuantumState]:
+    """6-qubit chain alternating XX and XZ couplings, plus a Z field."""
+    n = 6
+    terms = [
+        PauliTerm(-1.0 + 0.1 * q, "I" * q + ("XZ" if q % 2 else "XX") + "I" * (n - q - 2))
+        for q in range(n - 1)
+    ]
+    terms += [PauliTerm(-0.3, "I" * q + "Z" + "I" * (n - q - 1)) for q in range(n)]
+    inst = HamiltonianInstance(n, tuple(terms), -3.0, -1.0)
+    w, v = np.linalg.eigh(inst.matrix())
+    return inst, QuantumState(v[:, 0], QubitBasis(n))
+
+
+_ORACLE_INSTANCES = {
+    "tfi4": lambda: _tfi_instance()[:2],
+    "clock": _clock_xz_instance,
+    "xz6": _xz6_instance,
+}
+
+# (memoized prover, commit-every-round oracle), each built from the state
+_PROVER_PAIRS = {
+    "honest": (HonestProver, OracleProver),
+    "basis-guess": (BasisGuessProver, lambda s: OracleProver(s, "basis-guess")),
+    "wrong-table": (WrongTableProver, lambda s: OracleProver(s, "wrong-table")),
+    "mixed": (lambda s: MixedStateProver(s.num_qubits), lambda s: OracleMixedProver(s.num_qubits)),
+}
+
+# (seed, test fraction) of the sessions played against one prover object,
+# so that later sessions draw from entries the earlier ones stored
+_SESSIONS = ((3, 0.5), (4, 0.2), (5, 0.0))
+
+
+def _play(inst: HamiltonianInstance, prover) -> tuple[list[dict], list[str]]:
+    records: list[dict] = []
+    results = [
+        repr(verify_energy(inst, prover, 200, frac, seed=s, transcript_sink=records.append))
+        for s, frac in _SESSIONS
+    ]
+    return records, results
+
+
+def _entry_probabilities(state: QuantumState, key) -> np.ndarray:
+    """Oracle Born distribution behind one memo key.  An outcome key's
+    residual is rebuilt from a table that only shares the preimage class
+    (image 0 on the class, 1 elsewhere), not from the table that filled it."""
+    if len(key) == 2:
+        table, qubit = key
+        return image_probabilities(commit(state, qubit, table))
+    qubit, preimages, ops = key
+    table = tuple(0 if k in preimages else 1 for k in range(4))
+    return outcome_probabilities(collapse(commit(state, qubit, table), 0), ops)
+
+
+class TestMemoizedProvers:
+    @pytest.mark.parametrize("prover", sorted(_PROVER_PAIRS))
+    @pytest.mark.parametrize("instance", sorted(_ORACLE_INSTANCES))
+    def test_transcripts_equal_commit_every_round_oracle(self, instance, prover):
+        inst, state = _ORACLE_INSTANCES[instance]()
+        memoized, oracle = _PROVER_PAIRS[prover]
+        assert _play(inst, memoized(state)) == _play(inst, oracle(state))
+
+    def test_memo_draws_equal_generator_choice(self):
+        # every entry of an honest and a basis-guess memo: one random() double
+        # per draw, the same index as Generator.choice on the full vector
+        inst, gs, _ = _tfi_instance()
+        for prover in (HonestProver(gs), BasisGuessProver(gs)):
+            _play(inst, prover)
+            memo = prover._memo
+            assert len(memo._cdfs) > 20
+            for k, key in enumerate(sorted(memo._cdfs, key=repr)):
+                p = _entry_probabilities(gs, key)
+                ours = make_rng(k, "memo-draw")
+                theirs = make_rng(k, "memo-draw")
+                for _ in range(200):
+                    assert memo._draw(key, None, ours) == int(theirs.choice(p.size, p=p))
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("budget", [0, 200])
+    def test_tiny_byte_budget_keeps_transcripts(self, budget, monkeypatch):
+        inst, gs, _ = _tfi_instance()
+        expected = _play(inst, OracleProver(gs))
+        monkeypatch.setattr(protocol, "MEMO_BYTES", budget)
+        prover = HonestProver(gs)
+        assert _play(inst, prover) == expected
+        assert prover._memo.nbytes <= budget
+        assert bool(prover._memo._cdfs) == (budget > 0)
