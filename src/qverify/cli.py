@@ -15,7 +15,7 @@ code   category        meaning
 0      ok              run completed (verdicts/results are data)
 1      internal-error  unexpected exception
 2      usage           bad flags or subcommand (argparse)
-3      invalid-input   malformed value, file content, or id
+3      invalid-input   malformed value, file content, or id; or too large to simulate
 4      io-error        missing/unreadable/unwritable file
 5      check-failed    a reproduce figure missed its tolerance
 =====  ==============  ==========================================
@@ -105,9 +105,9 @@ from .verifyproto import (
     check_test_fraction,
     decoded_distribution,
     delegate_rounds,
-    finish_round,
     keygen,
     load_instance_text,
+    play_round,
     verify_energy,
 )
 
@@ -605,8 +605,7 @@ def _cmd_verify_delegate(args) -> Report:
         rng = make_rng(args.seed, "cli", "delegate", r)
         key = keygen(args.basis, rng=rng)
         kind = TEST_ROUND if rng.random() < args.test_fraction else MEASUREMENT_ROUND
-        session = prover.open_round(key.table, args.qubit, (), rng)
-        transcript, _ = finish_round(kind, key, session)
+        transcript, _ = play_round(prover, key, kind, args.qubit, (), rng)
         if kind == MEASUREMENT_ROUND:
             decoded_counts[transcript.decoded] += 1
         else:
@@ -1104,8 +1103,9 @@ def dispatch(argv: list[str]) -> int:
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         _report_error(EXIT_IO, str(exc))
         return EXIT_IO
-    except (RepoFormatError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _report_error(EXIT_INVALID, str(exc))
+    except (RepoFormatError, ValueError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+        too_large = isinstance(exc, MemoryError)
+        _report_error(EXIT_INVALID, f"input too large to simulate: {exc}" if too_large else str(exc))
         return EXIT_INVALID
     except OSError as exc:
         _report_error(EXIT_IO, str(exc))

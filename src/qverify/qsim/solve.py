@@ -1,8 +1,8 @@
 """Ground states and Born sampling.
 
 Ground states use dense linear algebra up to DENSE_CUTOFF dimensions and
-sparse Lanczos above; every call checks its residual against the operator
-norm before returning.
+sparse Lanczos from a fixed start vector above; every call checks its
+residual against the operator norm before returning.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ..rng import make_rng
 from .fermion import FermionBasis, LatticeSpec, assemble_operator, hubbard_terms
 from .state import Basis, QuantumState
 
@@ -43,7 +44,10 @@ def ground_state(op, basis: Basis, maxiter: int = 2000) -> tuple[float, QuantumS
         w, v = scipy.linalg.eigh(_as_dense(op))
         energy, vec = float(w[0]), v[:, 0]
     else:
-        w, v = spla.eigsh(op, k=1, which="SA", maxiter=maxiter)
+        # a fixed start vector makes the solve reproducible; a random one, as a
+        # symmetry can leave all ones orthogonal to the ground state
+        v0 = make_rng(0, "ground_state", dim).standard_normal(dim)
+        w, v = spla.eigsh(op, k=1, which="SA", maxiter=maxiter, v0=v0)
         energy, vec = float(w[0]), v[:, 0]
     vec = vec / np.linalg.norm(vec)
     resid = float(np.linalg.norm(op @ vec - energy * vec))

@@ -30,7 +30,7 @@ from ..repostore.format import (
 )
 from ..rng import make_rng
 from .functions import keygen
-from .protocol import MEASUREMENT_ROUND, TEST_ROUND, ProtocolTranscript, born_cdf, finish_round
+from .protocol import MEASUREMENT_ROUND, TEST_ROUND, ProtocolTranscript, born_cdf, play_round
 
 _XZ_LETTERS = frozenset("IXZ")
 
@@ -107,11 +107,10 @@ def verify_energy(
 ) -> VerificationResult:
     """Run the full interactive verification against a prover object.
 
-    The prover must expose ``open_round(table, qubit, other_ops, rng)``
-    returning a session with an ``image`` attribute and ``reveal_test`` /
-    ``reveal_measurement`` methods.  Rounds are independent; each derives
-    its own verifier and prover streams from ``seed``, so a fixed seed
-    reproduces the transcript exactly.
+    Each round draws its term, key and kind from the verifier stream, then
+    ``play_round`` plays it against ``prover`` on the prover stream.  Rounds
+    are independent; each derives its own two streams from ``seed``, so a
+    fixed seed reproduces the transcript exactly.
 
     ``transcript_sink``, if given, is called with one plain dict per round
     as it completes, for streaming transcript logs.
@@ -121,6 +120,8 @@ def verify_energy(
     failure rejects immediately, carrying the offending transcript; a
     measurement round announcing an image with no preimage rejects the
     same way, since the held inversion data exposes it outright.
+    ``n_rounds`` of the result counts the rounds played, the aborting one
+    included.
     """
     if n_rounds < 1:
         raise ValueError(f"need at least one round (got {n_rounds})")
@@ -152,9 +153,8 @@ def verify_energy(
         term = int(term_cdf.searchsorted(vrng.random(), side="right"))
         factors, dq, dbasis, others, sign = plans[term]
         key = keygen(dbasis, rng=vrng)
-        session = prover.open_round(tuple(key.table), dq, others, prng)
         kind = TEST_ROUND if vrng.random() < test_fraction else MEASUREMENT_ROUND
-        transcript, direct = finish_round(kind, key, session)
+        transcript, direct = play_round(prover, key, kind, dq, others, prng)
         record = {
             "round": r,
             "type": kind,
@@ -189,7 +189,6 @@ def verify_energy(
     estimate = offset + float(varr.mean()) if n_meas else float("nan")
     se = _jackknife_se(_loo_means(varr))
     n_fail = 1 if failure is not None and failure.round_type == TEST_ROUND else 0
-    aborted_meas = 1 if failure is not None and failure.round_type == MEASUREMENT_ROUND else 0
     accepted = failure is None and n_meas > 0 and estimate < instance.midpoint
     pass_rate = (n_test - n_fail) / n_test if n_test else float("nan")
     return VerificationResult(
@@ -197,7 +196,7 @@ def verify_energy(
         estimate=estimate,
         std_error=se,
         midpoint=instance.midpoint,
-        n_rounds=n_rounds if failure is None else n_test + n_meas + aborted_meas,
+        n_rounds=r + 1,
         n_test_rounds=n_test,
         n_measurement_rounds=int(n_meas),
         n_test_failures=n_fail,

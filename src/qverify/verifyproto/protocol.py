@@ -13,7 +13,7 @@ commits it only when the memo misses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,26 +188,16 @@ class HonestSession:
     The image register is measured on construction; the round kind is only
     disclosed through which reveal method gets called, mirroring the
     message order of the interaction: the prover commits and announces the
-    image before learning whether it is being tested.  ``other_ops`` lists
-    (qubit, basis) pairs measured directly in measurement rounds.
+    image before learning whether it is being tested.  The round draws from
+    ``memo``, so it commits the state only on a memo miss.  ``other_ops``
+    lists (qubit, basis) pairs measured directly in measurement rounds.
     """
 
-    def __init__(self, committed: CommittedState, other_ops, rng):
-        memo = BornMemo(committed.preimage_qubit, lambda table, qubit: committed)
-        self._open(memo, committed.table, committed.system_qubit, other_ops, rng)
-
-    @classmethod
-    def from_memo(cls, memo: BornMemo, table, qubit, other_ops, rng) -> "HonestSession":
-        """A round on ``memo``'s state that commits only on a memo miss."""
-        session = cls.__new__(cls)
-        session._open(memo, tuple(table), qubit, other_ops, rng)
-        return session
-
-    def _open(self, memo, table, qubit, other_ops, rng) -> None:
-        self._memo, self._table, self._qubit, self._rng = memo, table, qubit, rng
+    def __init__(self, memo: BornMemo, table, qubit, other_ops, rng):
+        self._memo, self._table, self._qubit, self._rng = memo, tuple(table), qubit, rng
         self._preimage = memo.num_qubits
         self._other_ops = tuple(tuple(op) for op in other_ops)
-        self.image = memo.image(table, qubit, rng)
+        self.image = memo.image(self._table, qubit, rng)
 
     def _sample(self, ops) -> tuple[int, ...]:
         return self._memo.sample(self._table, self._qubit, self.image, tuple(ops), self._rng)
@@ -227,44 +217,50 @@ class HonestSession:
         return (bits[0], bits[1]), bits[2:]
 
 
-def finish_round(kind: str, key: TrapdoorKey, session) -> tuple[ProtocolTranscript, tuple[int, ...]]:
-    """Verifier side of one round once the prover has announced its image.
+def play_round(
+    prover, key: TrapdoorKey, kind: str, qubit: int, other_ops, rng
+) -> tuple[ProtocolTranscript, tuple[int, ...]]:
+    """Play one delegation round of ``kind`` on ``qubit`` against ``prover``.
 
-    Test rounds open the committed registers in Z and check them against
-    the key's table.  Measurement rounds collect the X outcomes and the
-    direct outcomes; an announced image with no preimage is cheating
-    evidence on its own (verdict False), otherwise the delegated outcome is
-    decoded.  Returns the transcript and the direct outcomes.
+    The prover commits with the key's table and announces its image before
+    it is asked for the one reveal the kind needs.  A test round opens the
+    committed registers in Z and checks them against the table.  A
+    measurement round collects the X outcomes and the direct outcomes of
+    ``other_ops``; an announced image with no preimage is cheating evidence
+    on its own (verdict False), otherwise the delegated outcome is decoded.
+    The prover draws only from ``rng``.  Returns the transcript and the
+    direct outcomes.
     """
-    y = int(session.image)
-    if kind == TEST_ROUND:
-        b, x = session.reveal_test()
-        verdict = key.table[2 * b + x] == y
-        return ProtocolTranscript(kind, key.label, y, (b, x), verdict, None), ()
-    if kind != MEASUREMENT_ROUND:
+    if kind not in (TEST_ROUND, MEASUREMENT_ROUND):
         raise ValueError(f"unknown round type {kind!r}")
-    (u, v), direct = session.reveal_measurement()
-    transcript = ProtocolTranscript(kind, key.label, y, (int(u), int(v)), None, None)
-    if not key.in_image(y):
-        return replace(transcript, verdict=False), direct
-    return replace(transcript, decoded=decode(transcript, key)), direct
+    session = prover.open_round(key.table, qubit, other_ops, rng)
+    y = int(session.image)
+    verdict = decoded = None
+    if kind == TEST_ROUND:
+        outcomes, direct = session.reveal_test(), ()
+        verdict = key.apply(*outcomes) == y
+    else:
+        outcomes, direct = session.reveal_measurement()
+        if key.in_image(y):
+            decoded = decode(key, y, outcomes)
+        else:
+            verdict = False
+    return ProtocolTranscript(kind, key.label, y, outcomes, verdict, decoded), direct
 
 
-def decode(transcript: ProtocolTranscript, key: TrapdoorKey) -> int:
-    """Turn a measurement-round transcript into the delegated outcome bit.
+def decode(key: TrapdoorKey, image: int, outcomes: tuple[int, int]) -> int:
+    """Delegated outcome bit of a measurement round's image and X outcomes (u, v).
 
     One-to-one keys: the announced image determines (b, x) by inversion
     and the outcome is b; the reported X outcomes are discarded.
     Two-to-one keys: with branch preimages (x0, x1) of the image, the
     outcome is u XOR (v AND (x0 XOR x1)).
     """
-    if transcript.round_type != MEASUREMENT_ROUND:
-        raise ValueError("decode requires a measurement-round transcript")
     if key.kind == ONE_TO_ONE:
-        b, _ = key.invert(transcript.image)
+        b, _ = key.invert(image)
         return b
-    x0, x1 = key.preimages(transcript.image)  # raises on corrupted image
-    u, v = transcript.outcomes
+    x0, x1 = key.preimages(image)  # raises on corrupted image
+    u, v = outcomes
     return u ^ (v & (x0 ^ x1))
 
 
@@ -309,10 +305,9 @@ def _atom_outcomes(state: QuantumState, key: TrapdoorKey, round_type: str):
         if p <= 0.0:
             continue
         if round_type == MEASUREMENT_ROUND:
-            t = ProtocolTranscript(round_type, key.label, y, (b1, b2), None, None)
-            yield p, decode(t, key)
+            yield p, decode(key, y, (b1, b2))
         else:
-            yield p, key.table[2 * b1 + b2] == y
+            yield p, key.apply(b1, b2) == y
 
 
 def key_decoded_distribution(state: QuantumState, key: TrapdoorKey) -> np.ndarray:

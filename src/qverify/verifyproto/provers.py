@@ -2,9 +2,9 @@
 
 A prover exposes ``open_round(table, qubit, other_ops, rng)`` and returns
 a session carrying the announced image ``image`` plus the two reveal
-methods of ``protocol.HonestSession``.  The verifier closes every round
-with ``protocol.finish_round``.  Provers of a fixed state draw from a
-``protocol.BornMemo``, so a round commits the state only on a memo miss.
+methods of ``protocol.HonestSession``.  ``protocol.play_round`` plays
+every round.  Provers of a fixed state draw from a ``protocol.BornMemo``,
+so a round commits the state only on a memo miss.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class HonestProver:
 
     def open_round(self, table, qubit, other_ops, rng) -> HonestSession:
         table = self._committed_table(table)
-        return self.session_class.from_memo(self._memo, table, qubit, other_ops, rng)
+        return self.session_class(self._memo, table, qubit, other_ops, rng)
 
 
 class MixedStateProver:

@@ -122,6 +122,17 @@ class TestHamlearnRun:
             ]
             assert texts[0] == texts[1]
 
+    def test_sparse_sector_reruns_are_byte_identical(self, tmp_path):
+        # the 2x4 half-filled sector is solved by Lanczos, which starts from
+        # a fixed vector, so two runs in one process write the same bytes
+        outs = [tmp_path / "a", tmp_path / "b"]
+        argv = ["hamlearn", "run", "--lattice", "2x4", "--u", "4.0", "--nup", "4", "--ndown", "4"]
+        for out in outs:
+            assert dispatch(argv + ["--constraints", "30", "--seed", "0", "--out", str(out)]) == 0
+        for stem in ("hamlearn_run.json", "hamlearn_run.csv"):
+            texts = [(out / stem).read_text().replace(str(out), "OUT") for out in outs]
+            assert texts[0] == texts[1]
+
     def test_exact_run_reconstructs_from_the_rows_selection_tested(self, tmp_path):
         # one engine serves selection and K, so the written couplings are
         # those of the very rows build_constraints accepted, to the last bit
@@ -769,6 +780,37 @@ def test_collect_without_shots_is_refused_before_sampling(nm, tmp_path, capsys):
     assert dispatch(argv) == 3
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"category": "invalid-input", "message": "need at least one shot per setting"}
+    assert not out.exists()
+
+
+def _wide_instance_file(path: Path, n: int) -> str:
+    terms = (PauliTerm(-1.0, "XX" + "I" * (n - 2)), PauliTerm(-0.5, "Z" + "I" * (n - 1)))
+    path.write_text(serialize_instance(HamiltonianInstance(n, terms, -1.0, 0.0)))
+    return str(path)
+
+
+# Inputs whose arrays outgrow the 128 TiB user address space: a 44-qubit
+# state vector is 256 TiB (a 45-qubit real Gaussian draw as much), the
+# dense matrix of a 24-qubit instance 4 PiB.  The allocation fails at once,
+# whatever the memory overcommit policy, and nothing is touched.
+_TOO_LARGE = {
+    "collect-ghz-44": ["randmeas", "collect", "--state", "ghz:44"],
+    "collect-plus-44": ["randmeas", "collect", "--state", "plus:44"],
+    "collect-random-45": ["randmeas", "collect", "--state", "random:45"],
+    "run-honest-24": ["verify", "run", "--instance", "{instance_24}"],
+    "run-mixed-44": ["verify", "run", "--instance", "{instance_44}", "--prover", "mixed"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOO_LARGE))
+def test_input_too_large_to_simulate_is_invalid_input(name, tmp_path, capsys):
+    files = {f"instance_{n}": _wide_instance_file(tmp_path / f"wide{n}.json", n) for n in (24, 44)}
+    argv = [a.format(**files) for a in _TOO_LARGE[name]]
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["category"] == "invalid-input"
+    assert err["message"].startswith("input too large to simulate: ")
     assert not out.exists()
 
 

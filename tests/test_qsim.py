@@ -72,6 +72,20 @@ def test_ground_state_dense_vs_sparse_consistent():
     st.validate()
 
 
+def test_sparse_ground_state_is_reproducible():
+    # the 2x4 half-filled sector lies above DENSE_CUTOFF, so both solves run
+    # Lanczos; a fixed start vector makes them agree bit for bit
+    import qverify.qsim.solve as solve_mod
+
+    lat = LatticeSpec(2, 4, j=1.0, u=4.0, nup=4, ndown=4)
+    basis = FermionBasis(lat)
+    assert basis.dim > solve_mod.DENSE_CUTOFF
+    h = assemble_operator(basis, hubbard_terms(lat))
+    (e1, s1), (e2, s2) = ground_state(h, basis), ground_state(h, basis)
+    assert e1 == e2
+    assert np.array_equal(s1.data, s2.data)
+
+
 def test_thermal_state_limits():
     lat = LatticeSpec(1, 2, j=1.0, u=2.0, nup=1, ndown=1)
     basis = FermionBasis(lat)

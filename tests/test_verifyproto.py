@@ -45,7 +45,6 @@ from qverify.verifyproto import (
     HamiltonianInstance,
     HonestProver,
     MixedStateProver,
-    ProtocolTranscript,
     WrongTableProver,
     build_clock_instance,
     build_clock_state,
@@ -55,17 +54,17 @@ from qverify.verifyproto import (
     decoded_distribution,
     delegate_rounds,
     enumerate_functions,
-    finish_round,
     key_decoded_distribution,
     keygen,
     load_instance_text,
     minimal_clock_instance,
     pauli_expansion,
+    play_round,
     serialize_instance,
     verify_energy,
 )
 from qverify.verifyproto import protocol
-from qverify.verifyproto.protocol import HonestSession, _round_atoms
+from qverify.verifyproto.protocol import _round_atoms
 
 THETA_GRID = np.linspace(0.0, np.pi, 17)
 
@@ -302,12 +301,12 @@ class TestMeasureImage:
         for b, amp in ((0, np.cos(theta)), (1, np.sin(theta))):
             for x in (0, 1):
                 exact[key.apply(b, x)] += amp**2 / 2
-        committed = commit(state, 0, key.table)
+        prover = HonestProver(state)
         n = 4000
         rng = make_rng(77, "img-dist")
         counts = np.zeros(4)
         for _ in range(n):
-            counts[HonestSession(committed, (), rng).image] += 1
+            counts[prover.open_round(key.table, 0, (), rng).image] += 1
         for y in range(4):
             sigma = np.sqrt(n * exact[y] * (1 - exact[y])) + 1e-12
             assert abs(counts[y] - n * exact[y]) < 5 * sigma
@@ -329,10 +328,8 @@ class TestRoundsAndDecoding:
         ones, twos = enumerate_functions()
         for key in list(ones) + list(twos):
             for i, theta in enumerate((0.0, 0.4, 1.1, 2.2)):
-                session = HonestSession(
-                    commit(theta_state(theta), 0, key.table), (), make_rng(1000 + i, "round")
-                )
-                t, _ = finish_round(TEST_ROUND, key, session)
+                prover = HonestProver(theta_state(theta))
+                t, _ = play_round(prover, key, TEST_ROUND, 0, (), make_rng(1000 + i, "round"))
                 assert t.verdict is True
                 assert t.round_type == TEST_ROUND
                 assert t.key_label == key.label
@@ -351,24 +348,20 @@ class TestRoundsAndDecoding:
 
     def test_wrong_table_commit_fails_empirically(self):
         key = keygen("z", seed=21)
-        corrupted = tuple(t ^ 1 for t in key.table)
+        prover = WrongTableProver(theta_state(0.8))
         fails = 0
         for r in range(100):
-            session = HonestSession(commit(theta_state(0.8), 0, corrupted), (), make_rng(r, "round"))
-            t, _ = finish_round(TEST_ROUND, key, session)
+            t, _ = play_round(prover, key, TEST_ROUND, 0, (), make_rng(r, "round"))
             fails += not t.verdict
         assert fails > 0  # here the corruption is detected every round
         assert fails == 100
 
     def test_transcript_determinism(self):
         key = keygen("x", seed=9)
-        state = theta_state(1.0)
+        # one prover: the second round draws from the entries the first stored
+        prover = HonestProver(theta_state(1.0))
         a, b = (
-            finish_round(
-                MEASUREMENT_ROUND,
-                key,
-                HonestSession(commit(state, 0, key.table), (), make_rng(42, "round")),
-            )
+            play_round(prover, key, MEASUREMENT_ROUND, 0, (), make_rng(42, "round"))
             for _ in range(2)
         )
         assert a == b
@@ -426,15 +419,9 @@ class TestRoundsAndDecoding:
 
     def test_decode_guards(self):
         key = keygen("x", seed=4)
-        test_t = ProtocolTranscript(TEST_ROUND, key.label, 0, (0, 0), True, None)
-        with pytest.raises(ValueError, match="measurement-round"):
-            decode(test_t, key)
         missing = [y for y in range(4) if not key.in_image(y)][0]
-        corrupt = ProtocolTranscript(
-            MEASUREMENT_ROUND, key.label, missing, (0, 0), None, None
-        )
         with pytest.raises(ValueError, match="no preimage"):
-            decode(corrupt, key)
+            decode(key, missing, (0, 0))
 
     def test_delegated_joint_statistics_exact(self):
         """X-delegating one qubit of an entangled pair must reproduce the
@@ -458,12 +445,9 @@ class TestRoundsAndDecoding:
                 prob = np.abs(amp) ** 2
                 for u in (0, 1):
                     for v in (0, 1):
-                        t = ProtocolTranscript(
-                            MEASUREMENT_ROUND, key.label, y, (u, v), None, None
-                        )
                         if prob[u, :, v].sum() < 1e-18:
                             continue
-                        m = decode(t, key)
+                        m = decode(key, y, (u, v))
                         joint[m, 0] += prob[u, 0, v]
                         joint[m, 1] += prob[u, 1, v]
             assert np.allclose(joint, direct, atol=1e-12)
@@ -771,6 +755,37 @@ class TestVerifyEnergy:
         assert res.failure.round_type == TEST_ROUND
         assert res.failure.verdict is False
         assert res.n_rounds < 1000  # stopped at the first failed audit
+
+    @pytest.mark.parametrize(
+        "prover, seed, aborted_in",
+        [
+            (HonestProver, 5, None),
+            # two measurement rounds, then a failed audit
+            (WrongTableProver, 7, TEST_ROUND),
+            # two measurement rounds, then an image outside the key's image
+            (WrongTableProver, 13, MEASUREMENT_ROUND),
+        ],
+        ids=["completed", "aborted-test", "aborted-measurement"],
+    )
+    def test_round_count_equals_streamed_transcripts(self, prover, seed, aborted_in):
+        inst, gs, _ = _tfi_instance()
+        records: list[dict] = []
+        res = verify_energy(inst, prover(gs), 300, 0.2, seed=seed, transcript_sink=records.append)
+        assert len(records) == res.n_rounds
+        if aborted_in is None:
+            assert res.failure is None and res.n_rounds == 300
+        else:
+            assert res.failure.round_type == records[-1]["type"] == aborted_in
+            assert records[-1]["verdict"] is False
+            assert res.n_rounds == 3 and res.n_measurement_rounds == 2
+
+    def test_play_round_refuses_unknown_kind_before_commit(self):
+        class NoRounds:
+            def open_round(self, *args):
+                raise AssertionError("the prover was asked to commit")
+
+        with pytest.raises(ValueError, match="round type"):
+            play_round(NoRounds(), keygen("z", seed=1), "audit", 0, (), make_rng(0, "round"))
 
     def test_estimator_unbiased_over_seeded_runs(self):
         inst, gs, e0 = _tfi_instance()
