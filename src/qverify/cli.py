@@ -540,6 +540,8 @@ def _cmd_verify_run(args) -> Report:
     check_test_fraction(args.test_fraction)
     instance = load_instance_text(Path(args.instance).read_text(encoding="utf-8"))
     if args.prover == "mixed":
+        if args.state:
+            raise ValueError("--state sets the prover's state, and the mixed prover holds none")
         prover = MixedStateProver(instance.num_qubits)
     else:
         if args.state:

@@ -208,7 +208,7 @@ class KSampler:
                 variances[n, m] = max(second - means[n, m] ** 2, 0.0)
         return means, variances
 
-    def sample(self, shots_per_entry: int, seed: int | None) -> np.ndarray:
+    def sample(self, shots_per_entry: int, seed: int) -> np.ndarray:
         """(n_constraints, M) K estimated from ``shots_per_entry`` shots per entry."""
         if shots_per_entry < 1:
             raise ValueError("shots_per_entry must be positive")

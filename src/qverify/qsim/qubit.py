@@ -93,26 +93,21 @@ def assemble_pauli_operator(n: int, terms: Sequence[PauliTerm]) -> np.ndarray:
     return out
 
 
-def apply_single_qubit_gate(vec: np.ndarray, n: int, gate: np.ndarray, qubit: int) -> np.ndarray:
-    """U on one qubit of an n-qubit amplitude vector."""
-    if not (0 <= qubit < n):
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    psi = vec.reshape((2,) * n)
-    psi = np.tensordot(np.asarray(gate, dtype=complex), psi, axes=([1], [qubit]))
-    psi = np.moveaxis(psi, 0, qubit)
-    return np.ascontiguousarray(psi).reshape(-1)
+def apply_gate(vec: np.ndarray, n: int, gate: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """A 2^k x 2^k gate on ``qubits`` of an n-qubit amplitude vector.
 
-
-def apply_two_qubit_gate(
-    vec: np.ndarray, n: int, gate: np.ndarray, q0: int, q1: int
-) -> np.ndarray:
-    """4x4 gate on qubits (q0, q1); gate row/col index is 2*bit(q0) + bit(q1)."""
-    if q0 == q1:
-        raise ValueError("two-qubit gate needs distinct qubits")
-    g = np.asarray(gate, dtype=complex).reshape(2, 2, 2, 2)
-    psi = vec.reshape((2,) * n)
-    psi = np.tensordot(g, psi, axes=([2, 3], [q0, q1]))
-    psi = np.moveaxis(psi, [0, 1], [q0, q1])
+    The gate's row and column index reads the bits of ``qubits`` in the order
+    given, the first as the most significant, so (2, 0) applies a two-qubit
+    gate with qubit 2 as its high bit."""
+    qubits = tuple(qubits)
+    if any(not 0 <= q < n for q in qubits):
+        raise ValueError(f"gate qubits {qubits} outside 0..{n - 1}")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"gate qubits {qubits} are not distinct")
+    k = len(qubits)
+    g = np.asarray(gate, dtype=complex).reshape((2,) * (2 * k))
+    psi = np.tensordot(g, vec.reshape((2,) * n), axes=(list(range(k, 2 * k)), list(qubits)))
+    psi = np.moveaxis(psi, list(range(k)), list(qubits))
     return np.ascontiguousarray(psi).reshape(-1)
 
 
@@ -133,7 +128,7 @@ def apply_local_unitaries(
     out = data.astype(complex, copy=True)
     for q, u in enumerate(unitaries):
         if u is not None:
-            out = apply_single_qubit_gate(out, n, u, q)
+            out = apply_gate(out, n, u, (q,))
     return out
 
 

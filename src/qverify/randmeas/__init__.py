@@ -11,8 +11,8 @@ from .estimators import (
     FidelityEstimate,
     estimate_fmax,
     estimate_overlap,
-    estimate_purity,
     exact_mode_overlap,
+    jackknife,
 )
 from .scaling import ScalingPoint, ScalingResult, scaling_probe
 from .settings import MeasurementSetting, haar_unitary, sample_settings
@@ -29,9 +29,9 @@ __all__ = [
     "collect",
     "estimate_fmax",
     "estimate_overlap",
-    "estimate_purity",
     "exact_mode_overlap",
     "haar_unitary",
+    "jackknife",
     "phase_normalize",
     "sample_settings",
     "scaling_probe",

@@ -192,24 +192,23 @@ def _purity_terms(ds: RandMeasDataset, subsystem: tuple[int, ...] | None) -> np.
     return np.array([(t - same) / pairs for t in _hamming_sums(ds, ds, subsystem)])
 
 
-def _jackknife_se(loo: np.ndarray) -> float:
-    n = len(loo)
-    if n < 2 or not np.all(np.isfinite(loo)):
-        return float("nan")
-    return float(np.sqrt((n - 1.0) / n * np.sum((loo - loo.mean()) ** 2)))
+def jackknife(stat, *terms) -> tuple[float, float]:
+    """``stat`` of the per-unit means of ``terms``, and its leave-one-out
+    jackknife standard error.
 
-
-def _loo_means(terms: np.ndarray) -> np.ndarray:
-    n = len(terms)
+    Each of ``terms`` holds one value per independent unit (a setting, a
+    round); ``stat`` takes one mean per term.  The error is nan below two
+    units or when ``stat`` is not finite on some leave-one-out sample.
+    """
+    cols = [np.asarray(t, dtype=float) for t in terms]
+    n = len(cols[0])
+    value = stat(*(float(c.mean()) for c in cols))
     if n < 2:
-        return np.full(n, np.nan)
-    return (terms.sum() - terms) / (n - 1.0)
-
-
-def _mean_with_jackknife(terms: np.ndarray) -> Estimate:
-    n = len(terms)
-    se = _jackknife_se(_loo_means(terms)) if n >= 2 else float("nan")
-    return Estimate(float(terms.mean()), se, n)
+        return value, float("nan")
+    loo = np.array([stat(*m) for m in zip(*((c.sum() - c) / (n - 1.0) for c in cols))])
+    if not np.all(np.isfinite(loo)):
+        return value, float("nan")
+    return value, float(np.sqrt((n - 1.0) / n * np.sum((loo - loo.mean()) ** 2)))
 
 
 def estimate_overlap(
@@ -223,17 +222,8 @@ def estimate_overlap(
     their overlap is its purity."""
     sub = _check_subsystem(ds1.num_qubits, subsystem)
     _align(ds1, ds2, sub)
-    if _same_data(ds1, ds2):
-        return _mean_with_jackknife(_purity_terms(ds1, sub))
-    return _mean_with_jackknife(_cross_terms(ds1, ds2, sub))
-
-
-def estimate_purity(
-    ds: RandMeasDataset, subsystem: tuple[int, ...] | None = None
-) -> Estimate:
-    """Tr[rho^2] via the within-setting U-statistic over distinct shot pairs."""
-    sub = _check_subsystem(ds.num_qubits, subsystem)
-    return _mean_with_jackknife(_purity_terms(ds, sub))
+    terms = _purity_terms(ds1, sub) if _same_data(ds1, ds2) else _cross_terms(ds1, ds2, sub)
+    return Estimate(*jackknife(float, terms), len(terms))
 
 
 def _canonical_pair(
@@ -267,20 +257,19 @@ def estimate_fmax(
         denom = max(pam, pbm)
         return om / denom if denom != 0.0 else float("nan")
 
-    o_m, pa_m, pb_m = float(o.mean()), float(pa.mean()), float(pb.mean())
-    fm = fmax_of(o_m, pa_m, pb_m)
-    loo = np.array(
-        [fmax_of(lo, lpa, lpb) for lo, lpa, lpb in zip(_loo_means(o), _loo_means(pa), _loo_means(pb))]
-    )
+    o_m, se_o = jackknife(float, o)
+    pa_m, se_pa = jackknife(float, pa)
+    pb_m, se_pb = jackknife(float, pb)
+    fm, se_fm = jackknife(fmax_of, o, pa, pb)
     return FidelityEstimate(
         overlap=o_m,
         purity_1=pa_m,
         purity_2=pb_m,
         fmax=fm,
-        se_overlap=_jackknife_se(_loo_means(o)),
-        se_purity_1=_jackknife_se(_loo_means(pa)),
-        se_purity_2=_jackknife_se(_loo_means(pb)),
-        se_fmax=_jackknife_se(loo),
+        se_overlap=se_o,
+        se_purity_1=se_pa,
+        se_purity_2=se_pb,
+        se_fmax=se_fm,
         devices=(a.device_id, b.device_id),
         subsystem=sub,
         n_settings=len(o),
@@ -348,4 +337,4 @@ def exact_mode_overlap(
     terms = np.array(
         [term(_setting_for_width(s, full_n, sub, n_a).unitaries()) for s in settings]
     )
-    return _mean_with_jackknife(terms)
+    return Estimate(*jackknife(float, terms), len(terms))

@@ -71,8 +71,8 @@ def scaling_probe(
         raise ValueError("need at least one seed")
     if n_m < 1:
         raise ValueError(f"need at least one shot per setting (got {n_m})")
-    if error_target <= 0:
-        raise ValueError("error target must be positive")
+    if not 0.0 < error_target < float("inf"):
+        raise ValueError(f"error target must be positive and finite (got {error_target})")
     points: list[ScalingPoint] = []
     for n in n_list:
         state = ghz_state(n)

@@ -33,15 +33,13 @@ def _key_material(parts: Sequence[object]) -> list[int]:
     return out
 
 
-def make_rng(seed: int | None, *path: object) -> np.random.Generator:
+def make_rng(seed: int, *path: object) -> np.random.Generator:
     """Generator for the stream identified by ``seed`` plus a derivation path.
 
     ``path`` elements (ints or short strings) name the sub-task, e.g.
     ``make_rng(seed, "collect", setting_index)``.  Equal arguments always
-    produce the same stream.
+    produce the same stream; there is no unseeded stream.
     """
-    if seed is None:
-        return np.random.default_rng()
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(_key_material(path)))
     return np.random.Generator(np.random.PCG64(ss))
 

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..qsim import PauliTerm, QuantumState, QubitBasis
-from ..qsim.qubit import (
-    HADAMARD,
-    PAULI_1Q,
-    S_GATE,
-    apply_single_qubit_gate,
-    apply_two_qubit_gate,
-)
+from ..qsim.qubit import HADAMARD, PAULI_1Q, S_GATE, apply_gate
 
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -70,32 +64,17 @@ def _normalize_circuit(circuit) -> tuple[tuple[str, tuple[int, ...]], ...]:
             raise ValueError(
                 f"gate {name!r} acts on {arity} qubit(s), got {len(qubits)}"
             )
-        if arity not in (1, 2):
-            raise ValueError(f"unsupported gate arity {arity}")
         out.append((name, qubits))
     return tuple(out)
 
 
-def _apply_gate(vec: np.ndarray, n: int, name: str, qubits: tuple[int, ...]) -> np.ndarray:
-    m = GATE_MATRICES[name]
-    if len(qubits) == 1:
-        return apply_single_qubit_gate(vec, n, m, qubits[0])
-    return apply_two_qubit_gate(vec, n, m, qubits[0], qubits[1])
-
-
 def circuit_states(circuit, n_comp: int) -> list[np.ndarray]:
     """Partial evolutions U_t ... U_1 |0...0> for t = 0 .. T."""
-    circuit = _normalize_circuit(circuit)
-    for _, qubits in circuit:
-        if any(not 0 <= q < n_comp for q in qubits):
-            raise ValueError(f"gate qubits {qubits} outside 0..{n_comp - 1}")
-        if len(qubits) == 2 and qubits[0] == qubits[1]:
-            raise ValueError("two-qubit gate needs distinct qubits")
     vec = np.zeros(1 << n_comp, dtype=complex)
     vec[0] = 1.0
     states = [vec]
-    for name, qubits in circuit:
-        vec = _apply_gate(vec, n_comp, name, qubits)
+    for name, qubits in _normalize_circuit(circuit):
+        vec = apply_gate(vec, n_comp, GATE_MATRICES[name], qubits)
         states.append(vec)
     return states
 
@@ -107,7 +86,10 @@ def clock_qubits(t_count: int) -> int:
 
 def build_clock_state(circuit, n_comp: int) -> QuantumState:
     """History state of the circuit; clock register first, then data."""
-    states = circuit_states(circuit, n_comp)
+    return _history_state(circuit_states(circuit, n_comp), n_comp)
+
+
+def _history_state(states: list[np.ndarray], n_comp: int) -> QuantumState:
     t_count = len(states) - 1
     n_clk = clock_qubits(t_count)
     dim_c = 1 << n_comp
@@ -215,8 +197,9 @@ def build_clock_instance(circuit, n_comp: int, output_qubit: int | None = None) 
     h_prop = np.zeros((dim, dim), dtype=complex)
     for t in range(1, t_count + 1):
         name, qubits = circuit[t - 1]
+        gate = GATE_MATRICES[name]
         u = np.column_stack(
-            [_apply_gate(eye_c[:, j].copy(), n_comp, name, qubits) for j in range(dim_c)]
+            [apply_gate(eye_c[:, j].copy(), n_comp, gate, qubits) for j in range(dim_c)]
         )
         h_prop[block(t, t)] += 0.5 * eye_c
         h_prop[block(t - 1, t - 1)] += 0.5 * eye_c
@@ -237,7 +220,7 @@ def build_clock_instance(circuit, n_comp: int, output_qubit: int | None = None) 
     threshold_yes = e0 + (e1 - e0) / 3.0
     threshold_no = e0 + 2.0 * (e1 - e0) / 3.0
 
-    eta = build_clock_state(circuit, n_comp)
+    eta = _history_state(states, n_comp)
     terms = pauli_expansion(h, n) if n <= _DECOMPOSE_QUBITS else None
 
     return ClockInstance(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..qsim import PauliTerm, assemble_pauli_operator
-from ..randmeas.estimators import _jackknife_se, _loo_means
+from ..randmeas import jackknife
 from ..repostore.format import (
     FORMAT_VERSION,
     MalformedDatasetError,
@@ -184,10 +184,9 @@ def verify_energy(
             failure = transcript
             break
 
-    varr = np.array(values)
-    n_meas = varr.size
-    estimate = offset + float(varr.mean()) if n_meas else float("nan")
-    se = _jackknife_se(_loo_means(varr))
+    n_meas = len(values)
+    mean, se = jackknife(float, values) if n_meas else (float("nan"), float("nan"))
+    estimate = offset + mean
     n_fail = 1 if failure is not None and failure.round_type == TEST_ROUND else 0
     accepted = failure is None and n_meas > 0 and estimate < instance.midpoint
     pass_rate = (n_test - n_fail) / n_test if n_test else float("nan")
@@ -198,7 +197,7 @@ def verify_energy(
         midpoint=instance.midpoint,
         n_rounds=r + 1,
         n_test_rounds=n_test,
-        n_measurement_rounds=int(n_meas),
+        n_measurement_rounds=n_meas,
         n_test_failures=n_fail,
         test_pass_rate=pass_rate,
         failure=failure,

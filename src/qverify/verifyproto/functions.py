@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import make_rng
 
 ONE_TO_ONE = "one-to-one"
 TWO_TO_ONE = "two-to-one"
@@ -130,16 +129,8 @@ def key_family(basis: str) -> tuple[TrapdoorKey, ...]:
     return ones if b == "z" else twos
 
 
-def keygen(
-    basis: str,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> TrapdoorKey:
-    """Uniform key from the family matching the basis to be delegated.
-
-    Pass either a ``seed`` (reproducible stream) or an existing generator.
-    """
+def keygen(basis: str, rng: np.random.Generator) -> TrapdoorKey:
+    """Uniform key from the family matching the basis to be delegated,
+    drawn from ``rng``."""
     family = key_family(basis)
-    if rng is None:
-        rng = make_rng(seed, "keygen", basis.lower())
     return family[int(rng.integers(len(family)))]

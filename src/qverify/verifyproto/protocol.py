@@ -27,22 +27,6 @@ MEASUREMENT_ROUND = "measurement"
 
 
 @dataclass(frozen=True)
-class CommittedState:
-    """System state with one qubit entangled into fresh registers.
-
-    Qubit layout: the n system qubits keep indices 0..n-1; the preimage
-    qubit sits at n; the two image qubits at n+1 (high bit) and n+2 (low
-    bit), so a basis index reads (system bits, x, y).
-    """
-
-    state: QuantumState
-    system_qubit: int
-    preimage_qubit: int
-    image_qubits: tuple[int, int]
-    table: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
 class ProtocolTranscript:
     """Record of one delegation round.
 
@@ -59,11 +43,14 @@ class ProtocolTranscript:
     decoded: int | None
 
 
-def commit(state: QuantumState, qubit: int, table) -> CommittedState:
+def commit(state: QuantumState, qubit: int, table) -> QuantumState:
     """Entangle ``qubit`` with fresh preimage/image registers per ``table``.
 
     Maps sum_z c_z |z> to (1/sqrt 2) sum_{z,x} c_z |z>|x>|table[2*b_z + x]>
-    where b_z is the target qubit's bit.  Other qubits are untouched.
+    where b_z is the target qubit's bit.  Other qubits are untouched.  The
+    committed state has n + 3 qubits: the n system qubits keep indices
+    0..n-1, the preimage qubit x sits at n and the two image qubits at n+1
+    (high bit of y) and n+2, so a basis index reads (system bits, x, y).
     """
     if not state.is_pure:
         raise ValueError("commitment needs a pure state vector")
@@ -81,13 +68,7 @@ def commit(state: QuantumState, qubit: int, table) -> CommittedState:
     out = np.zeros(amp.shape + (2, 4), dtype=complex)
     for b, x in itertools.product((0, 1), (0, 1)):
         out[:, b, :, x, tab[2 * b + x]] = amp[:, b, :]
-    return CommittedState(
-        state=QuantumState(out.reshape(-1), QubitBasis(n + 3)),
-        system_qubit=qubit,
-        preimage_qubit=n,
-        image_qubits=(n + 1, n + 2),
-        table=tab,
-    )
+    return QuantumState(out.reshape(-1), QubitBasis(n + 3))
 
 
 # Byte budget of the CDFs one BornMemo keeps; an entry that would pass it is
@@ -95,15 +76,15 @@ def commit(state: QuantumState, qubit: int, table) -> CommittedState:
 MEMO_BYTES = 32 << 20
 
 
-def _image_probabilities(committed: CommittedState) -> np.ndarray:
-    probs = (np.abs(committed.state.data.reshape(-1, 4)) ** 2).sum(axis=0)
+def _image_probabilities(committed: QuantumState) -> np.ndarray:
+    probs = (np.abs(committed.data.reshape(-1, 4)) ** 2).sum(axis=0)
     return probs / probs.sum()
 
 
-def _collapse(committed: CommittedState, y: int) -> QuantumState:
-    residual = committed.state.data.reshape(-1, 4)[:, y]
+def _collapse(committed: QuantumState, y: int) -> QuantumState:
+    residual = committed.data.reshape(-1, 4)[:, y]
     residual = residual / np.linalg.norm(residual)
-    return QuantumState(residual, QubitBasis(committed.state.num_qubits - 2))
+    return QuantumState(residual, QubitBasis(committed.num_qubits - 2))
 
 
 def _outcome_probabilities(state: QuantumState, ops) -> np.ndarray:
@@ -135,20 +116,19 @@ class BornMemo:
     when 2*b_z + x lies in it, so every table with that class gives the same
     residual bit for bit.  A CDF is stored at its nonzero-probability
     positions only, where a right-sided search always lands, so draws equal
-    ``Generator.choice`` on the full vector.  ``commit_fn(table, qubit)``
-    runs on a miss; consecutive misses of one pair share its result.
+    ``Generator.choice`` on the full vector.  A miss commits ``state`` with
+    ``commit``; consecutive misses of one (table, qubit) pair share it.
     """
 
-    def __init__(self, num_qubits: int, commit_fn):
-        self.num_qubits = num_qubits
+    def __init__(self, state: QuantumState):
+        self.state = state
         self.nbytes = 0
-        self._commit_fn = commit_fn
         self._last: tuple | None = None
         self._cdfs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _committed(self, table, qubit) -> CommittedState:
+    def _committed(self, table, qubit) -> QuantumState:
         if self._last is None or self._last[0] != (table, qubit):
-            self._last = ((table, qubit), self._commit_fn(table, qubit))
+            self._last = ((table, qubit), commit(self.state, qubit, table))
         return self._last[1]
 
     def _draw(self, key, probabilities, rng) -> int:
@@ -179,7 +159,7 @@ class BornMemo:
             lambda: _outcome_probabilities(_collapse(self._committed(table, qubit), y), ops),
             rng,
         )
-        return tuple((i >> (self.num_qubits - q)) & 1 for q, _ in ops)
+        return tuple((i >> (self.state.num_qubits - q)) & 1 for q, _ in ops)
 
 
 class HonestSession:
@@ -195,7 +175,7 @@ class HonestSession:
 
     def __init__(self, memo: BornMemo, table, qubit, other_ops, rng):
         self._memo, self._table, self._qubit, self._rng = memo, tuple(table), qubit, rng
-        self._preimage = memo.num_qubits
+        self._preimage = memo.state.num_qubits
         self._other_ops = tuple(tuple(op) for op in other_ops)
         self.image = memo.image(self._table, qubit, rng)
 
@@ -282,8 +262,7 @@ def _round_atoms(state: QuantumState, key: TrapdoorKey, round_type: str) -> np.n
     bit1/bit2 are the system and preimage register outcomes: Z-basis for
     test rounds, X-basis for measurement rounds.
     """
-    committed = commit(state, 0, key.table)
-    vec = committed.state.data.reshape(2, 2, 4)
+    vec = commit(state, 0, key.table).data.reshape(2, 2, 4)
     atoms = np.empty((4, 2, 2))
     for y in range(4):
         block = vec[:, :, y]
@@ -331,7 +310,7 @@ def delegate_rounds(
     state: QuantumState,
     basis: str,
     n_rounds: int,
-    seed: int | None = None,
+    seed: int,
     round_type: str = MEASUREMENT_ROUND,
 ) -> DelegationSummary:
     """Run many independent rounds on a single-qubit state.

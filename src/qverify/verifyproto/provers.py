@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..qsim import QuantumState, QubitBasis
-from .protocol import BornMemo, HonestSession, commit
+from .protocol import BornMemo, HonestSession
 
 
 class HonestProver:
@@ -23,7 +23,7 @@ class HonestProver:
     def __init__(self, state: QuantumState):
         state.validate()
         self.state = state
-        self._memo = BornMemo(state.num_qubits, lambda table, qubit: commit(state, qubit, table))
+        self._memo = BornMemo(state)
 
     def _committed_table(self, table):
         return table

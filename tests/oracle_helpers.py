@@ -19,8 +19,7 @@ import scipy.sparse.linalg as spla
 from qverify.qsim import QuantumState, QubitBasis, apply_terms
 from qverify.qsim import solve as qsolve
 from qverify.qsim.qubit import HADAMARD
-from qverify.randmeas import CLIFFORD_TABLE, Estimate, FidelityEstimate, phase_normalize
-from qverify.randmeas.estimators import _jackknife_se, _loo_means, _mean_with_jackknife
+from qverify.randmeas import CLIFFORD_TABLE, Estimate, FidelityEstimate, jackknife, phase_normalize
 from qverify.repostore import MalformedDatasetError, dataset_to_document
 from qverify.repostore.format import _format_float
 from qverify.verifyproto import commit
@@ -341,8 +340,10 @@ def _string_same_data(ds1, ds2) -> bool:
 
 def string_overlap(ds1, ds2, subsystem=None) -> Estimate:
     if _string_same_data(ds1, ds2):
-        return _mean_with_jackknife(string_purity_terms(ds1, subsystem))
-    return _mean_with_jackknife(string_cross_terms(ds1, ds2, subsystem))
+        terms = string_purity_terms(ds1, subsystem)
+    else:
+        terms = string_cross_terms(ds1, ds2, subsystem)
+    return Estimate(*jackknife(float, terms), len(terms))
 
 
 def string_fmax(ds1, ds2, subsystem=None) -> FidelityEstimate:
@@ -357,17 +358,17 @@ def string_fmax(ds1, ds2, subsystem=None) -> FidelityEstimate:
         denom = max(pam, pbm)
         return om / denom if denom != 0.0 else float("nan")
 
-    o_m, pa_m, pb_m = float(o.mean()), float(pa.mean()), float(pb.mean())
-    loo = np.array([fmax_of(*x) for x in zip(_loo_means(o), _loo_means(pa), _loo_means(pb))])
+    (o_m, se_o), (pa_m, se_pa), (pb_m, se_pb) = (jackknife(float, t) for t in (o, pa, pb))
+    fm, se_fm = jackknife(fmax_of, o, pa, pb)
     return FidelityEstimate(
         overlap=o_m,
         purity_1=pa_m,
         purity_2=pb_m,
-        fmax=fmax_of(o_m, pa_m, pb_m),
-        se_overlap=_jackknife_se(_loo_means(o)),
-        se_purity_1=_jackknife_se(_loo_means(pa)),
-        se_purity_2=_jackknife_se(_loo_means(pb)),
-        se_fmax=_jackknife_se(loo),
+        fmax=fm,
+        se_overlap=se_o,
+        se_purity_1=se_pa,
+        se_purity_2=se_pb,
+        se_fmax=se_fm,
         devices=(a.device_id, b.device_id),
         subsystem=subsystem,
         n_settings=len(o),
@@ -381,17 +382,17 @@ def string_fmax(ds1, ds2, subsystem=None) -> FidelityEstimate:
 # collapses, rotates and draws the outcome with ``Generator.choice`` again.
 
 
-def image_probabilities(committed) -> np.ndarray:
+def image_probabilities(committed: QuantumState) -> np.ndarray:
     """Born distribution of the two-qubit image register."""
-    probs = (np.abs(committed.state.data.reshape(-1, 4)) ** 2).sum(axis=0)
+    probs = (np.abs(committed.data.reshape(-1, 4)) ** 2).sum(axis=0)
     return probs / probs.sum()
 
 
-def collapse(committed, y: int) -> QuantumState:
+def collapse(committed: QuantumState, y: int) -> QuantumState:
     """System plus preimage qubits after the image register read ``y``."""
-    residual = committed.state.data.reshape(-1, 4)[:, y]
+    residual = committed.data.reshape(-1, 4)[:, y]
     residual = residual / np.linalg.norm(residual)
-    return QuantumState(residual, QubitBasis(committed.state.num_qubits - 2))
+    return QuantumState(residual, QubitBasis(committed.num_qubits - 2))
 
 
 def commit_measure_image(committed, rng: np.random.Generator) -> tuple[int, QuantumState]:
@@ -426,10 +427,10 @@ def sample_bits(state: QuantumState, ops, rng: np.random.Generator) -> tuple[int
 class OracleSession:
     """An honest round on a committed state, measured on construction."""
 
-    def __init__(self, committed, other_ops, rng):
+    def __init__(self, committed: QuantumState, qubit: int, other_ops, rng):
         self.image, self._residual = commit_measure_image(committed, rng)
-        self._qubit = committed.system_qubit
-        self._preimage = committed.preimage_qubit
+        self._qubit = qubit
+        self._preimage = committed.num_qubits - 3
         self._other_ops = tuple(other_ops)
         self._rng = rng
 
@@ -463,7 +464,7 @@ class OracleProver:
         if self.kind == "wrong-table":
             table = tuple(int(t) ^ 1 for t in table)
         session = OracleBasisGuessSession if self.kind == "basis-guess" else OracleSession
-        return session(commit(self.state, qubit, table), other_ops, rng)
+        return session(commit(self.state, qubit, table), qubit, other_ops, rng)
 
 
 class OracleMixedProver:

@@ -37,7 +37,7 @@ from qverify.qsim import (
 from qverify.randmeas import (
     collect,
     estimate_fmax,
-    estimate_purity,
+    estimate_overlap,
     exact_mode_overlap,
     sample_settings,
 )
@@ -205,7 +205,7 @@ def test_06_purity_estimator_unbiasedness():
     for rep in range(1000):
         settings = sample_settings(2, 24, seed=rep, ensemble="clifford")
         ds = collect(rho, settings, 16, seed=100000 + rep)
-        estimates.append(estimate_purity(ds).value)
+        estimates.append(estimate_overlap(ds, ds).value)
     estimates = np.asarray(estimates)
     tol = 5 * estimates.std(ddof=1) / np.sqrt(estimates.size)
     assert abs(estimates.mean() - exact) <= tol
@@ -283,8 +283,7 @@ def test_08_delegated_measurement_statistics_and_test_rounds():
     ones, twos = enumerate_functions()
     n_atoms = 0
     for key in ones + twos:
-        committed = commit(probe, 0, key.table)
-        amplitudes = committed.state.data.reshape(2, 2, 4)
+        amplitudes = commit(probe, 0, key.table).data.reshape(2, 2, 4)
         for b in (0, 1):
             for x in (0, 1):
                 for y in range(4):
@@ -309,9 +308,8 @@ def test_09_minimal_seven_qubit_verification_end_to_end():
     rejected in more than 90% of 1000-round sessions."""
     clock = minimal_clock_instance()
     assert clock.num_qubits == 4
-    key = keygen("x", seed=9)
-    committed = commit(clock.eta, 0, key.table)
-    assert committed.state.num_qubits == 7
+    key = keygen("x", make_rng(9, "keygen", "x"))
+    assert commit(clock.eta, 0, key.table).num_qubits == 7
     prover = HonestProver(clock.eta)
     transcript, _ = play_round(prover, key, TEST_ROUND, 0, (), make_rng(9, "round"))
     assert transcript.verdict is True

@@ -553,6 +553,15 @@ class TestVerifyCommands:
         )
         assert code == 3
 
+    def test_mixed_prover_refuses_a_state(self, instance_file, tmp_path, capsys):
+        # the mixed prover holds no state, so a --state would be recorded
+        # in the report's config and never used
+        out = tmp_path / "vr"
+        argv = ["verify", "run", "--instance", str(instance_file), "--prover", "mixed"]
+        assert dispatch(argv + ["--state", "ghz:3", "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "width,field,value",
         [
@@ -724,6 +733,16 @@ def test_non_positive_count_flag_is_invalid_input(name, instance_file, tmp_path,
     out = tmp_path / "out"
     assert dispatch(argv + ["--out", str(out)]) == 3
     assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_scaling_target_must_be_positive_and_finite(target, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert dispatch(["randmeas", "scaling", "--target", target, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["category"] == "invalid-input"
+    assert "error target" in err["message"]
     assert not out.exists()
 
 

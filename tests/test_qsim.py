@@ -20,6 +20,7 @@ from qverify.qsim import (
     PauliTerm,
     QuantumState,
     QubitBasis,
+    apply_gate,
     apply_local_unitaries,
     assemble_operator,
     assemble_pauli_operator,
@@ -35,6 +36,7 @@ from qverify.qsim import (
     theta_state,
     zero_state,
 )
+from qverify.randmeas import haar_unitary
 from qverify.rng import make_rng
 
 
@@ -212,6 +214,44 @@ def test_apply_local_unitaries_full_rank_density():
     np.testing.assert_allclose(got, full @ rho.data @ full.conj().T, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         apply_local_unitaries(np.eye(2, 8), [u, h])
+
+
+def _kron_gate(n: int, gate: np.ndarray, qubits) -> np.ndarray:
+    """Dense matrix of ``gate`` on ``qubits``: its Pauli expansion with each
+    factor placed on its qubit by Kronecker products."""
+    k = len(qubits)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for letters in itertools.product("IXYZ", repeat=k):
+        coeff = np.trace(kron_chain("".join(letters)) @ gate) / 2**k
+        factors = ["I"] * n
+        for q, f in zip(qubits, letters):
+            factors[q] = f
+        out += coeff * kron_chain("".join(factors))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_apply_gate_matches_kron_oracle(n):
+    # every single qubit, then adjacent, non-adjacent and reversed pairs
+    rng = make_rng(n, "apply-gate")
+    vec = random_pure_state(n, rng).data
+    placements = [(q,) for q in range(n)] + [(0, 1), (1, 2), (0, 2), (2, 0), (n - 1, 0)]
+    for qubits in placements:
+        gate = haar_unitary(rng, 2 ** len(qubits))
+        expected = _kron_gate(n, gate, qubits) @ vec
+        assert np.allclose(apply_gate(vec, n, gate, qubits), expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("qubits", [(1, 1), (0, 3), (3,), (-1,), (2, 0, 2)])
+def test_apply_gate_refuses_repeated_or_outside_qubits(qubits):
+    gate = np.eye(2 ** len(qubits), dtype=complex)
+    with pytest.raises(ValueError, match="gate qubits"):
+        apply_gate(zero_state(3).data, 3, gate, qubits)
+
+
+def test_make_rng_needs_an_integer_seed():
+    with pytest.raises(TypeError):
+        make_rng(None, "unseeded")
 
 
 def test_reduced_density_pure_and_mixed():

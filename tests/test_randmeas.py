@@ -38,8 +38,8 @@ from qverify.randmeas import (
     collect,
     estimate_fmax,
     estimate_overlap,
-    estimate_purity,
     exact_mode_overlap,
+    jackknife,
     sample_settings,
     scaling_probe,
 )
@@ -256,6 +256,28 @@ class TestExactMode:
         assert abs(est.value - 1.0) < 5 * est.std_error + 1e-9
 
 
+class TestJackknife:
+    def test_mean_error_is_the_standard_error_of_the_mean(self):
+        terms = make_rng(5, "jackknife").normal(size=40)
+        value, se = jackknife(float, terms)
+        assert value == float(terms.mean())
+        assert abs(se - terms.std(ddof=1) / np.sqrt(terms.size)) < 1e-14
+
+    def test_one_unit_has_no_error(self):
+        value, se = jackknife(float, [0.7])
+        assert value == 0.7
+        assert np.isnan(se)
+
+    def test_non_finite_leave_one_out_value_gives_nan(self):
+        def ratio(a, b):
+            return a / b if b else float("inf")
+
+        # leaving out the first unit leaves a zero denominator
+        value, se = jackknife(ratio, [1.0, 2.0, 3.0], [3.0, 0.0, 0.0])
+        assert value == 2.0
+        assert np.isnan(se)
+
+
 class TestEstimateOverlap:
     def test_orthogonal_states(self):
         s0, s1 = zero_state(1), QuantumState(np.array([0.0, 1.0]), QubitBasis(1))
@@ -317,7 +339,7 @@ class TestEstimateOverlap:
         copy, _ = load_dataset_text(serialize_dataset(ds))
         assert copy is not ds
         for sub in (None, (0, 2)):
-            purity = estimate_purity(ds, sub)
+            purity = estimate_overlap(ds, ds, sub)
             assert estimate_overlap(ds, copy, sub) == purity
             assert estimate_overlap(copy, ds, sub) == purity
             assert estimate_fmax(ds, copy, sub).overlap == purity.value
@@ -336,7 +358,7 @@ class TestEstimatePurity:
             counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)],
             shots_per_setting=2,
         )
-        est = estimate_purity(ds)
+        est = estimate_overlap(ds, ds)
         assert est.value == -1.0
 
     def test_two_shot_unbiased(self):
@@ -348,7 +370,7 @@ class TestEstimatePurity:
         for rep in range(400):
             settings = sample_settings(2, 30, seed=500 + rep)
             ds = collect(state, settings, 2, seed=1000 + rep)
-            vals.append(estimate_purity(ds).value)
+            vals.append(estimate_overlap(ds, ds).value)
         vals = np.asarray(vals)
         sem = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) < 5 * sem
@@ -356,11 +378,13 @@ class TestEstimatePurity:
     def test_single_shot_rejected(self):
         ds = collect(zero_state(1), sample_settings(1, 3, seed=1), 1, seed=2)
         with pytest.raises(ValueError):
-            estimate_purity(ds)
+            estimate_overlap(ds, ds)
 
     def test_self_overlap_routes_to_purity(self):
+        # a copy with the same device id and equal counts is the same record
         ds = collect(ghz_state(2), sample_settings(2, 10, seed=3), 16, seed=4)
-        assert estimate_overlap(ds, ds).value == estimate_purity(ds).value
+        copy = replace(ds, counts=[c.copy() for c in ds.counts])
+        assert estimate_overlap(ds, ds) == estimate_overlap(ds, copy)
 
 
 class TestEstimateFmax:
@@ -456,7 +480,6 @@ class TestStringKeyedOracle:
         assert bitstring_counts(ds[0]) != bitstring_counts(ds[3])
         for sub in (None, (0,), (2, 0), (1, 2)):
             for d1 in ds:
-                assert estimate_purity(d1, sub) == string_overlap(d1, d1, sub)
                 assert np.array_equal(_purity_terms(d1, sub), string_purity_terms(d1, sub))
                 for d2 in ds:
                     assert estimate_overlap(d1, d2, sub) == string_overlap(d1, d2, sub)
@@ -473,8 +496,8 @@ class TestStringKeyedOracle:
         # "{'0': 10" sorts before "{'0': 9" although 9 < 10
         ten = dataset([[[0, 10], [1, 6]], [[0, 8], [1, 8]], [[0, 16]]])
         nine = dataset([[[0, 9], [1, 7]], [[0, 8], [1, 8]], [[0, 16]]])
-        first = estimate_purity(ten).value
-        assert first != estimate_purity(nine).value
+        first = estimate_overlap(ten, ten).value
+        assert first != estimate_overlap(nine, nine).value
         for a, b in ((ten, nine), (nine, ten)):
             est = estimate_fmax(a, b)
             assert est == string_fmax(a, b)

@@ -131,7 +131,7 @@ class TestFunctionFamily:
     @pytest.mark.parametrize("basis,kind", [("z", ONE_TO_ONE), ("x", TWO_TO_ONE)])
     def test_keygen_basis_rule(self, basis, kind):
         for seed in range(50):
-            assert keygen(basis, seed=seed).kind == kind
+            assert keygen(basis, make_rng(seed, "keygen", basis)).kind == kind
 
     def test_keygen_uniform_over_family(self):
         rng = make_rng(606, "keygen-census")
@@ -146,17 +146,23 @@ class TestFunctionFamily:
             assert abs(c - n / 24) < 5 * sigma
 
     def test_keygen_seed_reproducible(self):
-        assert keygen("z", seed=7).label == keygen("z", seed=7).label
-        assert keygen("x", seed=3) == keygen("x", seed=3)
+        for basis, seed in (("z", 7), ("x", 3)):
+            first, second = (keygen(basis, make_rng(seed, "keygen", basis)) for _ in range(2))
+            assert first.label == second.label
+            assert first == second
+
+    def test_keygen_needs_a_generator(self):
+        with pytest.raises(TypeError):
+            keygen("z")
 
     def test_keygen_rejects_unknown_basis(self):
         with pytest.raises(ValueError, match="basis"):
-            keygen("y", seed=0)
+            keygen("y", make_rng(0, "keygen", "y"))
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: keygen("y", seed=0),
+            lambda: keygen("y", make_rng(0, "keygen", "y")),
             lambda: decoded_distribution(theta_state(0.3), "y"),
             lambda: delegate_rounds(theta_state(0.3), "y", 10, seed=1),
         ],
@@ -201,8 +207,7 @@ class TestCommit:
     def test_zero_state_amplitude_enumeration(self):
         ones, _ = enumerate_functions()
         key = ones[0]  # identity table (0, 1, 2, 3)
-        committed = commit(zero_state(1), 0, key.table)
-        vec = committed.state.data
+        vec = commit(zero_state(1), 0, key.table).data
         expected = np.zeros(16, dtype=complex)
         expected[0 * 8 + 0 * 4 + key.table[0]] = 1 / np.sqrt(2)
         expected[0 * 8 + 1 * 4 + key.table[1]] = 1 / np.sqrt(2)
@@ -212,8 +217,7 @@ class TestCommit:
         ones, _ = enumerate_functions()
         key = ones[5]
         v = np.array([0.0, 1.0], dtype=complex)
-        committed = commit(QuantumState(v, QubitBasis(1)), 0, key.table)
-        vec = committed.state.data
+        vec = commit(QuantumState(v, QubitBasis(1)), 0, key.table).data
         nonzero = np.flatnonzero(np.abs(vec) > 1e-14)
         assert set(nonzero) == {
             1 * 8 + 0 * 4 + key.table[2],
@@ -228,10 +232,7 @@ class TestCommit:
         qubit = int(rng.integers(3))
         committed = commit(state, qubit, key.table)
         ref = _reference_commit(state.data, 3, qubit, key.table)
-        assert np.allclose(committed.state.data, ref, atol=1e-15)
-        assert committed.system_qubit == qubit
-        assert committed.preimage_qubit == 3
-        assert committed.image_qubits == (4, 5)
+        assert np.allclose(committed.data, ref, atol=1e-15)
 
     def test_norm_preserved(self):
         rng = make_rng(11, "commit-norm")
@@ -239,7 +240,7 @@ class TestCommit:
             state = random_pure_state(2, rng)
             key = keygen("x", rng=rng)
             committed = commit(state, 1, key.table)
-            assert abs(np.linalg.norm(committed.state.data) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(committed.data) - 1.0) < 1e-12
 
     def test_other_qubits_untouched(self):
         rng = make_rng(12, "commit-rest")
@@ -247,7 +248,7 @@ class TestCommit:
         key = keygen("z", rng=rng)
         committed = commit(state, 0, key.table)
         before = reduced_density(state.data, 3, [1, 2])
-        after = reduced_density(committed.state.data, 6, [1, 2])
+        after = reduced_density(committed.data, 6, [1, 2])
         assert np.allclose(before, after, atol=1e-12)
 
     def test_register_collision_and_input_errors(self):
@@ -312,7 +313,7 @@ class TestMeasureImage:
             assert abs(counts[y] - n * exact[y]) < 5 * sigma
         # claw keys put exactly half the mass on each image
         claw = twos[3]
-        blocks = commit(state, 0, claw.table).state.data.reshape(-1, 4)
+        blocks = commit(state, 0, claw.table).data.reshape(-1, 4)
         probs = (np.abs(blocks) ** 2).sum(axis=0)
         for y in range(4):
             expect = 0.5 if claw.in_image(y) else 0.0
@@ -347,7 +348,7 @@ class TestRoundsAndDecoding:
                                 assert key.apply(b, x) == y
 
     def test_wrong_table_commit_fails_empirically(self):
-        key = keygen("z", seed=21)
+        key = keygen("z", make_rng(21, "keygen", "z"))
         prover = WrongTableProver(theta_state(0.8))
         fails = 0
         for r in range(100):
@@ -357,7 +358,7 @@ class TestRoundsAndDecoding:
         assert fails == 100
 
     def test_transcript_determinism(self):
-        key = keygen("x", seed=9)
+        key = keygen("x", make_rng(9, "keygen", "x"))
         # one prover: the second round draws from the entries the first stored
         prover = HonestProver(theta_state(1.0))
         a, b = (
@@ -418,7 +419,7 @@ class TestRoundsAndDecoding:
         assert abs(summary.decoded_counts[0] / n - p0) < 5 * sigma
 
     def test_decode_guards(self):
-        key = keygen("x", seed=4)
+        key = keygen("x", make_rng(4, "keygen", "x"))
         missing = [y for y in range(4) if not key.in_image(y)][0]
         with pytest.raises(ValueError, match="no preimage"):
             decode(key, missing, (0, 0))
@@ -436,7 +437,7 @@ class TestRoundsAndDecoding:
             committed = commit(state, 0, key.table)
             # enumerate (y, u, v, partner) exactly
             joint = np.zeros((2, 2))
-            blocks = committed.state.data.reshape(2, 2, 2, 4)  # (q0, q1, pre, y)
+            blocks = committed.data.reshape(2, 2, 2, 4)  # (q0, q1, pre, y)
             h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
             for y in range(4):
                 amp = blocks[:, :, :, y]  # axes: delegated, partner, preimage
@@ -784,8 +785,9 @@ class TestVerifyEnergy:
             def open_round(self, *args):
                 raise AssertionError("the prover was asked to commit")
 
+        key = keygen("z", make_rng(1, "keygen", "z"))
         with pytest.raises(ValueError, match="round type"):
-            play_round(NoRounds(), keygen("z", seed=1), "audit", 0, (), make_rng(0, "round"))
+            play_round(NoRounds(), key, "audit", 0, (), make_rng(0, "round"))
 
     def test_estimator_unbiased_over_seeded_runs(self):
         inst, gs, e0 = _tfi_instance()
