@@ -21,7 +21,6 @@ import numpy as np
 import scipy.linalg
 
 from ..qsim.fermion import SPIN_UP, FermionBasis, apply_terms, assemble_operator, current_terms
-from ..qsim.solve import DENSE_CUTOFF
 from ..qsim.state import QuantumState
 from ..rng import make_rng
 from .opbasis import OperatorBasis
@@ -32,6 +31,9 @@ if TYPE_CHECKING:  # avoid a circular import; constraints.py uses KRowEngine
 # sector states per GEMM block of a bundle: bounds the (block, M) work arrays
 # to a few MB whatever the sector size
 ROW_BLOCK = 8192
+
+# largest sector KSampler's Born model takes: each entry runs a dense eigh
+BORN_MAX_DIM = 4096
 
 
 def _modes(terms) -> set[int]:
@@ -157,11 +159,9 @@ class KSampler:
         self.constraints = constraints
         dim = engine.fbasis.dim
         if method == "auto":
-            method = "born" if dim <= DENSE_CUTOFF else "surrogate"
-        if method == "born" and dim > DENSE_CUTOFF:
-            raise ValueError(
-                f"born sampling needs dense-feasible dimension (got {dim})"
-            )
+            method = "born" if dim <= BORN_MAX_DIM else "surrogate"
+        if method == "born" and dim > BORN_MAX_DIM:
+            raise ValueError(f"born sampling needs dense-feasible dimension (got {dim})")
         self.method = method
         self.n_rows = len(constraints.ops)
         self.n_cols = self.op_basis.m

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -79,17 +80,17 @@ def pauli_entries(term: PauliTerm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cols ^ x, cols, (complex(term.coeff) * _I_POWERS[n_y % 4]) * signs
 
 
-def assemble_pauli_operator(n: int, terms: Sequence[PauliTerm]) -> np.ndarray:
-    """Sum of Pauli terms on n qubits as a dense array (qubit 0 = most
-    significant factor)."""
+def assemble_pauli_operator(n: int, terms: Sequence[PauliTerm]) -> sp.csr_matrix:
+    """Sum of Pauli terms on n qubits as a complex CSR (qubit 0 = most
+    significant factor), added in term order so that every entry rounds as a
+    dense ``+=`` over the same terms would."""
+    dim = 1 << n
+    out = sp.csr_matrix((dim, dim), dtype=complex)
     for t in terms:
         if t.n != n:
             raise ValueError(f"term {t.factors!r} does not act on {n} qubits")
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    for t in terms:
         rows, cols, vals = pauli_entries(t)
-        out[rows, cols] += vals
+        out = out + sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
     return out
 
 

@@ -46,11 +46,11 @@ class QuantumState:
         atol = 1e-10
         if self.is_pure:
             norm = float(np.linalg.norm(self.data))
-            if abs(norm - 1.0) > atol:
+            if not abs(norm - 1.0) <= atol:
                 raise ValueError(f"state norm {norm} is not 1")
         else:
             tr = complex(np.trace(self.data))
-            if abs(tr - 1.0) > atol:
+            if not abs(tr - 1.0) <= atol:
                 raise ValueError(f"density trace {tr} is not 1")
             if not np.allclose(self.data, self.data.conj().T, atol=atol):
                 raise ValueError("density matrix is not Hermitian")
@@ -121,6 +121,12 @@ def random_density_state(n: int, rng: np.random.Generator) -> QuantumState:
     return QuantumState(rho / np.trace(rho).real, QubitBasis(n))
 
 
+def _finite(value, spec: str):
+    if not np.isfinite(value).all():
+        raise ValueError(f"state spec {spec!r} has a non-finite value")
+    return value
+
+
 def parse_state_spec(spec: str, rng: np.random.Generator | None = None) -> QuantumState:
     """Mini-language for CLI state arguments.
 
@@ -135,13 +141,13 @@ def parse_state_spec(spec: str, rng: np.random.Generator | None = None) -> Quant
     if kind == "plus":
         return plus_state(int(arg))
     if kind == "theta":
-        return theta_state(float(arg))
+        return theta_state(_finite(float(arg), spec))
     if kind == "random":
         if rng is None:
             raise ValueError("random state spec needs a seeded generator")
         return random_pure_state(int(arg), rng)
     if kind == "amps":
-        v = np.array([complex(x) for x in arg.split(",")])
+        v = _finite(np.array([complex(x) for x in arg.split(",")]), spec)
         n = int(np.log2(len(v)))
         if 1 << n != len(v):
             raise ValueError("amplitude count must be a power of two")

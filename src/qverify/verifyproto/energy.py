@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..qsim import PauliTerm, assemble_pauli_operator
 from ..randmeas import jackknife
@@ -70,7 +71,7 @@ class HamiltonianInstance:
     def midpoint(self) -> float:
         return 0.5 * (self.threshold_yes + self.threshold_no)
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> sp.csr_matrix:
         return assemble_pauli_operator(self.num_qubits, self.terms)
 
 

@@ -317,7 +317,7 @@ def test_09_minimal_seven_qubit_verification_end_to_end():
     terms = [PauliTerm(-1.0, "XXII"), PauliTerm(-1.0, "IXXI"), PauliTerm(-1.0, "IIXX")]
     terms += [PauliTerm(-0.5, "I" * i + "Z" + "I" * (3 - i)) for i in range(4)]
     instance = HamiltonianInstance(4, tuple(terms), -2.5, -1.85)
-    w, v = np.linalg.eigh(instance.matrix())
+    w, v = np.linalg.eigh(instance.matrix().toarray())
     exact_energy = float(w[0])
     assert exact_energy < instance.threshold_yes  # a genuine yes-instance
     ground = QuantumState(v[:, 0], QubitBasis(4))

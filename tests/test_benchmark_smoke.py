@@ -15,6 +15,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from oracle_helpers import assert_ground_state_matches_dense
+from qverify.qsim import QubitBasis
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -48,3 +53,10 @@ def test_energy_verify_job_passes_its_checks():
     workload = workloads.EnergyVerify()
     inputs = workload.setup(0)
     assert workload.job(inputs, spans.NullTracer()) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_energy_verify_ground_state_matches_dense_oracle(seed):
+    # the 10-qubit instance (dim 1,024) lies above the dense/sparse crossover
+    instance = _load("workloads").EnergyVerify().setup(seed).instance
+    assert_ground_state_matches_dense(instance.matrix(), QubitBasis(instance.num_qubits))

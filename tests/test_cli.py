@@ -809,27 +809,93 @@ def _wide_instance_file(path: Path, n: int) -> str:
 
 
 # Inputs whose arrays outgrow the 128 TiB user address space: a 44-qubit
-# state vector is 256 TiB (a 45-qubit real Gaussian draw as much), the
-# dense matrix of a 24-qubit instance 4 PiB.  The allocation fails at once,
-# whatever the memory overcommit policy, and nothing is touched.
+# state vector is 256 TiB (a 45-qubit real Gaussian draw as much), and the
+# first index array of a 44-qubit instance's operator 128 TiB.  The
+# allocation fails at once, whatever the memory overcommit policy, and
+# nothing is touched.
 _TOO_LARGE = {
     "collect-ghz-44": ["randmeas", "collect", "--state", "ghz:44"],
     "collect-plus-44": ["randmeas", "collect", "--state", "plus:44"],
     "collect-random-45": ["randmeas", "collect", "--state", "random:45"],
-    "run-honest-24": ["verify", "run", "--instance", "{instance_24}"],
+    "run-honest-44": ["verify", "run", "--instance", "{instance_44}"],
     "run-mixed-44": ["verify", "run", "--instance", "{instance_44}", "--prover", "mixed"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(_TOO_LARGE))
 def test_input_too_large_to_simulate_is_invalid_input(name, tmp_path, capsys):
-    files = {f"instance_{n}": _wide_instance_file(tmp_path / f"wide{n}.json", n) for n in (24, 44)}
+    files = {"instance_44": _wide_instance_file(tmp_path / "wide44.json", 44)}
     argv = [a.format(**files) for a in _TOO_LARGE[name]]
     out = tmp_path / "out"
     assert dispatch(argv + ["--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["category"] == "invalid-input"
     assert err["message"].startswith("input too large to simulate: ")
+    assert not out.exists()
+
+
+def test_honest_run_on_a_14_qubit_chain_stays_sparse(tmp_path):
+    # the instance's dense matrix alone would be 4 GiB
+    import tracemalloc
+
+    n = 14
+    terms = [PauliTerm(-1.0, "I" * q + "XX" + "I" * (n - q - 2)) for q in range(n - 1)]
+    terms += [PauliTerm(-0.25, "I" * q + "Z" + "I" * (n - q - 1)) for q in range(n)]
+    path = tmp_path / "chain14.json"
+    path.write_text(serialize_instance(HamiltonianInstance(n, tuple(terms), -9.75, -3.25)))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = dispatch(["verify", "run", "--instance", str(path), "--rounds", "50", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert _read_json(out / "verify_run.json")["verdict"] == "accept"
+    assert peak < 256 * 2**20
+
+
+def test_honest_run_on_an_empty_10_qubit_instance_is_invalid_input(tmp_path, capsys):
+    # the all-zero operator's ground state is solved; the verifier refuses it
+    path = tmp_path / "empty10.json"
+    path.write_text(serialize_instance(HamiltonianInstance(10, (), -1.0, 0.0)))
+    out = tmp_path / "out"
+    assert dispatch(["verify", "run", "--instance", str(path), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"category": "invalid-input", "message": "instance has no non-identity terms to sample"}
+    assert not out.exists()
+
+
+# a non-finite coupling reaches the eigensolver on either side of its
+# dense/sparse crossover (dim 4 and dim 4,900) and is refused there
+_NON_FINITE_COUPLINGS = {
+    "2x4-u-nan": ["--lattice", "2x4", "--nup", "4", "--ndown", "4", "--u", "nan"],
+    "1x2-j-inf": ["--j", "inf"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_COUPLINGS))
+def test_non_finite_coupling_is_invalid_input(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert dispatch(["hamlearn", "run", *_NON_FINITE_COUPLINGS[name], "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"category": "invalid-input", "message": "operator has non-finite entries"}
+    assert not out.exists()
+
+
+_STATE_COMMANDS = {
+    "delegate": ["verify", "delegate", "--basis", "x", "--rounds", "5"],
+    "collect": ["randmeas", "collect", "--nu", "3", "--nm", "4"],
+}
+
+
+@pytest.mark.parametrize("spec", ["theta:nan", "theta:inf", "amps:nan,1", "amps:inf,1"])
+@pytest.mark.parametrize("command", sorted(_STATE_COMMANDS))
+def test_non_finite_state_spec_is_invalid_input(command, spec, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert dispatch([*_STATE_COMMANDS[command], "--state", spec, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"category": "invalid-input", "message": f"state spec '{spec}' has a non-finite value"}
     assert not out.exists()
 
 
@@ -951,6 +1017,13 @@ _PINNED_RUNS = {
         ["repo", "compare", "{id_1}", "{id_2}", "--root", "{root}", "--subsystem", "0", "--subsystem", "full"],
         "repo_compare",
         "e832cf3c1b7fa7d1ef5d4ceb87764d96832861cc082f35dbb5cddd27253db452",
+    ),
+    # a 3,136-state sector: above the dense/sparse crossover, so Lanczos
+    # writes the same bytes whatever the BLAS thread count
+    "hamlearn-run-2x4-3+3": (
+        ["hamlearn", "run", "--lattice", "2x4", "--nup", "3", "--ndown", "3", "--u", "4"],
+        "hamlearn_run",
+        "3380da87cc30b72154ff85ee1e7f6e054a63c1ffb06cc287809f74d4f2069a6b",
     ),
     "repo-matrix": (
         ["repo", "matrix", "{id_1}", "{id_2}", "--root", "{root}"],

@@ -7,6 +7,8 @@ import pytest
 from scipy.stats import chi2
 
 from oracle_helpers import (
+    assert_ground_state_matches_dense,
+    dense_pauli_operator,
     expectation,
     kron_chain,
     observable_variance,
@@ -49,11 +51,29 @@ def test_pauli_term_matrix_matches_kron_oracle():
             factors = "".join(letters)
             coeff = complex(rng.normal(), rng.normal())
             expected = coeff * kron_chain(factors)
-            assert np.array_equal(assemble_pauli_operator(n, [PauliTerm(coeff, factors)]), expected)
+            assert np.array_equal(assemble_pauli_operator(n, [PauliTerm(coeff, factors)]).toarray(), expected)
     # a sum of terms is the sum of their kron products
     terms = [PauliTerm(-1.0, "XXI"), PauliTerm(0.5, "ZIZ"), PauliTerm(0.25, "IYI")]
     expected = sum(t.coeff * kron_chain(t.factors) for t in terms)
-    assert np.allclose(assemble_pauli_operator(3, terms), expected, rtol=0, atol=1e-15)
+    assert np.allclose(assemble_pauli_operator(3, terms).toarray(), expected, rtol=0, atol=1e-15)
+
+
+def test_pauli_operator_matches_dense_oracle_bit_for_bit():
+    # overlapping terms: several share an x mask, so their entries collide and
+    # each sum must round as the dense += over the same term order does
+    rng = make_rng(16, "pauli-csr")
+    for _ in range(120):
+        n = int(rng.integers(1, 7))
+        terms = [
+            PauliTerm(complex(rng.normal(), rng.normal() * (k % 2)), "".join(rng.choice(list("IXYZ"), size=n)))
+            for k in range(int(rng.integers(1, 3 * n + 3)))
+        ]
+        terms += [PauliTerm(rng.normal(), "Z" * n), PauliTerm(rng.normal(), "Z" * n)]
+        op = assemble_pauli_operator(n, terms)
+        assert op.format == "csr"
+        assert np.array_equal(op.toarray(), dense_pauli_operator(n, terms))
+    empty = assemble_pauli_operator(3, [])
+    assert empty.shape == (8, 8) and empty.nnz == 0
 
 
 def test_ground_state_dense_vs_sparse_consistent():
@@ -86,6 +106,46 @@ def test_sparse_ground_state_is_reproducible():
     (e1, s1), (e2, s2) = ground_state(h, basis), ground_state(h, basis)
     assert e1 == e2
     assert np.array_equal(s1.data, s2.data)
+
+
+_SOLVER_LATTICES = [
+    LatticeSpec(1, 2, j=1.0, u=8.0, nup=1, ndown=1),
+    LatticeSpec(2, 2, j=1.0, u=4.0, nup=2, ndown=2),
+    LatticeSpec(2, 3, j=1.0, u=4.0, nup=3, ndown=3),
+    LatticeSpec(2, 4, j=1.0, u=4.0, nup=2, ndown=2),
+    LatticeSpec(2, 4, j=1.0, u=4.0, nup=3, ndown=3),
+]
+
+
+@pytest.mark.parametrize("lat", _SOLVER_LATTICES, ids=lambda l: f"{l.rows}x{l.cols}-{l.nup}+{l.ndown}")
+def test_ground_state_matches_dense_oracle(lat):
+    # sectors on both sides of DENSE_CUTOFF (4, 36, 400 below; 784, 3136 above)
+    basis = FermionBasis(lat)
+    assert_ground_state_matches_dense(assemble_operator(basis, hubbard_terms(lat)), basis)
+
+
+@pytest.mark.parametrize("rows, cols, n", [(2, 2, 1), (2, 4, 2)], ids=["dim16", "dim784"])
+def test_zero_operator_ground_state_is_the_first_basis_vector(rows, cols, n):
+    # Lanczos cannot start on a zero operator, so both sides of the
+    # crossover return the eigenpair the dense eigh gives
+    lat = LatticeSpec(rows, cols, j=0.0, u=0.0, nup=n, ndown=n)
+    basis = FermionBasis(lat)
+    energy, state = ground_state(assemble_operator(basis, hubbard_terms(lat)), basis)
+    assert energy == 0.0
+    assert np.array_equal(state.data, np.eye(basis.dim)[0])
+
+
+@pytest.mark.parametrize("dense_path", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ground_state_refuses_non_finite_operator(bad, dense_path, monkeypatch):
+    import qverify.qsim.solve as solve_mod
+
+    if not dense_path:
+        monkeypatch.setattr(solve_mod, "DENSE_CUTOFF", 1)
+    lat = LatticeSpec(2, 2, j=1.0, u=bad, nup=2, ndown=2)
+    basis = FermionBasis(lat)
+    with pytest.raises(ValueError, match="^operator has non-finite entries$"):
+        ground_state(assemble_operator(basis, hubbard_terms(lat)), basis)
 
 
 def test_thermal_state_limits():
@@ -286,6 +346,18 @@ def test_parse_state_spec():
         parse_state_spec("nope:3")
     with pytest.raises(ValueError):
         parse_state_spec("amps:1,1,1")
+    for spec in ("theta:nan", "theta:inf", "amps:nan,1", "amps:inf,1"):
+        with pytest.raises(ValueError, match=f"^state spec '{spec}' has a non-finite value$"):
+            parse_state_spec(spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_refuses_non_finite_states(bad):
+    # abs(nan - 1) > atol is False, so a NaN norm or trace must fail as such
+    with pytest.raises(ValueError, match="norm"):
+        QuantumState(np.array([bad, 0.0], dtype=complex), QubitBasis(1)).validate()
+    with pytest.raises(ValueError, match="trace"):
+        QuantumState(np.diag([bad, 0.0]).astype(complex), QubitBasis(1)).validate()
 
 
 def test_ground_state_residual_guard():

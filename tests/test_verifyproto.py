@@ -20,18 +20,15 @@ import pytest
 from oracle_helpers import (
     OracleMixedProver,
     OracleProver,
+    assert_ground_state_matches_dense,
     collapse,
     commit_measure_image,
+    dense_pauli_operator,
     image_probabilities,
     kron_chain,
     outcome_probabilities,
 )
-from qverify.qsim import (
-    PauliTerm,
-    QuantumState,
-    QubitBasis,
-    assemble_pauli_operator,
-)
+from qverify.qsim import PauliTerm, QuantumState, QubitBasis
 from qverify.qsim.qubit import reduced_density
 from qverify.qsim.state import plus_state, random_pure_state, theta_state, zero_state
 from qverify.rng import make_rng
@@ -585,7 +582,7 @@ class TestClockStates:
 
     def test_pauli_expansion_reassembles_and_contains_y(self):
         inst = minimal_clock_instance()
-        dense = assemble_pauli_operator(inst.num_qubits, inst.pauli_terms)
+        dense = dense_pauli_operator(inst.num_qubits, inst.pauli_terms)
         assert np.allclose(dense, inst.hamiltonian, atol=1e-10)
         # the expansion is not XZ-only, which is why these instances are
         # validated by exact expectation instead of delegation
@@ -654,7 +651,7 @@ def _tfi_instance() -> tuple[HamiltonianInstance, QuantumState, float]:
         for i in range(n)
     ]
     inst = HamiltonianInstance(n, tuple(terms), -2.5, -1.85)
-    w, v = np.linalg.eigh(inst.matrix())
+    w, v = np.linalg.eigh(inst.matrix().toarray())
     gs = QuantumState(v[:, 0].astype(complex), QubitBasis(n))
     return inst, gs, float(w[0])
 
@@ -701,7 +698,7 @@ class TestVerifyEnergy:
     def test_honest_two_qubit_example(self):
         # smallest mixed-basis instance: one ZZ coupling, one X field
         terms = (PauliTerm(-1.0, "ZZ"), PauliTerm(-0.7, "XI"))
-        h = assemble_pauli_operator(2, terms)
+        h = dense_pauli_operator(2, terms)
         w, v = np.linalg.eigh(h)
         e0 = float(w[0])
         inst = HamiltonianInstance(2, terms, e0 + 0.2, e0 + 0.6)
@@ -828,7 +825,7 @@ class TestVerifyEnergy:
 
     def test_identity_terms_add_constant_offset(self):
         terms = (PauliTerm(-1.0, "ZZ"), PauliTerm(2.5, "II"))
-        h = assemble_pauli_operator(2, terms)
+        h = dense_pauli_operator(2, terms)
         w, v = np.linalg.eigh(h)
         inst = HamiltonianInstance(2, terms, float(w[0]) + 0.1, float(w[0]) + 0.5)
         gs = QuantumState(v[:, 0].astype(complex), QubitBasis(2))
@@ -861,7 +858,7 @@ def _xz6_instance() -> tuple[HamiltonianInstance, QuantumState]:
     ]
     terms += [PauliTerm(-0.3, "I" * q + "Z" + "I" * (n - q - 1)) for q in range(n)]
     inst = HamiltonianInstance(n, tuple(terms), -3.0, -1.0)
-    w, v = np.linalg.eigh(inst.matrix())
+    w, v = np.linalg.eigh(inst.matrix().toarray())
     return inst, QuantumState(v[:, 0], QubitBasis(n))
 
 
@@ -903,6 +900,12 @@ def _entry_probabilities(state: QuantumState, key) -> np.ndarray:
     qubit, preimages, ops = key
     table = tuple(0 if k in preimages else 1 for k in range(4))
     return outcome_probabilities(collapse(commit(state, qubit, table), 0), ops)
+
+
+@pytest.mark.parametrize("instance", sorted(_ORACLE_INSTANCES))
+def test_instance_ground_state_matches_dense_oracle(instance):
+    inst, _ = _ORACLE_INSTANCES[instance]()
+    assert_ground_state_matches_dense(inst.matrix(), QubitBasis(inst.num_qubits))
 
 
 class TestMemoizedProvers:
