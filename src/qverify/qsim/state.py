@@ -151,7 +151,10 @@ def parse_state_spec(spec: str, rng: np.random.Generator | None = None) -> Quant
         n = int(np.log2(len(v)))
         if 1 << n != len(v):
             raise ValueError("amplitude count must be a power of two")
-        nrm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(v)
+        if not np.isfinite(nrm):
+            raise ValueError(f"state spec {spec!r}: the amplitudes' norm overflows")
         if nrm == 0:
             raise ValueError("zero amplitude vector")
         return QuantumState(v / nrm, QubitBasis(n))

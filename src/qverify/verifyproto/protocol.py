@@ -71,8 +71,8 @@ def commit(state: QuantumState, qubit: int, table) -> QuantumState:
     return QuantumState(out.reshape(-1), QubitBasis(n + 3))
 
 
-# Byte budget of the CDFs one BornMemo keeps; an entry that would pass it is
-# computed for its round and not kept.
+# Byte budget of what one MemoLedger's memos keep; an entry that would pass
+# it is computed for its round and not kept.
 MEMO_BYTES = 32 << 20
 
 
@@ -107,6 +107,23 @@ def born_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
+class MemoLedger:
+    """What the ``BornMemo``s of one prover keep together: the bytes they
+    hold, within one ``MEMO_BYTES`` budget, and the one committed state a
+    miss left alive."""
+
+    def __init__(self):
+        self.nbytes = 0
+        self.committed: tuple | None = None
+
+    def reserve(self, size: int) -> bool:
+        """Book ``size`` more bytes if the budget has room for them."""
+        if self.nbytes + size > MEMO_BYTES:
+            return False
+        self.nbytes += size
+        return True
+
+
 class BornMemo:
     """Born CDFs of the rounds played on one system state.
 
@@ -117,19 +134,25 @@ class BornMemo:
     residual bit for bit.  A CDF is stored at its nonzero-probability
     positions only, where a right-sided search always lands, so draws equal
     ``Generator.choice`` on the full vector.  A miss commits ``state`` with
-    ``commit``; consecutive misses of one (table, qubit) pair share it.
+    ``commit``; consecutive misses of one (state, table, qubit) share it.
+    Memos built on one ``ledger`` share its byte budget and that one
+    committed state; by default a memo has a ledger of its own.
     """
 
-    def __init__(self, state: QuantumState):
+    def __init__(self, state: QuantumState, ledger: MemoLedger | None = None):
         self.state = state
+        self.ledger = MemoLedger() if ledger is None else ledger
         self.nbytes = 0
-        self._last: tuple | None = None
         self._cdfs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def _committed(self, table, qubit) -> QuantumState:
-        if self._last is None or self._last[0] != (table, qubit):
-            self._last = ((table, qubit), commit(self.state, qubit, table))
-        return self._last[1]
+        # keyed by the state object, not the memo, so that no memo sits in
+        # a reference cycle with its ledger and outlives its prover
+        last = self.ledger.committed
+        if last is None or last[0] is not self.state or last[1] != (table, qubit):
+            last = (self.state, (table, qubit), commit(self.state, qubit, table))
+            self.ledger.committed = last
+        return last[2]
 
     def _draw(self, key, probabilities, rng) -> int:
         entry = self._cdfs.get(key)
@@ -138,7 +161,7 @@ class BornMemo:
             pos = p.nonzero()[0]
             entry = (pos, born_cdf(p)[pos])
             size = pos.nbytes + entry[1].nbytes
-            if self.nbytes + size <= MEMO_BYTES:
+            if self.ledger.reserve(size):
                 self._cdfs[key] = entry
                 self.nbytes += size
         pos, cdf = entry

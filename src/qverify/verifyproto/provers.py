@@ -3,8 +3,8 @@
 A prover exposes ``open_round(table, qubit, other_ops, rng)`` and returns
 a session carrying the announced image ``image`` plus the two reveal
 methods of ``protocol.HonestSession``.  ``protocol.play_round`` plays
-every round.  Provers of a fixed state draw from a ``protocol.BornMemo``,
-so a round commits the state only on a memo miss.
+every round.  Provers draw from ``protocol.BornMemo``s, so a round commits
+a state only on a memo miss.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..qsim import QuantumState, QubitBasis
-from .protocol import BornMemo, HonestSession
+from .protocol import BornMemo, HonestSession, MemoLedger
 
 
 class HonestProver:
@@ -38,16 +38,42 @@ class MixedStateProver:
 
     This is the classical ensemble realizing the maximally mixed state:
     every marginal the verifier ever sees matches a prover holding I/2^n.
+    A basis state is a product, so a round's draws depend only on the bits
+    of the qubits it reads, R = {qubit} and the qubits of ``other_ops``.
+    The round is played on |s_R>, those bits in qubit order, from a memo
+    per bit pattern.  The kept memos and their states share one ledger.
     """
 
     def __init__(self, num_qubits: int):
+        if num_qubits > 63:
+            raise ValueError("the mixed prover draws its basis state as one int64: at most 63 qubits")
         self.num_qubits = num_qubits
+        self.ledger = MemoLedger()
+        self._memos: dict[tuple[int, ...], BornMemo] = {}
+
+    def _memo(self, bits: tuple[int, ...]) -> BornMemo:
+        memo = self._memos.get(bits)
+        if memo is None:
+            vec = np.zeros(1 << len(bits), dtype=complex)
+            vec[int("".join(map(str, bits)), 2)] = 1.0
+            state = QuantumState(vec, QubitBasis(len(bits)))
+            if self.ledger.reserve(vec.nbytes):
+                memo = self._memos[bits] = BornMemo(state, self.ledger)
+            else:
+                # a state the budget cannot hold gets a memo of its own for
+                # this round; the one it commits is then the only one alive
+                memo = BornMemo(state)
+                self.ledger.committed = None
+        return memo
 
     def open_round(self, table, qubit, other_ops, rng) -> HonestSession:
-        vec = np.zeros(1 << self.num_qubits, dtype=complex)
-        vec[int(rng.integers(vec.size))] = 1.0
-        state = QuantumState(vec, QubitBasis(self.num_qubits))
-        return HonestProver(state).open_round(table, qubit, other_ops, rng)
+        n = self.num_qubits
+        s = int(rng.integers(1 << n))
+        read = sorted({qubit, *(q for q, _ in other_ops)})
+        at = {q: i for i, q in enumerate(read)}
+        memo = self._memo(tuple((s >> (n - 1 - q)) & 1 for q in read))
+        ops = tuple((at[q], basis) for q, basis in other_ops)
+        return HonestSession(memo, table, at[qubit], ops, rng)
 
 
 class _BasisGuessSession(HonestSession):

@@ -7,9 +7,12 @@ real cross-check rather than a tautology.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -526,3 +529,18 @@ def recursive_canonical_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(recursive_canonical_json(v) for v in obj) + "]"
     raise MalformedDatasetError(f"unserializable value of type {type(obj).__name__}")
+
+
+# ---------------------------------------------------------------- benchmark
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, run against the
+    package under test."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module

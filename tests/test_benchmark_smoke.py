@@ -11,28 +11,14 @@ without waiting for the benchmark's own self-test
 (``perfbench/test_counts.py``).
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-from oracle_helpers import assert_ground_state_matches_dense
+from oracle_helpers import assert_ground_state_matches_dense, load_perfbench
 from qverify.qsim import QubitBasis
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_hubbard_exact_job_passes_its_checks():
-    spans, workloads = _load("spans"), _load("workloads")
+    spans, workloads = load_perfbench("spans"), load_perfbench("workloads")
     workload = workloads.HubbardExact()
     inputs = workload.setup(0)
     assert workload.job(inputs, spans.NullTracer()) == []
@@ -40,7 +26,7 @@ def test_hubbard_exact_job_passes_its_checks():
 
 def test_xplatform_job_passes_its_checks(tmp_path):
     # 5-sigma Fmax, compare bit-identity with the direct estimate, complete matrix
-    spans, workloads = _load("spans"), _load("workloads")
+    spans, workloads = load_perfbench("spans"), load_perfbench("workloads")
     workload = workloads.XPlatform(tmp_path)
     inputs = workload.setup(0)
     assert workload.job(inputs, spans.NullTracer()) == []
@@ -49,7 +35,7 @@ def test_xplatform_job_passes_its_checks(tmp_path):
 def test_energy_verify_job_passes_its_checks():
     # honest accepted within 5 sigma, a complete transcript, and every
     # cheater rejected in more than 90% of its sessions
-    spans, workloads = _load("spans"), _load("workloads")
+    spans, workloads = load_perfbench("spans"), load_perfbench("workloads")
     workload = workloads.EnergyVerify()
     inputs = workload.setup(0)
     assert workload.job(inputs, spans.NullTracer()) == []
@@ -58,5 +44,5 @@ def test_energy_verify_job_passes_its_checks():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_energy_verify_ground_state_matches_dense_oracle(seed):
     # the 10-qubit instance (dim 1,024) lies above the dense/sparse crossover
-    instance = _load("workloads").EnergyVerify().setup(seed).instance
+    instance = load_perfbench("workloads").EnergyVerify().setup(seed).instance
     assert_ground_state_matches_dense(instance.matrix(), QubitBasis(instance.num_qubits))

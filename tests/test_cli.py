@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -818,7 +819,6 @@ _TOO_LARGE = {
     "collect-plus-44": ["randmeas", "collect", "--state", "plus:44"],
     "collect-random-45": ["randmeas", "collect", "--state", "random:45"],
     "run-honest-44": ["verify", "run", "--instance", "{instance_44}"],
-    "run-mixed-44": ["verify", "run", "--instance", "{instance_44}", "--prover", "mixed"],
 }
 
 
@@ -831,6 +831,31 @@ def test_input_too_large_to_simulate_is_invalid_input(name, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["category"] == "invalid-input"
     assert err["message"].startswith("input too large to simulate: ")
+    assert not out.exists()
+
+
+def test_mixed_run_on_a_44_qubit_instance_commits_only_the_qubits_it_reads(tmp_path):
+    # the honest prover cannot hold this instance's state (the exit-3 case
+    # above); the mixed prover's rounds read at most two of its qubits
+    out = tmp_path / "out"
+    argv = ["verify", "run", "--instance", _wide_instance_file(tmp_path / "wide44.json", 44)]
+    assert dispatch(argv + ["--prover", "mixed", "--out", str(out)]) == 0
+    body = _read_json(out / "verify_run.json")
+    assert body["verdict"] == "reject"
+    lines = (out / "verify_run.jsonl").read_text().splitlines()
+    assert len(lines) == 1 + body["result"]["n_rounds"]  # config header + one record per round
+
+
+def test_mixed_run_on_a_64_qubit_instance_is_invalid_input(tmp_path, capsys):
+    # the prover draws its basis state as one int64
+    out = tmp_path / "out"
+    argv = ["verify", "run", "--instance", _wide_instance_file(tmp_path / "wide64.json", 64)]
+    assert dispatch(argv + ["--prover", "mixed", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {
+        "category": "invalid-input",
+        "message": "the mixed prover draws its basis state as one int64: at most 63 qubits",
+    }
     assert not out.exists()
 
 
@@ -896,6 +921,21 @@ def test_non_finite_state_spec_is_invalid_input(command, spec, tmp_path, capsys)
     assert dispatch([*_STATE_COMMANDS[command], "--state", spec, "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"category": "invalid-input", "message": f"state spec '{spec}' has a non-finite value"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_overflowing_amplitudes_are_invalid_input(action, tmp_path, capsys):
+    # the squared amplitudes overflow the norm; the spec is refused, with no
+    # RuntimeWarning on the way, whether such a warning would raise or print
+    spec = "amps:1e308,1e308"
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        assert dispatch([*_STATE_COMMANDS["collect"], "--state", spec, "--out", str(out)]) == 3
+    assert seen == []
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"category": "invalid-input", "message": f"state spec '{spec}': the amplitudes' norm overflows"}
     assert not out.exists()
 
 

@@ -26,6 +26,7 @@ from oracle_helpers import (
     dense_pauli_operator,
     image_probabilities,
     kron_chain,
+    load_perfbench,
     outcome_probabilities,
 )
 from qverify.qsim import PauliTerm, QuantumState, QubitBasis
@@ -935,9 +936,26 @@ class TestMemoizedProvers:
     @pytest.mark.parametrize("budget", [0, 200])
     def test_tiny_byte_budget_keeps_transcripts(self, budget, monkeypatch):
         inst, gs, _ = _tfi_instance()
+        clock, _ = _clock_xz_instance()
         expected = _play(inst, OracleProver(gs))
+        expected_mixed = _play(clock, OracleMixedProver(clock.num_qubits))
         monkeypatch.setattr(protocol, "MEMO_BYTES", budget)
         prover = HonestProver(gs)
         assert _play(inst, prover) == expected
         assert prover._memo.nbytes <= budget
         assert bool(prover._memo._cdfs) == (budget > 0)
+        # the mixed prover's kept memos book their basis states and CDFs on
+        # one ledger; the clock's four-qubit patterns (256 B states) never
+        # fit in 200 bytes and are played on memos that are not kept
+        mixed = MixedStateProver(clock.num_qubits)
+        assert _play(clock, mixed) == expected_mixed
+        kept = mixed._memos.values()
+        assert sum(m.state.data.nbytes + m.nbytes for m in kept) == mixed.ledger.nbytes <= budget
+        assert bool(kept) == (budget > 0)
+        assert all(m.state.num_qubits < 4 for m in kept)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mixed_transcripts_equal_oracle_on_benchmark_instances(self, seed):
+        inst = load_perfbench("workloads").EnergyVerify().setup(seed).instance
+        n = inst.num_qubits
+        assert _play(inst, MixedStateProver(n)) == _play(inst, OracleMixedProver(n))
