@@ -63,8 +63,8 @@ from .hamlearn import (
     enumerate_candidates,
     k_matrix_exact,
     learning_curve,
-    parameter_distance,
     reconstruct,
+    solution_distance,
 )
 from .hamlearn.curves import fit_loglog_slope
 from .ioutil import atomic_write_text
@@ -250,25 +250,6 @@ def _emit(config: dict, stem: str, argv: list[str], report: Report) -> None:
         print(f"wrote {p}")
 
 
-def _solution_distance(result, c_true: np.ndarray) -> float:
-    """Distance from the true couplings to what the reconstruction recovered.
-
-    Some states are stationary under a whole span of coupling vectors (the
-    two-site dimer is: the spin-antisymmetric hopping annihilates its ground
-    state), and the reconstruction then reports that span via its candidate
-    vectors.  The meaningful error is the distance from the normalized truth
-    to the recovered solution span; for a unique solution this reduces to the
-    usual sign-gauged vector distance.
-    """
-    if not result.degenerate:
-        return parameter_distance(c_true, result.coefficients)
-    c_hat = np.asarray(c_true, dtype=float)
-    c_hat = c_hat / np.linalg.norm(c_hat)
-    span = np.stack(result.candidates, axis=1)
-    q, _ = np.linalg.qr(span)
-    return float(np.linalg.norm(c_hat - q @ (q.T @ c_hat)))
-
-
 # --------------------------------------------------------------------------
 # hamlearn
 
@@ -304,7 +285,8 @@ def _cmd_hamlearn_run(args) -> Report:
         k = KSampler(engine, constraints).sample(shots, seed)
     result = reconstruct(k)
     c_true = op_basis.coefficient_vector()
-    distance = _solution_distance(result, c_true)
+    distance = solution_distance(c_true, result)
+    degenerate = len(result.null_space) > 1
     smallest = float(result.singular_values[-1])
     rows = [[n_constraints, distance, distance, distance, result.gap, smallest]]
     body = {
@@ -317,10 +299,10 @@ def _cmd_hamlearn_run(args) -> Report:
         "labels": list(op_basis.labels()),
         "coefficients": [float(c) for c in result.coefficients],
         "true_coefficients": [float(c) for c in c_true],
-        "degenerate": bool(result.degenerate),
+        "degenerate": degenerate,
     }
     mode = "exact" if shots is None else f"{shots} shots/entry"
-    target = "recovered solution span" if result.degenerate else "recovered couplings"
+    target = "recovered solution span" if degenerate else "recovered couplings"
     human = [
         f"{args.lattice} lattice (J={args.j}, U={args.u}): ground energy {_num(energy, '.9f')}; "
         f"{op_basis.m} couplings from {n_constraints} constraints ({mode})",
@@ -677,7 +659,7 @@ def _check(name: str, value: float, requirement: str, passed: bool) -> dict:
 
 def _curve_table(points) -> tuple[list[list], list[dict]]:
     """CSV rows and JSON records of a learning curve."""
-    records = [{c: getattr(p, c) for c in _CURVE_COLUMNS + ["n_seeds"]} for p in points]
+    records = [{c: getattr(p, c) for c in _CURVE_COLUMNS + ["null_dim", "n_seeds"]} for p in points]
     return [[r[c] for c in _CURVE_COLUMNS] for r in records], records
 
 
@@ -714,7 +696,7 @@ def _fig1b(seed: int):
 
 
 def _fig1c(seed: int):
-    """Constraint-count curve on the 2x3 lattice: monotone, exact endpoint."""
+    """Constraint-count curve on the 2x3 lattice: null dimension max(M - N_C, 1), truth inside."""
     lat = LatticeSpec(2, 3, j=1.0, u=4.0, nup=3, ndown=3)
     _, state = hubbard_ground_state(lat)
     op_basis = build_operator_basis(lat)
@@ -723,16 +705,18 @@ def _fig1c(seed: int):
     seeds = [child_seed(seed, "cli", "fig1c", "sel", i) for i in range(300)]
     points = learning_curve(state, op_basis, constraint_grid=grid, seeds=seeds, engine=engine)
     medians = [p.median_distance for p in points]
-    monotone = all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(medians, medians[1:]))
+    want = [max(op_basis.m - n, 1) for n in grid]
+    n_off = sum(p.null_dim != w for p, w in zip(points, want))
     checks = [
-        _check("median-monotone", float(medians[0] - medians[-1]), "median non-increasing in N_C", monotone),
+        _check("null-dim", float(n_off), "median null dimension = max(M - N_C, 1) at every N_C", n_off == 0),
+        _check("in-span", float(max(medians)), "median distance to the null space below 1e-6", max(medians) < 1e-6),
         _check("endpoint-exact", float(medians[-1]), "median at N_C = M below 1e-6", medians[-1] < 1e-6),
     ]
     rows, records = _curve_table(points)
     body = {"constraint_grid": grid, "points": records}
     human = [
-        "median reconstruction distance by constraint count: "
-        + ", ".join(f"{n}:{_num(m, '.2e')}" for n, m in zip(grid, medians))
+        "median distance to the null space (median null dimension) by constraint count: "
+        + ", ".join(f"{n}:{_num(m, '.2e')} ({p.null_dim:g})" for n, m, p in zip(grid, medians, points))
     ]
     return _CURVE_COLUMNS, rows, body, checks, human
 

@@ -8,7 +8,7 @@ from .constraints import (
     build_constraints,
 )
 from .kmatrix import KRowEngine, KSampler, k_matrix_exact
-from .reconstruct import LearnResult, reconstruct, parameter_distance
+from .reconstruct import LearnResult, reconstruct, parameter_distance, solution_distance
 from .curves import CurvePoint, learning_curve
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "LearnResult",
     "reconstruct",
     "parameter_distance",
+    "solution_distance",
     "CurvePoint",
     "learning_curve",
 ]

@@ -10,21 +10,27 @@ from ..qsim.state import QuantumState
 from .constraints import ConstraintSet, build_constraints, enumerate_candidates
 from .kmatrix import KRowEngine, KSampler
 from .opbasis import OperatorBasis
-from .reconstruct import parameter_distance, reconstruct
+from .reconstruct import LearnResult, reconstruct, solution_distance
 
 
 @dataclass
 class CurvePoint:
     control: float  # the grid value (constraint count or shots per entry)
-    median_distance: float
+    median_distance: float  # to the recovered null space
     q25: float
     q75: float
     gap: float  # median correlation-matrix gap
     smallest_singular_value: float  # median sigma_min
+    null_dim: float  # median null-space dimension
     n_seeds: int
 
 
-def _aggregate(control, dists, gaps, sigmas) -> CurvePoint:
+def _summary(c_true: np.ndarray, res: LearnResult) -> tuple[float, float, float, int]:
+    return solution_distance(c_true, res), res.gap, res.singular_values[-1], len(res.null_space)
+
+
+def _aggregate(control, stats) -> CurvePoint:
+    dists, gaps, sigmas, dims = zip(*stats)
     d = np.asarray(dists, dtype=float)
     return CurvePoint(
         control=control,
@@ -33,6 +39,7 @@ def _aggregate(control, dists, gaps, sigmas) -> CurvePoint:
         q75=float(np.quantile(d, 0.75)),
         gap=float(np.median(gaps)),
         smallest_singular_value=float(np.median(sigmas)),
+        null_dim=float(np.median(dims)),
         n_seeds=len(d),
     )
 
@@ -51,9 +58,10 @@ def learning_curve(
 
     Exactly one of ``constraint_grid`` (exact K, per-seed shuffled candidate
     order) or ``shot_grid`` (sampled K on a fixed constraint set, per-seed
-    measurement noise) must be given.  Distances are against the
-    lattice's Hubbard coefficients.  One engine, ``engine`` or one built
-    once the arguments are checked, serves either grid.
+    measurement noise) must be given.  Distances run from the lattice's
+    Hubbard coefficients to each K's null space (``solution_distance``).
+    One engine, ``engine`` or one built once the arguments are checked,
+    serves either grid.
     """
     if (constraint_grid is None) == (shot_grid is None):
         raise ValueError("give exactly one of constraint_grid or shot_grid")
@@ -69,10 +77,9 @@ def learning_curve(
     c_true = op_basis.coefficient_vector()
     eng = engine if engine is not None else KRowEngine(state, op_basis)
 
-    points: list[CurvePoint] = []
     if constraint_grid is not None:
         pool = enumerate_candidates(op_basis.lattice)
-        per_seed: dict[int, list[tuple[float, float, float]]] = {n: [] for n in grid}
+        per_seed: dict[int, list[tuple]] = {n: [] for n in grid}
         for seed in seeds:
             cs = build_constraints(
                 state,
@@ -84,24 +91,14 @@ def learning_curve(
             )
             rows = eng.rows(cs.ops)
             for n in grid:
-                res = reconstruct(rows[:n])
-                d = parameter_distance(c_true, res.coefficients)
-                per_seed[n].append((d, res.gap, res.singular_values[-1]))
-        for n in grid:
-            ds, gs, ss = zip(*per_seed[n])
-            points.append(_aggregate(n, ds, gs, ss))
-        return points
+                per_seed[n].append(_summary(c_true, reconstruct(rows[:n])))
+        return [_aggregate(n, per_seed[n]) for n in grid]
 
     sampler = KSampler(eng, constraints)
-    for shots in grid:
-        dists, gaps, sigmas = [], [], []
-        for seed in seeds:
-            res = reconstruct(sampler.sample(shots, seed))
-            dists.append(parameter_distance(c_true, res.coefficients))
-            gaps.append(res.gap)
-            sigmas.append(res.singular_values[-1])
-        points.append(_aggregate(shots, dists, gaps, sigmas))
-    return points
+    return [
+        _aggregate(shots, [_summary(c_true, reconstruct(sampler.sample(shots, seed))) for seed in seeds])
+        for shots in grid
+    ]
 
 
 def fit_loglog_slope(points: list[CurvePoint]) -> float:

@@ -32,8 +32,10 @@ if TYPE_CHECKING:  # avoid a circular import; constraints.py uses KRowEngine
 # to a few MB whatever the sector size
 ROW_BLOCK = 8192
 
-# largest sector KSampler's Born model takes: each entry runs a dense eigh
-BORN_MAX_DIM = 4096
+# largest sector KSampler's Born model takes: each entry runs a dense eigh,
+# and a default `hamlearn run --shots 100` (1 BLAS thread) took 0.5 s on a
+# 64-state sector, up to 1.3 s on an 81-state one and 6.5 s on a 225-state one
+BORN_MAX_DIM = 64
 
 
 def _modes(terms) -> set[int]:
@@ -161,7 +163,7 @@ class KSampler:
         if method == "auto":
             method = "born" if dim <= BORN_MAX_DIM else "surrogate"
         if method == "born" and dim > BORN_MAX_DIM:
-            raise ValueError(f"born sampling needs dense-feasible dimension (got {dim})")
+            raise ValueError(f"born sampling takes at most {BORN_MAX_DIM} states (got {dim})")
         self.method = method
         self.n_rows = len(constraints.ops)
         self.n_cols = self.op_basis.m

@@ -69,8 +69,13 @@ from qverify.verifyproto import (
 )
 
 
-def _non_increasing(values) -> bool:
-    return all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(values, values[1:]))
+def _assert_curve_spans_truth(points, op_basis, grid) -> None:
+    """N_C independent exact rows leave a null space of dimension
+    max(M - N_C, 1) that holds the true couplings, the endpoint exactly."""
+    assert [p.null_dim for p in points] == [max(op_basis.m - n, 1) for n in grid]
+    medians = [p.median_distance for p in points]
+    assert max(medians) < 1e-6
+    assert medians[-1] < 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -115,29 +120,24 @@ def test_01_exact_reconstruction_on_the_3x4_lattice(hubbard_3x4):
     assert distance < 1e-6
 
 
-def test_02_median_distance_non_increasing_in_constraint_count(hubbard_3x4):
-    """Exact-K learning curves are monotone from M/4 up to M on both lattices,
-    with an exact endpoint, medians taken over 1000 selection shuffles."""
+def test_02_null_dimension_and_span_distance_in_constraint_count(hubbard_3x4):
+    """Exact-K learning curves from M/4 up to M on both lattices: the median
+    null dimension is max(M - N_C, 1) and the median distance from the truth
+    to the null space stays below 1e-6, over 1000 selection shuffles."""
     seeds = list(range(1000))
 
     lat, _, state, op_basis, engine = hubbard_3x4
-    points = learning_curve(
-        state, op_basis, constraint_grid=[12, 42, 43, 44, 46], seeds=seeds, engine=engine
-    )
-    medians = [p.median_distance for p in points]
-    assert _non_increasing(medians)
-    assert medians[-1] < 1e-6
+    grid = [12, 42, 43, 44, 46]
+    points = learning_curve(state, op_basis, constraint_grid=grid, seeds=seeds, engine=engine)
+    _assert_curve_spans_truth(points, op_basis, grid)
 
     lat23 = LatticeSpec(2, 3, j=1.0, u=4.0, nup=3, ndown=3)
     _, state23 = hubbard_ground_state(lat23)
     ob23 = build_operator_basis(lat23)
     assert ob23.m == 20
-    points = learning_curve(
-        state23, ob23, constraint_grid=[5, 16, 17, 18, 20], seeds=seeds
-    )
-    medians = [p.median_distance for p in points]
-    assert _non_increasing(medians)
-    assert medians[-1] < 1e-6
+    grid = [5, 16, 17, 18, 20]
+    points = learning_curve(state23, ob23, constraint_grid=grid, seeds=seeds)
+    _assert_curve_spans_truth(points, ob23, grid)
 
 
 def test_03_shot_noise_scaling_slope():

@@ -87,6 +87,16 @@ class TestHamlearnRun:
         distance = float(lines[2].split(",")[1])
         assert distance < 1e-8
 
+    def test_truth_lies_in_the_null_space_below_rank(self, tmp_path):
+        # 12 rows leave an 8-dimensional null space: the distance runs to all
+        # of it, not to one or two of its vectors
+        out = tmp_path / "out"
+        argv = ["hamlearn", "run", "--lattice", "2x3", "--nup", "3", "--ndown", "3", "--u", "4"]
+        assert dispatch(argv + ["--constraints", "12", "--seed", "5", "--out", str(out)]) == 0
+        body = _read_json(out / "hamlearn_run.json")
+        assert body["degenerate"] is True
+        assert body["distance"] < 1e-10
+
     def test_sampled_run_reports_distance_and_config(self, tmp_path):
         out = tmp_path / "out"
         code = dispatch(

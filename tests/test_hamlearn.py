@@ -14,6 +14,7 @@ from qverify.hamlearn import (
     learning_curve,
     parameter_distance,
     reconstruct,
+    solution_distance,
 )
 from qverify.hamlearn.constraints import INDEPENDENCE_TOL
 from qverify.hamlearn.curves import fit_loglog_slope
@@ -284,10 +285,12 @@ def test_exact_reconstruction_2x3():
     cs = build_constraints(state, ob, n_constraints=ob.m)
     km = k_matrix_exact(state, ob, cs)
     res = reconstruct(km)
-    assert not res.degenerate
+    assert len(res.null_space) == 1
     assert res.gap > 0
     d = parameter_distance(ob.coefficient_vector(), res.coefficients)
     assert d < 1e-8
+    # a unique solution's distance is the sign-gauged vector distance, bit for bit
+    assert solution_distance(ob.coefficient_vector(), res) == d
 
 
 def test_reconstruction_flags_degenerate_nullspace():
@@ -297,8 +300,43 @@ def test_reconstruction_flags_degenerate_nullspace():
     cs = build_constraints(state, ob, n_constraints=5)
     km = k_matrix_exact(state, ob, cs)
     res = reconstruct(km)
-    assert res.degenerate
-    assert len(res.candidates) == 2
+    assert len(res.null_space) == ob.m - 5 == 15
+    np.testing.assert_allclose(res.null_space @ res.null_space.T, np.eye(15), atol=1e-12)
+    # the reconstruction is one vector of the null space, and the truth lies in it
+    assert np.linalg.norm(res.null_space @ res.coefficients) == pytest.approx(1.0, abs=1e-12)
+    assert solution_distance(ob.coefficient_vector(), res) < 1e-10
+
+
+def _k_with_singular_values(sig, m, seed):
+    rng = make_rng(seed, "synthetic-k")
+    u, _ = np.linalg.qr(rng.normal(size=(len(sig), len(sig))))
+    v, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    return (u * sig) @ v[:, : len(sig)].T
+
+
+def test_null_space_uses_the_selection_tolerance():
+    # a kept direction at 1e-7 sigma_max is independent by selection's
+    # INDEPENDENCE_TOL (1e-8), so only the exact null direction is null
+    k = _k_with_singular_values(np.array([1.0, 0.5, 0.3, 0.1, 1e-7]), 6, 1)
+    res = reconstruct(k)
+    assert len(res.null_space) == 1
+    assert abs(res.null_space[0] @ res.coefficients) == pytest.approx(1.0, abs=1e-12)
+    # one at 1e-9 sigma_max is dependent, and joins the exact null
+    res = reconstruct(_k_with_singular_values(np.array([1.0, 0.5, 0.3, 0.1, 1e-9]), 6, 1))
+    assert len(res.null_space) == 2
+
+
+def test_solution_distance_projects_onto_the_null_space():
+    k = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
+    res = reconstruct(k)
+    assert len(res.null_space) == 2
+    assert solution_distance([0.0, 0.0, 3.0, -4.0], res) < 1e-15
+    assert solution_distance([1.0, 0.0, 1.0, 0.0], res) == pytest.approx(np.sqrt(0.5), abs=1e-15)
+    assert solution_distance([0.0, -2.0, 0.0, 0.0], res) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        solution_distance(np.zeros(4), res)
+    with pytest.raises(ValueError):
+        solution_distance(np.ones(3), res)
 
 
 def test_reconstruct_rejects_zero_k():
