@@ -87,7 +87,6 @@ from .randmeas import (
     scaling_probe,
 )
 from .repostore import (
-    RepoFormatError,
     Repository,
     canonical_json,
     dataset_to_document,
@@ -706,9 +705,9 @@ def _fig1c(seed: int):
     points = learning_curve(state, op_basis, constraint_grid=grid, seeds=seeds, engine=engine)
     medians = [p.median_distance for p in points]
     want = [max(op_basis.m - n, 1) for n in grid]
-    n_off = sum(p.null_dim != w for p, w in zip(points, want))
+    n_off = sum((p.null_dim_min, p.null_dim_max) != (w, w) for p, w in zip(points, want))
     checks = [
-        _check("null-dim", float(n_off), "median null dimension = max(M - N_C, 1) at every N_C", n_off == 0),
+        _check("null-dim", float(n_off), "null dimension = max(M - N_C, 1) on every shuffle at every N_C", n_off == 0),
         _check("in-span", float(max(medians)), "median distance to the null space below 1e-6", max(medians) < 1e-6),
         _check("endpoint-exact", float(medians[-1]), "median at N_C = M below 1e-6", medians[-1] < 1e-6),
     ]
@@ -1089,7 +1088,7 @@ def dispatch(argv: list[str]) -> int:
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         _report_error(EXIT_IO, str(exc))
         return EXIT_IO
-    except (RepoFormatError, ValueError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, KeyError, MemoryError) as exc:  # RepoFormatError and json.JSONDecodeError are ValueErrors
         too_large = isinstance(exc, MemoryError)
         _report_error(EXIT_INVALID, f"input too large to simulate: {exc}" if too_large else str(exc))
         return EXIT_INVALID

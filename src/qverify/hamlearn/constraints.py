@@ -22,16 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..qsim.fermion import (
-    SPIN_DOWN,
-    SPIN_UP,
-    FermionTerm,
-    LatticeSpec,
-    current_terms,
-    multiply_terms,
-    number_terms,
-    scale_terms,
-)
+from ..qsim.fermion import SPIN_DOWN, SPIN_UP, LatticeSpec
 from ..qsim.state import QuantumState
 from ..rng import make_rng
 from .kmatrix import KRowEngine
@@ -42,19 +33,13 @@ INDEPENDENCE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ConstraintOp:
+    """A = {J_bond^spin, n_k_site^k_spin} / 2; KRowEngine builds A from these fields."""
+
     label: str
     bond: tuple[int, int]
     spin: int
     k_site: int
     k_spin: int
-    terms: tuple[FermionTerm, ...]
-
-
-def _sym_current_density(i: int, j: int, spin: int, k: int, kspin: int) -> tuple[FermionTerm, ...]:
-    cur = current_terms(i, j, spin)
-    den = number_terms(k, kspin)
-    sym = scale_terms(multiply_terms(cur, den) + multiply_terms(den, cur), 0.5)
-    return tuple(sym)
 
 
 def enumerate_candidates(lattice: LatticeSpec) -> list[ConstraintOp]:
@@ -74,7 +59,6 @@ def enumerate_candidates(lattice: LatticeSpec) -> list[ConstraintOp]:
                             spin=spin,
                             k_site=k,
                             k_spin=kspin,
-                            terms=_sym_current_density(i, j, spin, k, kspin),
                         )
                     )
     return out

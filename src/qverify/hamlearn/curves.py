@@ -22,6 +22,8 @@ class CurvePoint:
     gap: float  # median correlation-matrix gap
     smallest_singular_value: float  # median sigma_min
     null_dim: float  # median null-space dimension
+    null_dim_min: int  # smallest and largest over the seeds
+    null_dim_max: int
     n_seeds: int
 
 
@@ -40,6 +42,8 @@ def _aggregate(control, stats) -> CurvePoint:
         gap=float(np.median(gaps)),
         smallest_singular_value=float(np.median(sigmas)),
         null_dim=float(np.median(dims)),
+        null_dim_min=min(dims),
+        null_dim_max=max(dims),
         n_seeds=len(d),
     )
 

@@ -20,7 +20,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg
 
-from ..qsim.fermion import SPIN_UP, FermionBasis, apply_terms, assemble_operator, current_terms
+from ..qsim.fermion import (
+    SPIN_UP,
+    FermionBasis,
+    apply_terms,
+    assemble_operator,
+    current_terms,
+    mode_index,
+)
 from ..qsim.state import QuantumState
 from ..rng import make_rng
 from .opbasis import OperatorBasis
@@ -55,6 +62,10 @@ class KRowEngine:
     and the rows of one (bond, spin) bundle share g = J v: they are
     sum_k p_k 2 Im(d^T (conj(g_k) * Phi_k)), one real GEMM per block of
     sector states.
+
+    Candidates carry only (bond, spin, k_site, k_spin), so this class is the
+    one place that builds A from them: its rows, A v (``apply``), dense A
+    (``dense``) and the modes A acts on (``support``).
     """
 
     def __init__(self, state: QuantumState, op_basis: OperatorBasis):
@@ -91,6 +102,17 @@ class KRowEngine:
         """A_n vec."""
         return self._density(cop) * self._current(cop, vec)
 
+    def dense(self, cop: ConstraintOp) -> np.ndarray:
+        """A_n as a dense sector matrix: J scaled row by row by d."""
+        current = assemble_operator(self.fbasis, current_terms(*cop.bond, cop.spin)).toarray()
+        return np.reshape(self._density(cop), (-1, 1)) * current
+
+    @staticmethod
+    def support(cop: ConstraintOp) -> set[int]:
+        """The modes A_n acts on: the bond's two and the density's one."""
+        i, j = cop.bond
+        return {mode_index(i, cop.spin), mode_index(j, cop.spin), mode_index(cop.k_site, cop.k_spin)}
+
     def chi(self, cop: ConstraintOp) -> list[np.ndarray]:
         """A_n v_k for each ensemble member."""
         return [self.apply(cop, vec) for _, vec in self.ensemble]
@@ -117,7 +139,7 @@ class KRowEngine:
         # left at rounding level they carry a random sign, and which vector
         # an SVD picks from a degenerate null space of K depends on it
         for r, cop in enumerate(cops):
-            support = _modes(cop.terms)
+            support = self.support(cop)
             out[r, [not (support & s) for s in self._supports]] = 0.0
         return 2.0 * out
 
@@ -145,7 +167,8 @@ def k_matrix_exact(
 
 
 class KSampler:
-    """Shot-noise models for K: per-entry Born sampling or a Gaussian surrogate.
+    """Shot-noise models for K: per-entry Born sampling on sectors of at most
+    BORN_MAX_DIM states, a Gaussian surrogate above.
 
     Both models read the state, its rows and Phi from ``engine``.  Entry
     (n, m) draws from its own derived stream, so results do not depend on
@@ -153,21 +176,14 @@ class KSampler:
     (surrogate) are precomputed once and reused across sample() calls.
     """
 
-    def __init__(self, engine: KRowEngine, constraints: ConstraintSet, method: str = "auto"):
-        if method not in ("auto", "born", "surrogate"):
-            raise ValueError(f"unknown K sampling method {method!r}: use auto, born or surrogate")
+    def __init__(self, engine: KRowEngine, constraints: ConstraintSet):
         self.engine = engine
         self.op_basis = engine.op_basis
         self.constraints = constraints
-        dim = engine.fbasis.dim
-        if method == "auto":
-            method = "born" if dim <= BORN_MAX_DIM else "surrogate"
-        if method == "born" and dim > BORN_MAX_DIM:
-            raise ValueError(f"born sampling takes at most {BORN_MAX_DIM} states (got {dim})")
-        self.method = method
         self.n_rows = len(constraints.ops)
         self.n_cols = self.op_basis.m
-        if method == "born":
+        self._spectral = None
+        if engine.fbasis.dim <= BORN_MAX_DIM:
             self._spectral = self._precompute_spectral()
         else:
             self._means, self._vars = self._precompute_surrogate()
@@ -177,7 +193,7 @@ class KSampler:
         s_dense = [assemble_operator(fb, list(e.terms)).toarray() for e in self.op_basis.elements]
         out = []
         for cop in self.constraints.ops:
-            a = assemble_operator(fb, list(cop.terms)).toarray()
+            a = self.engine.dense(cop)
             row = []
             for s in s_dense:
                 o = -1j * (a @ s - s @ a)
@@ -220,7 +236,7 @@ class KSampler:
                 # shots in the derivation path: different budgets draw
                 # independently even under the same seed
                 rng = make_rng(seed, "kentry", shots_per_entry, n, m)
-                if self.method == "born":
+                if self._spectral is not None:
                     w, probs = self._spectral[n][m]
                     counts = rng.multinomial(shots_per_entry, probs)
                     vals[n, m] = float(counts @ w) / shots_per_entry

@@ -26,8 +26,6 @@ from ..qsim.fermion import (
 class BasisElement:
     label: str
     kind: str  # "hopping" | "doublon"
-    sites: tuple[int, ...]
-    spin: int | None
     terms: tuple[FermionTerm, ...]
 
 
@@ -63,8 +61,6 @@ def build_operator_basis(lattice: LatticeSpec) -> OperatorBasis:
                 BasisElement(
                     label=f"hop[{i},{j}]{s}",
                     kind="hopping",
-                    sites=(i, j),
-                    spin=spin,
                     terms=tuple(hopping_terms(i, j, spin)),
                 )
             )
@@ -73,8 +69,6 @@ def build_operator_basis(lattice: LatticeSpec) -> OperatorBasis:
             BasisElement(
                 label=f"dbl[{site}]",
                 kind="doublon",
-                sites=(site,),
-                spin=None,
                 terms=tuple(doublon_terms(site)),
             )
         )

@@ -119,17 +119,6 @@ def doublon_terms(site: int, coeff: float = 1.0) -> list[FermionTerm]:
     return [FermionTerm(coeff, ((mu, True), (mu, False), (md, True), (md, False)))]
 
 
-def multiply_terms(a: list[FermionTerm], b: list[FermionTerm]) -> list[FermionTerm]:
-    """Operator product a * b as an expanded monomial list (no normal ordering)."""
-    return [
-        FermionTerm(ta.coeff * tb.coeff, ta.ops + tb.ops) for ta in a for tb in b
-    ]
-
-
-def scale_terms(a: list[FermionTerm], s: complex) -> list[FermionTerm]:
-    return [FermionTerm(t.coeff * s, t.ops) for t in a]
-
-
 def hubbard_terms(lat: LatticeSpec) -> list[FermionTerm]:
     """H = -J sum_<ij>,s (c+_is c_js + h.c.) + U sum_i n_iu n_id."""
     terms: list[FermionTerm] = []

@@ -63,6 +63,7 @@ def scaling_probe(
 
     N_M is held fixed; N_U is grown by doubling and then bisected to the
     smallest passing value.  The exponent is the slope of log2(budget) vs N.
+    A target that no budget up to ``budget_cap`` reaches raises ValueError.
     """
     n_list = list(n_list)
     if not n_list or min(n_list) < 1:
@@ -87,7 +88,10 @@ def scaling_probe(
         while err_at(hi) >= error_target:
             hi *= 2
             if hi > n_u_cap:
-                raise RuntimeError(f"budget cap reached at N={n}")
+                raise ValueError(
+                    f"error target {error_target:g} not reached within the budget cap "
+                    f"of {budget_cap} measurements at N={n}"
+                )
         lo = hi // 2  # highest known-failing value (0 when N_U=1 already passes)
         while hi - lo > 1:
             mid = (lo + hi) // 2

@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from qverify.qsim import QuantumState, QubitBasis, apply_terms
+from qverify.qsim import FermionTerm, QuantumState, QubitBasis, apply_terms, current_terms, number_terms
 from qverify.qsim import solve as qsolve
 from qverify.qsim.qubit import HADAMARD, pauli_entries
 from qverify.randmeas import CLIFFORD_TABLE, Estimate, FidelityEstimate, jackknife, phase_normalize
@@ -100,14 +100,36 @@ def fock_terms_matrix(n_modes: int, terms) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- hamlearn
-# The per-candidate routes the package replaced: each K row applies the
-# candidate's own monomials, and selection runs Gram-Schmidt row by row.
+# The per-candidate routes the package replaced: each candidate expanded into
+# its own ladder monomials, each K row applying them term by term, and
+# selection running Gram-Schmidt row by row.
+
+
+def multiply_terms(a, b) -> list[FermionTerm]:
+    """Operator product a * b as an expanded monomial list (no normal ordering)."""
+    return [FermionTerm(ta.coeff * tb.coeff, ta.ops + tb.ops) for ta in a for tb in b]
+
+
+def scale_terms(a, s: complex) -> list[FermionTerm]:
+    return [FermionTerm(t.coeff * s, t.ops) for t in a]
+
+
+def constraint_terms(cop) -> list[FermionTerm]:
+    """The candidate {J, n_k}/2 as its 8 monomials."""
+    cur = current_terms(*cop.bond, cop.spin)
+    den = number_terms(cop.k_site, cop.k_spin)
+    return scale_terms(multiply_terms(cur, den) + multiply_terms(den, cur), 0.5)
+
+
+def term_modes(terms) -> set[int]:
+    """Every mode a monomial list touches."""
+    return {mode for t in terms for mode, _ in t.ops}
 
 
 def monomial_k_row(engine, cop) -> np.ndarray:
     """sum_k p_k 2 Im((A v_k)^H Phi_k) with A applied term by term."""
     return sum(
-        p * 2.0 * np.imag(apply_terms(engine.fbasis, list(cop.terms), vec).conj() @ phi)
+        p * 2.0 * np.imag(apply_terms(engine.fbasis, constraint_terms(cop), vec).conj() @ phi)
         for (p, vec), phi in zip(engine.ensemble, engine.phi)
     )
 

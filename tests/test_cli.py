@@ -757,6 +757,17 @@ def test_scaling_target_must_be_positive_and_finite(target, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scaling_unreachable_target_is_invalid_input(tmp_path, capsys):
+    # N_U stops at 4 = 2^20 / 2^18 settings, short of a 1e-9 error
+    out = tmp_path / "out"
+    argv = ["randmeas", "scaling", "--n-list", "2", "--target", "1e-9", "--nm", "262144", "--repetitions", "1"]
+    assert dispatch(argv + ["--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["category"] == "invalid-input"
+    assert "budget cap" in err["message"]
+    assert not out.exists()
+
+
 # --nu 0 is a count, not an absent flag, and Haar settings cannot be
 # enumerated: both name the flag and the reason
 _BAD_NU = {
@@ -986,6 +997,23 @@ class TestReproduce:
         # the data and verdict are still written before the nonzero exit
         assert _read_json(out / "reproduce_fig1b.json")["pass"] is False
 
+    def test_fig1c_fails_when_one_shuffle_has_another_null_dimension(self, tmp_path, monkeypatch, capsys):
+        import qverify.cli as cli
+
+        real_curve = cli.learning_curve
+
+        def one_shuffle_off(*args, **kwargs):
+            points = real_curve(*args, **kwargs)
+            points[2].null_dim_max += 1  # one seed at one N_C: no median moves
+            return points
+
+        monkeypatch.setattr(cli, "learning_curve", one_shuffle_off)
+        out = tmp_path / "fig"
+        assert dispatch(["reproduce", "fig1c", "--out", str(out)]) == 5
+        checks = {c["name"]: c for c in _read_json(out / "reproduce_fig1c.json")["checks"]}
+        assert checks["null-dim"]["pass"] is False and checks["null-dim"]["value"] == 1.0
+        assert checks["in-span"]["pass"] and checks["endpoint-exact"]["pass"]
+
 
 def _output_digest(out: Path, stem: str) -> str:
     """SHA-256 over a run's data files, leaving out the ``config`` headers
@@ -1074,6 +1102,19 @@ _PINNED_RUNS = {
         ["hamlearn", "run", "--lattice", "2x4", "--nup", "3", "--ndown", "3", "--u", "4"],
         "hamlearn_run",
         "3380da87cc30b72154ff85ee1e7f6e054a63c1ffb06cc287809f74d4f2069a6b",
+    ),
+    # Born-sampled K on sectors of at most BORN_MAX_DIM states: 36 states
+    # here and in fig1b's 2x2 plaquette, each entry eigensolving a dense
+    # commutator of the engine's dense constraint operator
+    "hamlearn-run-2x2-2+2-born": (
+        ["hamlearn", "run", "--lattice", "2x2", "--nup", "2", "--ndown", "2", "--shots", "1000", "--seed", "3"],
+        "hamlearn_run",
+        "fc8c1b4e3d17e82fe9139cc0e0f8d938be6de0401e272729ee2b06f928ac7b82",
+    ),
+    "reproduce-fig1b": (
+        ["reproduce", "fig1b"],
+        "reproduce_fig1b",
+        "423719da39f2885fca8b840b8fb0b4a861fa424d109428d6ed4b5f13afe18229",
     ),
     "repo-matrix": (
         ["repo", "matrix", "{id_1}", "{id_2}", "--root", "{root}"],

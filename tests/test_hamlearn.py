@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from oracle_helpers import greedy_selection, monomial_k_row, observable_variance, thermal_state
+from oracle_helpers import (
+    constraint_terms,
+    greedy_selection,
+    monomial_k_row,
+    observable_variance,
+    term_modes,
+    thermal_state,
+)
 from qverify.hamlearn import (
     KRowEngine,
     KSampler,
@@ -16,19 +23,18 @@ from qverify.hamlearn import (
     reconstruct,
     solution_distance,
 )
+from qverify.hamlearn import kmatrix
 from qverify.hamlearn.constraints import INDEPENDENCE_TOL
 from qverify.hamlearn.curves import fit_loglog_slope
 from qverify.qsim import (
     FermionBasis,
     LatticeSpec,
     QuantumState,
+    apply_terms,
     assemble_operator,
-    current_terms,
     ground_state,
     hubbard_terms,
-    number_terms,
 )
-from qverify.qsim.fermion import multiply_terms, scale_terms
 from qverify.rng import make_rng
 
 
@@ -37,6 +43,10 @@ def _ground(lat):
     h = assemble_operator(basis, hubbard_terms(lat))
     energy, state = ground_state(h, basis)
     return basis, h, energy, state
+
+
+def _dense(basis, terms):
+    return assemble_operator(basis, list(terms)).toarray()
 
 
 @pytest.mark.parametrize(
@@ -70,7 +80,7 @@ def test_candidates_hermitian_and_traceless_current():
     lat = LatticeSpec(2, 2, j=1.0, u=3.0, nup=2, ndown=1)
     basis = FermionBasis(lat)
     for cand in enumerate_candidates(lat):
-        a = assemble_operator(basis, list(cand.terms)).toarray()
+        a = _dense(basis, constraint_terms(cand))
         assert np.allclose(a, a.conj().T), cand.label
 
 
@@ -83,10 +93,10 @@ def test_k_entries_match_commutator_expectation():
     pool = enumerate_candidates(lat)[:10]
     psi = state.data
     for cand in pool:
-        a = assemble_operator(basis, list(cand.terms)).toarray()
+        a = _dense(basis, constraint_terms(cand))
         row = eng.rows([cand])[0]
         for m, elem in enumerate(ob.elements):
-            s = assemble_operator(basis, list(elem.terms)).toarray()
+            s = _dense(basis, elem.terms)
             comm = -1j * (a @ s - s @ a)
             want = float(np.real(np.vdot(psi, comm @ psi)))
             assert abs(row[m] - want) < 1e-10
@@ -132,29 +142,49 @@ def _random_sector_density(lat, seed, rank=None):
     return QuantumState(rho / np.trace(rho).real, basis)
 
 
-def _dense(basis, op):
-    return assemble_operator(basis, list(op.terms)).toarray()
-
-
 @pytest.mark.parametrize("rank", [None, 3])
 def test_k_rows_mixed_state_match_dense_trace(rank):
     rho = _random_sector_density(MIXED_LATTICE, 31, rank)
     ob = build_operator_basis(MIXED_LATTICE)
     eng = KRowEngine(rho, ob)
-    s_dense = [_dense(rho.basis, e) for e in ob.elements]
+    s_dense = [_dense(rho.basis, e.terms) for e in ob.elements]
     for cand in enumerate_candidates(MIXED_LATTICE):
-        a = _dense(rho.basis, cand)
+        a = _dense(rho.basis, constraint_terms(cand))
         want = [2.0 * np.imag(np.trace(a @ s @ rho.data)) for s in s_dense]
         np.testing.assert_allclose(eng.rows([cand])[0], want, rtol=0, atol=1e-12)
 
 
 def test_candidate_terms_are_symmetrized_current_densities():
-    # the factored rows read a candidate off (bond, spin, k_site, k_spin)
-    for cand in enumerate_candidates(LatticeSpec(2, 3, nup=1, ndown=1)):
-        cur = current_terms(*cand.bond, cand.spin)
-        den = number_terms(cand.k_site, cand.k_spin)
-        sym = scale_terms(multiply_terms(cur, den) + multiply_terms(den, cur), 0.5)
-        assert cand.terms == tuple(sym), cand.label
+    # the engine reads a candidate off (bond, spin, k_site, k_spin) and
+    # applies it as d * J; the oracle applies its 8 monomials
+    lat = LatticeSpec(2, 3, nup=2, ndown=1)
+    basis = FermionBasis(lat)
+    vec = make_rng(35, "candidate-vec").normal(size=(basis.dim, 2)) @ [1, 1j]
+    eng = KRowEngine(QuantumState(vec / np.linalg.norm(vec), basis), build_operator_basis(lat))
+    for cand in enumerate_candidates(lat):
+        want = apply_terms(basis, constraint_terms(cand), vec)
+        np.testing.assert_allclose(eng.apply(cand, vec), want, rtol=0, atol=1e-14, err_msg=cand.label)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [
+        LatticeSpec(1, 2, nup=1, ndown=1),
+        LatticeSpec(2, 2, nup=2, ndown=2),
+        LatticeSpec(2, 3, nup=1, ndown=1),
+        LatticeSpec(2, 3, nup=3, ndown=3),
+    ],
+    ids=["1x2-1+1", "2x2-2+2", "2x3-1+1", "2x3-3+3"],
+)
+def test_dense_and_support_match_monomial_oracle(lat):
+    # the Born model eigensolves commutators of engine.dense(cop), and the
+    # support decides which K entries are exact zeros
+    basis = FermionBasis(lat)
+    eng = KRowEngine(QuantumState(np.ones(basis.dim) / np.sqrt(basis.dim), basis), build_operator_basis(lat))
+    for cand in enumerate_candidates(lat):
+        terms = constraint_terms(cand)
+        assert eng.dense(cand).tobytes() == _dense(basis, terms).tobytes(), cand.label
+        assert eng.support(cand) == term_modes(terms), cand.label
 
 
 def _factored_vs_monomial(state):
@@ -189,15 +219,13 @@ def test_entries_of_disjoint_operators_are_exact_zeros():
     pool = enumerate_candidates(MIXED_LATTICE)
     rows = KRowEngine(state, ob).rows(pool)
 
-    def modes(op):
-        return {mode for t in op.terms for mode, _ in t.ops}
-
     n_disjoint = 0
     for cand, row in zip(pool, rows):
-        a = _dense(state.basis, cand)
+        terms = constraint_terms(cand)
+        a = _dense(state.basis, terms)
         for m, elem in enumerate(ob.elements):
-            if not modes(cand) & modes(elem):
-                s = _dense(state.basis, elem)
+            if not term_modes(terms) & term_modes(elem.terms):
+                s = _dense(state.basis, elem.terms)
                 assert np.array_equal(a @ s, s @ a)
                 assert row[m] == 0.0, (cand.label, elem.label)
                 n_disjoint += 1
@@ -233,19 +261,20 @@ def test_born_means_mixed_state_match_exact_rows():
     ob = build_operator_basis(MIXED_LATTICE)
     cs = build_constraints(rho, ob, n_constraints=6)
     exact = k_matrix_exact(rho, ob, cs)
-    sampler = KSampler(KRowEngine(rho, ob), cs, method="born")
+    sampler = KSampler(KRowEngine(rho, ob), cs)
     means = np.array([[probs @ w for w, probs in row] for row in sampler._spectral])
     np.testing.assert_allclose(means, exact, rtol=0, atol=1e-12)
 
 
-def test_surrogate_variance_mixed_state_matches_dense_oracle():
+def test_surrogate_variance_mixed_state_matches_dense_oracle(monkeypatch):
+    monkeypatch.setattr(kmatrix, "BORN_MAX_DIM", 0)  # the surrogate on a small sector
     rho = _random_sector_density(MIXED_LATTICE, 33)
     ob = build_operator_basis(MIXED_LATTICE)
     cs = build_constraints(rho, ob, n_constraints=6)
-    sampler = KSampler(KRowEngine(rho, ob), cs, method="surrogate")
-    s_dense = [_dense(rho.basis, e) for e in ob.elements]
+    sampler = KSampler(KRowEngine(rho, ob), cs)
+    s_dense = [_dense(rho.basis, e.terms) for e in ob.elements]
     for n, cand in enumerate(cs.ops):
-        a = _dense(rho.basis, cand)
+        a = _dense(rho.basis, constraint_terms(cand))
         for m, s in enumerate(s_dense):
             want = observable_variance(rho, -1j * (a @ s - s @ a))
             assert abs(sampler._vars[n, m] - want) < 1e-12
@@ -362,7 +391,7 @@ def test_born_sampling_unbiased_and_consistent():
     ob = build_operator_basis(lat)
     cs = build_constraints(state, ob, n_constraints=4)
     exact = k_matrix_exact(state, ob, cs)
-    sampler = KSampler(KRowEngine(state, ob), cs, method="born")
+    sampler = KSampler(KRowEngine(state, ob), cs)
     reps = [sampler.sample(400, seed=s) for s in range(60)]
     mean = np.mean(reps, axis=0)
     # per-entry SE <= 1/sqrt(400*60); allow 5 sigma with a conservative bound
@@ -373,16 +402,17 @@ def test_born_sampling_unbiased_and_consistent():
     np.testing.assert_array_equal(s1, s2)
 
 
-def test_surrogate_variance_matches_dense_oracle():
+def test_surrogate_variance_matches_dense_oracle(monkeypatch):
+    monkeypatch.setattr(kmatrix, "BORN_MAX_DIM", 0)  # the surrogate on a small sector
     lat = LatticeSpec(1, 2, j=1.0, u=8.0, nup=1, ndown=1)
     basis, _, _, state = _ground(lat)
     ob = build_operator_basis(lat)
     cs = build_constraints(state, ob, n_constraints=4)
-    sampler = KSampler(KRowEngine(state, ob), cs, method="surrogate")
+    sampler = KSampler(KRowEngine(state, ob), cs)
     for n, cand in enumerate(cs.ops):
-        a = assemble_operator(basis, list(cand.terms)).toarray()
+        a = _dense(basis, constraint_terms(cand))
         for m, elem in enumerate(ob.elements):
-            s = assemble_operator(basis, list(elem.terms)).toarray()
+            s = _dense(basis, elem.terms)
             o = -1j * (a @ s - s @ a)
             want = observable_variance(state, o)
             assert abs(sampler._vars[n, m] - want) < 1e-10
@@ -442,28 +472,19 @@ def test_learning_curve_argument_validation(monkeypatch):
             learning_curve(state, ob, **{"seeds": [0], **kwargs})
 
 
-def test_k_matrix_sampled_wrapper_modes():
+def test_k_matrix_sampled_wrapper_modes(monkeypatch):
     lat = LatticeSpec(1, 2, j=1.0, u=8.0, nup=1, ndown=1)
     _, _, _, state = _ground(lat)
     ob = build_operator_basis(lat)
     cs = build_constraints(state, ob, n_constraints=3)
     eng = KRowEngine(state, ob)
-    born = KSampler(eng, cs, method="born")
-    sur = KSampler(eng, cs, method="surrogate")
-    assert born.method == "born" and sur.method == "surrogate"
-    assert KSampler(eng, cs).method == "born"  # auto on a dense-feasible sector
+    born = KSampler(eng, cs)  # Born on a sector of at most BORN_MAX_DIM states
+    monkeypatch.setattr(kmatrix, "BORN_MAX_DIM", eng.fbasis.dim - 1)
+    sur = KSampler(eng, cs)  # the surrogate above it
+    assert born._spectral is not None and sur._spectral is None
     born, sur = born.sample(500, seed=1), sur.sample(500, seed=1)
     exact = k_matrix_exact(state, ob, cs, engine=eng)
     assert born.shape == sur.shape == exact.shape
     # both noise models stay within a loose envelope of the exact values
     assert np.max(np.abs(born - exact)) < 0.5
     assert np.max(np.abs(sur - exact)) < 0.5
-
-
-def test_k_sampler_rejects_unknown_method():
-    lat = LatticeSpec(1, 2, j=1.0, u=8.0, nup=1, ndown=1)
-    _, _, _, state = _ground(lat)
-    ob = build_operator_basis(lat)
-    cs = build_constraints(state, ob, n_constraints=3)
-    with pytest.raises(ValueError, match="auto, born or surrogate"):
-        KSampler(KRowEngine(state, ob), cs, method="bron")

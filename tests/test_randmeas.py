@@ -645,5 +645,5 @@ class TestScalingProbe:
         assert budgets == sorted(budgets) or res.exponent > 0
 
     def test_budget_cap(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="budget cap"):
             scaling_probe([6], 1e-4, seeds=(0,), n_m=4, budget_cap=64)
