@@ -89,10 +89,10 @@ from .randmeas import (
 from .repostore import (
     Repository,
     canonical_json,
-    dataset_to_document,
     fidelity_to_dict,
     json_safe,
     load_dataset_text,
+    render_dataset,
 )
 from .rng import GENERATOR_ID, child_seed, make_rng
 from .verifyproto import (
@@ -333,13 +333,13 @@ def _cmd_randmeas_collect(args) -> Report:
         device_id=args.device_id,
         state_label=args.state,
     )
-    doc = dataset_to_document(ds)
+    text, digest = render_dataset(ds)
     ds_path = Path(args.out) / f"dataset-{args.device_id}.json"
-    atomic_write_text(ds_path, canonical_json(doc) + "\n")
+    atomic_write_text(ds_path, text)
     print(f"wrote {ds_path}")
     body = {
         "dataset": str(ds_path),
-        "digest": doc["digest"],
+        "digest": digest,
         "device_id": args.device_id,
         "num_qubits": state.num_qubits,
         "ensemble": args.ensemble,
@@ -349,7 +349,7 @@ def _cmd_randmeas_collect(args) -> Report:
     columns = ["digest", "device_id", "ensemble", "num_qubits", "n_settings", "shots_per_setting"]
     human = [
         f"collected {args.nu} x {args.nm} randomized measurements ({args.ensemble}) "
-        f"of {args.state} on {state.num_qubits} qubits: dataset {doc['digest']}"
+        f"of {args.state} on {state.num_qubits} qubits: dataset {digest}"
     ]
     return Report(
         body, columns, [[body[c] for c in columns]], human, {"settings_seed": settings_seed}

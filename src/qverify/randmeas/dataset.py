@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,20 +42,31 @@ class RandMeasDataset:
         for u, s in enumerate(self.settings):
             if s.num_qubits != self.num_qubits:
                 raise ValueError(f"setting {u}: width {s.num_qubits} != {self.num_qubits} qubits")
-        for u, c in enumerate(self.counts):
-            if not (isinstance(c, np.ndarray) and c.dtype == np.int64 and c.shape[1:] == (2,)):
-                raise ValueError(f"setting {u}: counts must be an int64 (K, 2) array")
-            outcomes, n = c[:, 0], c[:, 1]
-            inside = (outcomes >= 0) & (outcomes >> self.num_qubits == 0)
-            if np.any(np.diff(outcomes) <= 0) or not inside.all():
-                raise ValueError(f"setting {u}: outcomes must ascend strictly within the register")
-            if np.any(n < 0):
-                raise ValueError(f"setting {u}: negative count")
-            total = sum(n.tolist())  # exact: an int64 sum could wrap
-            if total != self.shots_per_setting:
-                raise ValueError(
-                    f"setting {u}: counts sum {total} != shots_per_setting {self.shots_per_setting}"
-                )
+        shaped = [
+            isinstance(c, np.ndarray) and c.dtype == np.int64 and c.shape[1:] == (2,)
+            for c in self.counts
+        ]
+        good = shaped.index(False) if False in shaped else len(shaped)
+        bounds = [0, *accumulate(len(c) for c in self.counts[:good])]
+        rows = np.concatenate([np.empty((0, 2), np.int64), *self.counts[:good]])
+        outcomes, n, block_of = rows[:, 0], rows[:, 1], np.repeat(np.arange(good), np.diff(bounds))
+        descent = block_of[1:][(np.diff(outcomes) <= 0) & (block_of[1:] == block_of[:-1])]
+        outside = block_of[(outcomes < 0) | (outcomes >> self.num_qubits != 0)]
+        running = np.concatenate(([0], np.cumsum(n)))
+        if n.size and max(int(n.max()), -int(n.min())) * n.size >= 2**63:  # an int64 sum could wrap
+            running = np.array(list(accumulate(n.tolist(), initial=0)), dtype=object)
+        totals = (running[bounds[1:]] - running[bounds[:-1]]).tolist()
+        shots = self.shots_per_setting
+        # (setting, rank of the check, message): the first setting's first failing check
+        faults = [(good, 0, "counts must be an int64 (K, 2) array")] * (good < len(shaped))
+        disorder = "outcomes must ascend strictly within the register"
+        faults += [(u, 1, disorder) for u in (*descent[:1], *outside[:1])]
+        faults += [(u, 2, "negative count") for u in block_of[n < 0][:1]]
+        wrong = [(u, t) for u, t in enumerate(totals) if t != shots][:1]
+        faults += [(u, 3, f"counts sum {t} != shots_per_setting {shots}") for u, t in wrong]
+        if faults:
+            u, _, message = min(faults)
+            raise ValueError(f"setting {u}: {message}")
 
     @property
     def n_settings(self) -> int:

@@ -8,11 +8,11 @@ from .format import (
     UnsupportedVersionError,
     canonical_json,
     dataset_ensemble,
-    dataset_to_document,
     document_digest,
     fnv1a64,
     json_safe,
     load_dataset_text,
+    render_dataset,
     serialize_dataset,
 )
 from .repository import Repository, fidelity_to_dict
@@ -26,11 +26,11 @@ __all__ = [
     "UnsupportedVersionError",
     "canonical_json",
     "dataset_ensemble",
-    "dataset_to_document",
     "document_digest",
     "fidelity_to_dict",
     "fnv1a64",
     "json_safe",
     "load_dataset_text",
+    "render_dataset",
     "serialize_dataset",
 ]

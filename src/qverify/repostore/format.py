@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import accumulate, chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,10 +50,13 @@ class UnsupportedVersionError(RepoFormatError):
 
 
 def fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    # four bytes per masked step: XOR with a byte touches only the low 8 bits,
+    # and reduction mod 2**64 commutes with the multiply
+    h, p, it = FNV_OFFSET, FNV_PRIME, iter(data)
+    for a, b, c, d in zip(it, it, it, it):
+        h = ((((h ^ a) * p ^ b) * p ^ c) * p ^ d) * p & 0xFFFFFFFFFFFFFFFF
+    for byte in data[len(data) & ~3 :]:
+        h = (h ^ byte) * p & 0xFFFFFFFFFFFFFFFF
     return h
 
 
@@ -147,14 +152,44 @@ def dataset_ensemble(ds: RandMeasDataset) -> str:
     raise MalformedDatasetError("settings mix Clifford indices and explicit matrices")
 
 
-def dataset_to_document(ds: RandMeasDataset) -> dict:
+def _counts_text(indices: np.ndarray, counts: np.ndarray, lengths: list[int], n: int) -> str:
+    """The canonical text of valid counts blocks (none empty, no count
+    negative) from one row of ASCII codes per entry, ["bits",count] and a
+    separator, where NUL pads the leading digits and the separator."""
+    width = len(str(int(counts.max())))
+    powers = np.int64(10) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    rows = np.zeros((len(counts), n + width + 8), np.uint8)
+    rows[:, :2], rows[:, n + 2 : n + 4], rows[:, -4:-2] = list(b'["'), list(b'",'), list(b"],")
+    rows[:, 2 : n + 2] = indices[:, None] >> np.arange(n - 1, -1, -1, dtype=np.int64) & 1 | ord("0")
+    quotients = counts[:, None] // powers  # 0 exactly at the leading zeros
+    rows[:, n + 4 : n + 4 + width] = (quotients % 10 + ord("0")) * ((quotients > 0) | (powers == 1))
+    rows[np.cumsum(lengths) - 1, -3:] = list(b"],[")  # the last entry of a block
+    rows[-1, -3:] = list(b"]\0\0")
+    codes = rows.ravel()
+    return "[[" + codes[codes != 0].tobytes().decode("ascii") + "]"
+
+
+def _seal(doc: dict, texts: dict[str, str]) -> tuple[str, str]:
+    """A dataset document's file text and digest from one rendering of each
+    field: ``texts`` holds fields already rendered, and the rest of ``doc``
+    renders through ``canonical_json`` in key order, so the first field that
+    cannot be written raises, as a whole-document render would."""
+    texts = {**{k: canonical_json(v) for k, v in sorted(doc.items()) if k not in texts}, **texts}
+    fields = [f"{_ENCODER.encode(k)}:{texts[k]}" for k in sorted(texts)]
+    digest = format(fnv1a64(("{" + ",".join(fields) + "}").encode("utf-8")), "016x")
+    fields.insert(sum(k < "digest" for k in texts), f'"digest":"{digest}"')
+    return "{" + ",".join(fields) + "}\n", digest
+
+
+def render_dataset(ds: RandMeasDataset) -> tuple[str, str]:
+    """The one writer of a dataset file: its canonical text and its digest."""
     ds.validate()
     ensemble = dataset_ensemble(ds)
     if ensemble == "clifford":
         settings = [list(s.clifford_indices) for s in ds.settings]
     else:
         settings = [[_matrix_to_pairs(m) for m in s.matrices] for s in ds.settings]
-    fmt = f"0{ds.num_qubits}b"
+    rows, lengths = np.concatenate(ds.counts), [len(c) for c in ds.counts]
     doc = {
         "format_version": FORMAT_VERSION,
         "device_id": ds.device_id,
@@ -162,16 +197,14 @@ def dataset_to_document(ds: RandMeasDataset) -> dict:
         "num_qubits": ds.num_qubits,
         "ensemble": ensemble,
         "settings": settings,
-        "counts": [[[format(i, fmt), c] for i, c in block.tolist()] for block in ds.counts],
         "shots_per_setting": ds.shots_per_setting,
         "provenance": dict(ds.provenance),
     }
-    doc["digest"] = document_digest(doc)
-    return doc
+    return _seal(doc, {"counts": _counts_text(rows[:, 0], rows[:, 1], lengths, ds.num_qubits)})
 
 
 def serialize_dataset(ds: RandMeasDataset) -> str:
-    return canonical_json(dataset_to_document(ds)) + "\n"
+    return render_dataset(ds)[0]
 
 
 _REQUIRED_KEYS = (
@@ -223,13 +256,12 @@ def parse_envelope(text: str, required: tuple[str, ...]) -> dict:
     return doc
 
 
-def check_digest(doc: dict) -> None:
-    want = document_digest(doc)
+def check_digest(doc: dict, want: str) -> None:
     if doc["digest"] != want:
         raise DigestMismatchError(f"digest {doc['digest']!r} != computed {want!r}")
 
 
-def _check_fields(doc: dict) -> None:
+def _check_fields(doc: dict) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Check what only the file format can: JSON types, the ensemble tag, the
     qubit range, integer shots, the setting specs and the counts entries.
     The dataset invariants are ``RandMeasDataset.validate``'s to check."""
@@ -245,12 +277,35 @@ def _check_fields(doc: dict) -> None:
     shots = doc["shots_per_setting"]
     if not is_int(shots):
         raise MalformedDatasetError(f"bad shots_per_setting {shots!r}")
-    for u, spec in enumerate(doc["settings"]):
-        if not isinstance(spec, list) or (
-            doc["ensemble"] == "clifford" and not all(is_int(i) for i in spec)
-        ):
-            raise MalformedDatasetError(f"setting {u}: malformed spec {spec!r}")
-    for u, block in enumerate(doc["counts"]):
+    specs, clifford = doc["settings"], doc["ensemble"] == "clifford"
+    lists = set(map(type, specs)) <= {list}
+    if not lists or clifford and not set(map(type, chain(*specs))) <= {int}:
+        for u, spec in enumerate(specs):  # name the first malformed spec
+            if not isinstance(spec, list) or (clifford and not all(is_int(i) for i in spec)):
+                raise MalformedDatasetError(f"setting {u}: malformed spec {spec!r}")
+    return _count_columns(doc["counts"], n)
+
+
+def _count_columns(blocks: list, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Check the counts of all blocks together, by column; return each block's
+    length, then every entry's outcome index and count in file order."""
+    # JSON gives exact types, so type() stands for isinstance; an entry's row
+    # is its bitstring and a comma, with any non-ASCII character as "?"
+    flat = list(chain.from_iterable(blocks)) if set(map(type, blocks)) <= {list} else [None]
+    if set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2}:
+        bits, cnts = list(map(itemgetter(0), flat)), list(map(itemgetter(1), flat))
+        typed = set(map(type, cnts)) <= {int}
+        try:  # a bitstring that is no str, a count past int64
+            text, counts = ",".join([*bits, ""]), np.array(cnts if typed else [], dtype=np.int64)
+        except (TypeError, OverflowError):
+            typed = False
+        if typed and len(text) == len(flat) * (n + 1) and not np.any(counts == -MAX_COUNT - 1):
+            rows = np.frombuffer(text.encode("ascii", "replace"), np.uint8).reshape(-1, n + 1)
+            digits = rows[:, :n] - ord("0")  # wraps below "0"
+            if np.all(digits <= 1) and np.all(rows[:, n] == ord(",")):
+                weights = np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64)
+                return [len(b) for b in blocks], digits.astype(np.int64) @ weights, counts
+    for u, block in enumerate(blocks):  # a fault: name the first offending block or entry
         if not isinstance(block, list):
             raise MalformedDatasetError(f"setting {u}: counts block {block!r}")
         for entry in block:
@@ -263,7 +318,7 @@ def _check_fields(doc: dict) -> None:
                 raise MalformedDatasetError(f"setting {u}: bad count {cnt!r}")
 
 
-def _to_dataset(doc: dict) -> RandMeasDataset:
+def _to_dataset(doc: dict, lengths: list[int], indices: np.ndarray, cnts: np.ndarray) -> RandMeasDataset:
     settings = []
     for u, spec in enumerate(doc["settings"]):
         try:
@@ -274,16 +329,17 @@ def _to_dataset(doc: dict) -> RandMeasDataset:
                 settings.append(MeasurementSetting(u, matrices=matrices))
         except ValueError as exc:
             raise MalformedDatasetError(f"setting {u}: {exc}") from None
-    counts = [
-        np.array(sorted((int(b, 2), c) for b, c in block), dtype=np.int64).reshape(-1, 2)
-        for block in doc["counts"]
-    ]
+    rows, block_of = np.stack((indices, cnts), axis=1), np.repeat(np.arange(len(lengths)), lengths)
+    if np.any((np.diff(indices) <= 0) & (block_of[1:] == block_of[:-1])):
+        # per block, a sort of (index, count) tuples; ascending blocks have its order
+        rows = rows[np.lexsort((cnts, indices, block_of))]
+    bounds = [0, *accumulate(lengths)]
     ds = RandMeasDataset(
         device_id=doc["device_id"],
         state_label=doc["state_label"],
         num_qubits=doc["num_qubits"],
         settings=settings,
-        counts=counts,
+        counts=[rows[a:b] for a, b in zip(bounds, bounds[1:])],
         shots_per_setting=doc["shots_per_setting"],
         provenance=dict(doc["provenance"]),
     )
@@ -294,12 +350,22 @@ def _to_dataset(doc: dict) -> RandMeasDataset:
     return ds
 
 
-def load_dataset_text(text: str) -> tuple[RandMeasDataset, dict]:
+def read_dataset_text(text: str) -> tuple[RandMeasDataset, dict, str]:
     """The one reader of a dataset file: envelope, field types, conversion
-    (which runs the dataset's own invariant checks), then the digest.
-    Returns the dataset and the parsed document."""
+    (which runs the dataset's own invariant checks), then the digest of the
+    parsed document's canonical text.  Returns the dataset, the parsed
+    document and that text, the file ``serialize_dataset`` writes for it."""
     doc = parse_envelope(text, _REQUIRED_KEYS)
-    _check_fields(doc)
-    ds = _to_dataset(doc)
-    check_digest(doc)
-    return ds, doc
+    lengths, indices, counts = _check_fields(doc)
+    ds = _to_dataset(doc, lengths, indices, counts)
+    texts = {"counts": _counts_text(indices, counts, lengths, doc["num_qubits"])}
+    if doc["ensemble"] == "clifford":  # int lists, as checked: no float-free walk
+        texts["settings"] = _ENCODER.encode(doc["settings"])
+    canonical, digest = _seal({k: v for k, v in doc.items() if k != "digest"}, texts)
+    check_digest(doc, digest)
+    return ds, doc, canonical
+
+
+def load_dataset_text(text: str) -> tuple[RandMeasDataset, dict]:
+    """``read_dataset_text`` without the canonical text."""
+    return read_dataset_text(text)[:2]

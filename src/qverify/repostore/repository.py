@@ -30,6 +30,7 @@ from .format import (
     dataset_ensemble,
     json_safe,
     load_dataset_text,
+    read_dataset_text,
 )
 
 
@@ -89,16 +90,15 @@ class Repository:
         }
 
     def ingest(self, path: Path | str) -> str:
-        """Validate and store a dataset file; the id is its content digest."""
-        ds, doc = load_dataset_text(Path(path).read_text(encoding="utf-8"))
+        """Validate and store a dataset file as the canonical text its digest was
+        checked on; the id is that digest."""
+        ds, doc, text = read_dataset_text(Path(path).read_text(encoding="utf-8"))
         ds_id = doc["digest"]
         with self._locked():
             index = self._read_index()
             duplicate = ds_id in index["datasets"]
             if not duplicate:
-                atomic_write_text(
-                    self.datasets_dir / f"{ds_id}.json", canonical_json(doc) + "\n"
-                )
+                atomic_write_text(self.datasets_dir / f"{ds_id}.json", text)
                 atomic_write_text(
                     self.datasets_dir / f"{ds_id}.meta.json",
                     canonical_json(

@@ -254,7 +254,7 @@ def load_instance_text(text: str) -> HamiltonianInstance:
     for key in ("threshold_yes", "threshold_no"):
         if not is_number(doc[key]):
             raise MalformedDatasetError(f"{key} must be a number, not {doc[key]!r}")
-    check_digest(doc)
+    check_digest(doc, document_digest(doc))
     return HamiltonianInstance(
         num_qubits=doc["num_qubits"],
         terms=tuple(PauliTerm(complex(t["coeff"]), t["factors"]) for t in doc["terms"]),

@@ -22,9 +22,34 @@ import scipy.sparse.linalg as spla
 from qverify.qsim import FermionTerm, QuantumState, QubitBasis, apply_terms, current_terms, number_terms
 from qverify.qsim import solve as qsolve
 from qverify.qsim.qubit import HADAMARD, pauli_entries
-from qverify.randmeas import CLIFFORD_TABLE, Estimate, FidelityEstimate, jackknife, phase_normalize
-from qverify.repostore import MalformedDatasetError, dataset_to_document
-from qverify.repostore.format import _format_float
+from qverify.randmeas import (
+    CLIFFORD_TABLE,
+    Estimate,
+    FidelityEstimate,
+    MeasurementSetting,
+    RandMeasDataset,
+    jackknife,
+    phase_normalize,
+)
+from qverify.repostore import (
+    FORMAT_VERSION,
+    MalformedDatasetError,
+    canonical_json,
+    dataset_ensemble,
+    document_digest,
+)
+from qverify.repostore.format import (
+    _FIELD_TYPES,
+    _REQUIRED_KEYS,
+    MAX_COUNT,
+    MAX_QUBITS,
+    _format_float,
+    _matrix_to_pairs,
+    _pairs_to_matrix,
+    check_digest,
+    is_int,
+    parse_envelope,
+)
 from qverify.verifyproto import commit
 
 # ---------------------------------------------------------------- fermions
@@ -551,6 +576,137 @@ def recursive_canonical_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(recursive_canonical_json(v) for v in obj) + "]"
     raise MalformedDatasetError(f"unserializable value of type {type(obj).__name__}")
+
+
+# ---------------------------------------------------------------- dataset files
+# The dataset writer and reader entry by entry and block by block: the whole
+# document built, rendered for its digest and rendered again with it; the
+# counts checked and sorted per entry and validated per block.
+
+
+def oracle_validate(ds) -> None:
+    """``RandMeasDataset.validate`` one setting at a time."""
+    if len(ds.settings) != len(ds.counts):
+        u = min(len(ds.settings), len(ds.counts))
+        raise ValueError(f"setting {u}: {len(ds.settings)} settings but {len(ds.counts)} counts arrays")
+    if not ds.settings:
+        raise ValueError("settings must be non-empty")
+    if ds.shots_per_setting < 1:
+        raise ValueError("need at least one shot per setting")
+    ids = [s.setting_id for s in ds.settings]
+    if len(set(ids)) != len(ids):
+        raise ValueError("setting ids must be unique")
+    for u, s in enumerate(ds.settings):
+        if s.num_qubits != ds.num_qubits:
+            raise ValueError(f"setting {u}: width {s.num_qubits} != {ds.num_qubits} qubits")
+    for u, c in enumerate(ds.counts):
+        if not (isinstance(c, np.ndarray) and c.dtype == np.int64 and c.shape[1:] == (2,)):
+            raise ValueError(f"setting {u}: counts must be an int64 (K, 2) array")
+        outcomes, n = c[:, 0], c[:, 1]
+        inside = (outcomes >= 0) & (outcomes >> ds.num_qubits == 0)
+        if np.any(np.diff(outcomes) <= 0) or not inside.all():
+            raise ValueError(f"setting {u}: outcomes must ascend strictly within the register")
+        if np.any(n < 0):
+            raise ValueError(f"setting {u}: negative count")
+        total = sum(n.tolist())
+        if total != ds.shots_per_setting:
+            raise ValueError(
+                f"setting {u}: counts sum {total} != shots_per_setting {ds.shots_per_setting}"
+            )
+
+
+def dataset_to_document(ds) -> dict:
+    """The parsed form of a dataset file, digest included."""
+    oracle_validate(ds)
+    ensemble = dataset_ensemble(ds)
+    if ensemble == "clifford":
+        settings = [list(s.clifford_indices) for s in ds.settings]
+    else:
+        settings = [[_matrix_to_pairs(m) for m in s.matrices] for s in ds.settings]
+    fmt = f"0{ds.num_qubits}b"
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "device_id": ds.device_id,
+        "state_label": ds.state_label,
+        "num_qubits": ds.num_qubits,
+        "ensemble": ensemble,
+        "settings": settings,
+        "counts": [[[format(i, fmt), c] for i, c in block.tolist()] for block in ds.counts],
+        "shots_per_setting": ds.shots_per_setting,
+        "provenance": dict(ds.provenance),
+    }
+    doc["digest"] = document_digest(doc)
+    return doc
+
+
+def oracle_serialize_dataset(ds) -> str:
+    return canonical_json(dataset_to_document(ds)) + "\n"
+
+
+def _oracle_check_fields(doc: dict) -> None:
+    for key, kind in _FIELD_TYPES:
+        if not isinstance(doc[key], kind):
+            got = type(doc[key]).__name__
+            raise MalformedDatasetError(f"{key} must be a {kind.__name__}, not {got}")
+    if doc["ensemble"] not in ("clifford", "haar"):
+        raise MalformedDatasetError(f"unknown ensemble tag {doc['ensemble']!r}")
+    n = doc["num_qubits"]
+    if not is_int(n) or not 1 <= n <= MAX_QUBITS:
+        raise MalformedDatasetError(f"bad num_qubits {n!r}")
+    shots = doc["shots_per_setting"]
+    if not is_int(shots):
+        raise MalformedDatasetError(f"bad shots_per_setting {shots!r}")
+    for u, spec in enumerate(doc["settings"]):
+        if not isinstance(spec, list) or (
+            doc["ensemble"] == "clifford" and not all(is_int(i) for i in spec)
+        ):
+            raise MalformedDatasetError(f"setting {u}: malformed spec {spec!r}")
+    for u, block in enumerate(doc["counts"]):
+        if not isinstance(block, list):
+            raise MalformedDatasetError(f"setting {u}: counts block {block!r}")
+        for entry in block:
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise MalformedDatasetError(f"setting {u}: counts entry {entry!r}")
+            bits, cnt = entry
+            if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
+                raise MalformedDatasetError(f"setting {u}: malformed bitstring {bits!r}")
+            if not is_int(cnt) or abs(cnt) > MAX_COUNT:
+                raise MalformedDatasetError(f"setting {u}: bad count {cnt!r}")
+
+
+def oracle_load_dataset_text(text: str):
+    """``load_dataset_text`` entry by entry: the same four steps in order."""
+    doc = parse_envelope(text, _REQUIRED_KEYS)
+    _oracle_check_fields(doc)
+    settings = []
+    for u, spec in enumerate(doc["settings"]):
+        try:
+            if doc["ensemble"] == "clifford":
+                settings.append(MeasurementSetting(u, clifford_indices=tuple(spec)))
+            else:
+                matrices = tuple(_pairs_to_matrix(q) for q in spec)
+                settings.append(MeasurementSetting(u, matrices=matrices))
+        except ValueError as exc:
+            raise MalformedDatasetError(f"setting {u}: {exc}") from None
+    counts = [
+        np.array(sorted((int(b, 2), c) for b, c in block), dtype=np.int64).reshape(-1, 2)
+        for block in doc["counts"]
+    ]
+    ds = RandMeasDataset(
+        device_id=doc["device_id"],
+        state_label=doc["state_label"],
+        num_qubits=doc["num_qubits"],
+        settings=settings,
+        counts=counts,
+        shots_per_setting=doc["shots_per_setting"],
+        provenance=dict(doc["provenance"]),
+    )
+    try:
+        oracle_validate(ds)
+    except ValueError as exc:
+        raise MalformedDatasetError(str(exc)) from None
+    check_digest(doc, document_digest(doc))
+    return ds, doc
 
 
 # ---------------------------------------------------------------- benchmark

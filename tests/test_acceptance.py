@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle_helpers import dataset_to_document
 from qverify.hamlearn import (
     KRowEngine,
     build_constraints,
@@ -43,7 +44,6 @@ from qverify.randmeas import (
 )
 from qverify.repostore import (
     Repository,
-    dataset_to_document,
     document_digest,
     fidelity_to_dict,
     serialize_dataset,

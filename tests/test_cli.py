@@ -1017,12 +1017,16 @@ class TestReproduce:
 
 def _output_digest(out: Path, stem: str) -> str:
     """SHA-256 over a run's data files, leaving out the ``config`` headers
-    (they echo the ``--out`` path): the JSON body, the CSV rows and the
+    (they echo the ``--out`` path): the JSON body, the bytes of a dataset
+    file it names in place of that file's path, the CSV rows and the
     JSON-lines records."""
     h = hashlib.sha256()
     body = _read_json(out / f"{stem}.json")
     body.pop("config")
+    dataset = body.pop("dataset", None)
     h.update(canonical_json(body).encode())
+    if dataset is not None:
+        h.update(Path(dataset).read_bytes())
     for suffix in (".csv", ".jsonl"):
         path = out / f"{stem}{suffix}"
         if path.exists():
@@ -1085,6 +1089,17 @@ _PINNED_RUNS = {
         ["randmeas", "compare", "{file_1}", "{file_2}", "--subsystem", "0,1"],
         "randmeas_compare",
         "14685d73185d754854ac907cb89990db34296ed48b669fe58283aecaddaa01ba",
+    ),
+    # the dataset writer's bytes, for each ensemble
+    "randmeas-collect-clifford": (
+        ["randmeas", "collect", "--state", "ghz:3", "--nu", "40", "--nm", "64", "--seed", "5"],
+        "randmeas_collect",
+        "6c78d69aaf838e0433c320a3bcd53256d014a2eab48323f3a058eed8b468a6e3",
+    ),
+    "randmeas-collect-haar": (
+        ["randmeas", "collect", "--state", "random:2", "--nu", "12", "--nm", "32", "--ensemble", "haar", "--seed", "6"],
+        "randmeas_collect",
+        "198a65ad609a208e6dfc90b96c5fb937f53e02be53c36bfe5f10151cd0167d30",
     ),
     "randmeas-exact-ghz-random": (
         ["randmeas", "exact", "--state", "ghz:2", "--state2", "random:2"],

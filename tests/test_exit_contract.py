@@ -21,10 +21,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle_helpers import dataset_to_document
 from qverify.cli import dispatch
 from qverify.qsim import PauliTerm, ghz_state
 from qverify.randmeas import collect, sample_settings
-from qverify.repostore import canonical_json, dataset_to_document, document_digest
+from qverify.repostore import canonical_json, document_digest
 from qverify.verifyproto import HamiltonianInstance, serialize_instance
 
 # one value of every JSON type, kept small so an accepted run stays cheap

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import recursive_canonical_json
+from oracle_helpers import (
+    dataset_to_document,
+    oracle_load_dataset_text,
+    oracle_serialize_dataset,
+    oracle_validate,
+    recursive_canonical_json,
+)
 from qverify.cli import dispatch
 from qverify.qsim import QuantumState, QubitBasis, ghz_state, zero_state
 from qverify.randmeas import (
@@ -25,10 +33,10 @@ from qverify.repostore import (
     Repository,
     UnsupportedVersionError,
     canonical_json,
-    dataset_to_document,
     document_digest,
     fnv1a64,
     load_dataset_text,
+    render_dataset,
     serialize_dataset,
 )
 from qverify.repostore.format import _float_free
@@ -131,10 +139,11 @@ class TestFnv1a64:
         assert fnv1a64(data) == want
 
     def test_matches_reference_loop(self):
+        # every length 0-64: each remainder after the four-byte steps, many times
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            data = rng.integers(0, 256, size=rng.integers(0, 64)).astype(np.uint8).tobytes()
-            assert fnv1a64(data) == reference_fnv1a64(data)
+        for length in range(65):
+            for data in (rng.integers(0, 256, size=length).astype(np.uint8).tobytes(), b"\xff" * length):
+                assert fnv1a64(data) == reference_fnv1a64(data)
 
 
 def tiny_dataset() -> RandMeasDataset:
@@ -147,6 +156,33 @@ def tiny_dataset() -> RandMeasDataset:
         shots_per_setting=2,
         provenance={"seed": 7},
     )
+
+
+MISTYPED_FIELDS = [
+    ("device_id", 7),
+    ("state_label", None),
+    ("num_qubits", True),
+    ("num_qubits", 1.0),
+    ("num_qubits", 64),
+    ("shots_per_setting", True),
+    ("shots_per_setting", 2.0),
+    ("provenance", [["seed", 7]]),
+    ("settings", {"0": [5]}),
+    ("counts", "01"),
+    ("format_version", True),
+]
+
+MISTYPED_COUNTS_OR_SETTINGS = [
+    ([[["0", True], ["1", 1]]], [[5]]),
+    ([[["0", 1.0], ["1", 1]]], [[5]]),
+    ([[[0, 1], ["1", 1]]], [[5]]),
+    ([[["0", 1, 0]]], [[5]]),
+    ([["01"]], [[5]]),
+    ([{"0": 2}], [[5]]),
+    ([[["0", 1], ["1", 1]]], [5]),
+    ([[["0", 1], ["1", 1]]], [[5.0]]),
+    ([[["0", 1], ["1", 1]]], [["5"]]),
+]
 
 
 GOLDEN_BODY = (
@@ -212,22 +248,7 @@ class TestSerialization:
             assert rows.tolist() == sorted([int(bits, 2), cnt] for bits, cnt in block)
         assert serialize_dataset(back) == serialize_dataset(ds)
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("device_id", 7),
-            ("state_label", None),
-            ("num_qubits", True),
-            ("num_qubits", 1.0),
-            ("num_qubits", 64),
-            ("shots_per_setting", True),
-            ("shots_per_setting", 2.0),
-            ("provenance", [["seed", 7]]),
-            ("settings", {"0": [5]}),
-            ("counts", "01"),
-            ("format_version", True),
-        ],
-    )
+    @pytest.mark.parametrize("field,value", MISTYPED_FIELDS)
     def test_mistyped_field_rejected(self, field, value):
         doc = dataset_to_document(tiny_dataset())
         doc[field] = value
@@ -235,20 +256,7 @@ class TestSerialization:
         with pytest.raises(RepoFormatError):
             load_dataset_text(canonical_json(doc))
 
-    @pytest.mark.parametrize(
-        "counts,settings",
-        [
-            ([[["0", True], ["1", 1]]], [[5]]),
-            ([[["0", 1.0], ["1", 1]]], [[5]]),
-            ([[[0, 1], ["1", 1]]], [[5]]),
-            ([[["0", 1, 0]]], [[5]]),
-            ([["01"]], [[5]]),
-            ([{"0": 2}], [[5]]),
-            ([[["0", 1], ["1", 1]]], [5]),
-            ([[["0", 1], ["1", 1]]], [[5.0]]),
-            ([[["0", 1], ["1", 1]]], [["5"]]),
-        ],
-    )
+    @pytest.mark.parametrize("counts,settings", MISTYPED_COUNTS_OR_SETTINGS)
     def test_mistyped_counts_or_settings_rejected(self, counts, settings):
         doc = dataset_to_document(tiny_dataset())
         doc["counts"], doc["settings"] = counts, settings
@@ -343,6 +351,309 @@ class TestDatasetInvariants:
     def test_clean_document_reads(self):
         ds, doc = load_dataset_text(canonical_json(two_setting_document()))
         assert ds.n_settings == 2 and doc["digest"] == document_digest(doc)
+
+
+# ---------------------------------------------------------------------------
+# The one-render writer, the columnar reader and the columnar validate against
+# their entry-by-entry oracles: the same bytes, arrays and documents, and on
+# every refusal the same exception and message.
+
+
+def _refusal(call, arg):
+    """None when ``call(arg)`` returns, else the exception's class and message."""
+    try:
+        call(arg)
+    except Exception as exc:  # the error is part of the contract
+        return type(exc), str(exc)
+    return None
+
+
+def _sealed(doc: dict) -> str:
+    doc["digest"] = document_digest(doc)
+    return canonical_json(doc)
+
+
+@cache
+def _oracle_dataset(name: str) -> RandMeasDataset:
+    if name == "clifford-ghz3":
+        return collect(ghz_state(3), sample_settings(3, 40, seed=7), 64, seed=1)
+    if name == "clifford-zero1":
+        return collect(zero_state(1), sample_settings(1, 4, seed=2), 8, seed=3)
+    if name == "haar-ghz2":
+        return collect(ghz_state(2), sample_settings(2, 6, seed=3, ensemble="haar"), 16, seed=4)
+    ds = collect(ghz_state(2), sample_settings(2, 5, seed=5), 32, seed=6, device_id='d"\u00e9v')
+    ds.provenance = {"note": "caf\u00e9\n", "x": 0.1, "nested": [1, 2.5, None, True, {"k": -0.0}]}
+    return ds
+
+
+ORACLE_DATASETS = ["clifford-ghz3", "clifford-zero1", "haar-ghz2", "float-provenance"]
+
+
+def _assert_same_dataset(ds, want):
+    assert [type(v) for v in vars(ds).values()] == [type(v) for v in vars(want).values()]
+    assert (ds.device_id, ds.state_label, ds.num_qubits) == (want.device_id, want.state_label, want.num_qubits)
+    assert (ds.shots_per_setting, ds.provenance) == (want.shots_per_setting, want.provenance)
+    assert len(ds.counts) == len(want.counts)
+    for a, b in zip(ds.counts, want.counts):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    for a, b in zip(ds.settings, want.settings, strict=True):
+        assert a.setting_id == b.setting_id and a.clifford_indices == b.clifford_indices
+        assert all(np.array_equal(x, y) for x, y in zip(a.matrices or (), b.matrices or (), strict=True))
+
+
+def four_setting_document() -> dict:
+    ds = RandMeasDataset(
+        device_id="devA",
+        state_label="zero",
+        num_qubits=1,
+        settings=[MeasurementSetting(u, clifford_indices=(u,)) for u in range(4)],
+        counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)] * 4,
+        shots_per_setting=2,
+    )
+    return dataset_to_document(ds)
+
+
+def _bitstring_in_3_sum_in_1(doc):
+    doc["counts"][3][0][0] = "2"
+    doc["counts"][1][0][1] = 5
+
+
+def _bitstrings_in_1_and_3(doc):
+    doc["counts"][1][1][0] = "01"
+    doc["counts"][3][0][0] = "x"
+
+
+def _two_entries_in_2(doc):
+    doc["counts"][2] = [["0", 1], ["1"], ["11", 1]]
+
+
+def _entry_in_1_block_in_2(doc):
+    doc["counts"][1][0][1] = 2.0
+    doc["counts"][2] = "01"
+
+
+def _negative_in_1_sum_in_2(doc):
+    doc["counts"][1] = [["0", 3], ["1", -1]]
+    doc["counts"][2][0][1] = 5
+
+
+def _duplicate_in_2_sum_in_1(doc):
+    doc["counts"][2] = [["1", 1], ["1", 1]]
+    doc["counts"][1][1][1] = 2
+
+
+def _negative_and_sum_in_1(doc):
+    doc["counts"][1] = [["1", -1], ["0", 5]]
+
+
+def _sum_in_1(doc):
+    doc["counts"][1][0][1] = 5
+
+
+# documents with two faults: the reader's step order decides first, then the
+# setting, then the entry; a False ``reseal`` leaves the digest stale too
+TWO_FAULT_CASES = [
+    pytest.param(_bitstring_in_3_sum_in_1, True, "setting 3: malformed bitstring '2'", id="step-2-before-step-3"),
+    pytest.param(_bitstrings_in_1_and_3, True, "setting 1: malformed bitstring '01'", id="first-of-two-step-2"),
+    pytest.param(_two_entries_in_2, True, "setting 2: counts entry ['1']", id="first-entry-of-a-block"),
+    pytest.param(_entry_in_1_block_in_2, True, "setting 1: bad count 2.0", id="entry-before-later-block"),
+    pytest.param(_negative_in_1_sum_in_2, True, "setting 1: negative count", id="first-of-two-step-3"),
+    pytest.param(
+        _duplicate_in_2_sum_in_1,
+        True,
+        "setting 1: counts sum 3 != shots_per_setting 2",
+        id="step-3-earlier-setting-first",
+    ),
+    pytest.param(_negative_and_sum_in_1, True, "setting 1: negative count", id="step-3-check-order"),
+    pytest.param(
+        _sum_in_1, False, "setting 1: counts sum 6 != shots_per_setting 2", id="step-3-before-digest"
+    ),
+]
+
+
+@cache
+def _refusal_texts() -> dict[str, str]:
+    """Every dataset text that a refusal test in this file or in the CLI's
+    tests feeds to the reader."""
+    tiny = dataset_to_document(tiny_dataset())
+    texts = {f"field-{f}-{v!r}": _sealed({**tiny, f: v}) for f, v in MISTYPED_FIELDS}
+    for i, (counts, settings) in enumerate(MISTYPED_COUNTS_OR_SETTINGS):
+        texts[f"counts-or-settings-{i}"] = _sealed({**tiny, "counts": counts, "settings": settings})
+    texts["corrupt-digest"] = canonical_json({**tiny, "digest": "0" * 16})
+    texts["version-99"] = canonical_json({**tiny, "format_version": 99})
+    for case in INVARIANT_CASES:
+        doc = two_setting_document()
+        case.values[0](doc)
+        texts[f"invariant-{case.id}"] = _sealed(doc)
+    for case in TWO_FAULT_CASES:
+        corrupt, reseal, _ = case.values
+        doc = four_setting_document()
+        corrupt(doc)
+        texts[f"two-faults-{case.id}"] = _sealed(doc) if reseal else canonical_json(doc)
+    collected = dataset_to_document(collect(zero_state(1), sample_settings(1, 4, seed=1), 8, seed=2))
+    for field, value in (("device_id", 7), ("provenance", [1, 2]), ("num_qubits", True)):
+        texts[f"cli-{field}"] = _sealed({**collected, field: value})
+    texts["no-settings"] = _sealed({**collected, "settings": [], "counts": []})
+    no_shots = {**collected, "counts": [[] for _ in collected["settings"]], "shots_per_setting": 0}
+    texts["no-shots"] = _sealed(no_shots)
+    text = canonical_json(collected)
+    texts["nan-shots"] = text.replace('"shots_per_setting":8', '"shots_per_setting":NaN')
+    texts["infinite-qubits"] = text.replace('"num_qubits":1', '"num_qubits":Infinity')
+    texts["top-level-list"] = "[]"
+    texts["not-json"] = text[:-1]
+    return texts
+
+
+# one value of each kind a counts entry, a setting or a field may hold
+_MUTANTS = [
+    None, True, 0, 1, 2, -1, 2**62, 2**63, -(2**63), 1.0, "", "0", "1", "01", "10", "2", "\u00e9",
+    [], ["0"], ["1", 1], ["01", 1], ["10", 2**63 - 1], [5, 1], {}, {"0": 1},
+]
+
+
+def _paths(node, prefix=()) -> list[tuple]:
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return [p for key, child in items for p in [prefix + (key,), *_paths(child, prefix + (key,))]]
+
+
+@st.composite
+def _mutated_document(draw) -> str:
+    base = dataset_to_document(collect(ghz_state(2), sample_settings(2, 3, seed=8), 4, seed=9))
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from([p for p in _paths(doc) if p[0] != "digest"]))
+        node = doc
+        for part in parents:
+            node = node[part]
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(draw(st.sampled_from(_MUTANTS)))
+    return _sealed(doc) if draw(st.booleans()) else canonical_json(doc)
+
+
+class TestWriterAgainstOracle:
+    @pytest.mark.parametrize("name", ORACLE_DATASETS)
+    def test_same_bytes_and_digest(self, name):
+        ds = _oracle_dataset(name)
+        text, digest = render_dataset(ds)
+        assert text == serialize_dataset(ds) == oracle_serialize_dataset(ds)
+        assert digest == dataset_to_document(ds)["digest"]
+
+    def test_numpy_scalars_give_the_recursive_writers_bytes_or_error(self):
+        def dataset(provenance):
+            return RandMeasDataset(
+                device_id="devA",
+                state_label="s",
+                num_qubits=2,
+                settings=[MeasurementSetting(0, clifford_indices=(np.int64(5), np.int64(23)))],
+                counts=[np.array([[0, 1], [3, 1]], dtype=np.int64)],
+                shots_per_setting=2,
+                provenance=provenance,
+            )
+
+        written = dataset({"seed": np.int64(7), "x": np.float64(0.1)})
+        assert serialize_dataset(written) == oracle_serialize_dataset(written)
+        assert '"settings":[[5,23]]' in serialize_dataset(written)
+        assert '"provenance":{"seed":7,"x":0.10000000000000001}' in serialize_dataset(written)
+        refused = dataset({"seed": np.int64(7), "x": np.float64(0.1), "y": float("nan")})
+        got = _refusal(serialize_dataset, refused)
+        assert got == _refusal(oracle_serialize_dataset, refused)
+        assert got == (MalformedDatasetError, "non-finite float nan not representable")
+
+
+class TestReaderAgainstOracle:
+    @pytest.mark.parametrize("name", ORACLE_DATASETS)
+    @pytest.mark.parametrize("order", ["written", "reversed"])
+    def test_same_arrays_and_document(self, name, order):
+        doc = dataset_to_document(_oracle_dataset(name))
+        if order == "reversed":  # outcomes in no order: the reader sorts them
+            doc["counts"] = [block[::-1] for block in doc["counts"]]
+        text = _sealed(doc)
+        ds, got = load_dataset_text(text)
+        want_ds, want = oracle_load_dataset_text(text)
+        assert got == want
+        _assert_same_dataset(ds, want_ds)
+        _assert_same_dataset(ds, _oracle_dataset(name))
+
+    @pytest.mark.parametrize("name", sorted(_refusal_texts()))
+    def test_same_refusal(self, name):
+        text = _refusal_texts()[name]
+        got = _refusal(load_dataset_text, text)
+        assert got is not None
+        assert got == _refusal(oracle_load_dataset_text, text)
+
+    @pytest.mark.parametrize("corrupt,reseal,message", TWO_FAULT_CASES)
+    def test_two_faults_report_the_first(self, corrupt, reseal, message):
+        doc = four_setting_document()
+        corrupt(doc)
+        text = _sealed(doc) if reseal else canonical_json(doc)
+        assert _refusal(load_dataset_text, text) == (MalformedDatasetError, message)
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(text=_mutated_document())
+    def test_mutated_document_reads_or_refuses_as_the_oracle(self, text):
+        got, want = _refusal(load_dataset_text, text), _refusal(oracle_load_dataset_text, text)
+        assert got == want
+        if got is None:
+            (ds, doc), (want_ds, want_doc) = load_dataset_text(text), oracle_load_dataset_text(text)
+            assert doc == want_doc
+            _assert_same_dataset(ds, want_ds)
+
+
+_BLOCK_FAULTS = {
+    "negative": lambda rows: rows[-1].__setitem__(1, -1),
+    "sum": lambda rows: rows[0].__setitem__(1, rows[0][1] + 1),
+    "huge": lambda rows: rows[0].__setitem__(1, 2**63 - 1),
+    "below": lambda rows: rows[0].__setitem__(0, -1),
+    "above": lambda rows: rows[-1].__setitem__(0, 2**63 - 1),
+    "duplicate": lambda rows: rows.append(list(rows[-1])),
+    "reversed": lambda rows: rows.reverse(),
+}
+
+
+@st.composite
+def _counts_dataset(draw) -> RandMeasDataset:
+    """Small datasets, each counts block valid or broken in one of many ways."""
+    n, k, shots = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, 6]))
+    counts = []
+    for _ in range(k):
+        outcomes = sorted(draw(st.sets(st.integers(0, 2**n - 1), min_size=1, max_size=3)))
+        rows = [[o, shots // len(outcomes)] for o in outcomes]
+        rows[0][1] += shots % len(outcomes)
+        fault = draw(st.sampled_from([None] * 6 + [*_BLOCK_FAULTS, "int32", "narrow"]))
+        if fault in _BLOCK_FAULTS:
+            _BLOCK_FAULTS[fault](rows)
+        block = np.array(rows, dtype=np.int32 if fault == "int32" else np.int64)
+        counts.append(block[:, :1] if fault == "narrow" else block)
+    settings_ = [MeasurementSetting(u, clifford_indices=(0,) * n) for u in range(k)]
+    return RandMeasDataset("d", "s", n, settings_, counts, shots)
+
+
+class TestValidateAgainstOracle:
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(ds=_counts_dataset())
+    def test_same_refusal(self, ds):
+        assert _refusal(RandMeasDataset.validate, ds) == _refusal(oracle_validate, ds)
+
+    def test_int64_wrap_reports_the_exact_sum(self):
+        ds = RandMeasDataset(
+            "d", "s", 2, [MeasurementSetting(0, clifford_indices=(0, 0))],
+            [np.array([[u, 2**62] for u in range(4)], dtype=np.int64)], 2**64,
+        )
+        ds.validate()
+        ds.shots_per_setting = 1
+        message = "setting 0: counts sum 18446744073709551616 != shots_per_setting 1"
+        assert _refusal(RandMeasDataset.validate, ds) == (ValueError, message)
+
+    def test_malformed_block_after_an_earlier_fault(self):
+        ds = RandMeasDataset(
+            "d", "s", 1, [MeasurementSetting(u, clifford_indices=(0,)) for u in range(3)],
+            [np.array([[0, 2]]), np.array([[0, 5]]), np.array([[0, 2]], dtype=np.int32)], 2,
+        )
+        assert _refusal(RandMeasDataset.validate, ds) == (ValueError, "setting 1: counts sum 5 != shots_per_setting 2")
+        ds.counts[1] = np.array([[0, 2]])
+        assert _refusal(RandMeasDataset.validate, ds) == (ValueError, "setting 2: counts must be an int64 (K, 2) array")
 
 
 @pytest.fixture()
@@ -504,6 +815,16 @@ class TestRepository:
     def test_unknown_id(self, repo):
         with pytest.raises(KeyError):
             repo.load("0" * 16)
+
+    @pytest.mark.parametrize("ensemble", ["clifford", "haar"])
+    def test_ingest_stores_the_canonical_text(self, repo, tmp_path, ensemble):
+        ds = collect(ghz_state(2), sample_settings(2, 5, seed=40, ensemble=ensemble), 16, seed=41)
+        doc = json.loads(serialize_dataset(ds))
+        path = tmp_path / "pretty.json"
+        path.write_text(json.dumps(dict(reversed(doc.items())), indent=2), encoding="utf-8")
+        ds_id = repo.ingest(path)
+        assert ds_id == doc["digest"]
+        assert (repo.datasets_dir / f"{ds_id}.json").read_text(encoding="utf-8") == serialize_dataset(ds)
 
     def test_no_temp_leftovers(self, repo, tmp_path):
         repo.ingest(write_dataset(tmp_path, tiny_dataset()))
