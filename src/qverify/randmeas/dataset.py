@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -47,15 +46,13 @@ class RandMeasDataset:
             for c in self.counts
         ]
         good = shaped.index(False) if False in shaped else len(shaped)
-        bounds = [0, *accumulate(len(c) for c in self.counts[:good])]
-        rows = np.concatenate([np.empty((0, 2), np.int64), *self.counts[:good]])
-        outcomes, n, block_of = rows[:, 0], rows[:, 1], np.repeat(np.arange(good), np.diff(bounds))
+        blocks = self.counts[:good]
+        rows = np.concatenate([np.empty((0, 2), np.int64), *blocks])
+        outcomes, n = rows[:, 0], rows[:, 1]
+        block_of = np.repeat(np.arange(good), [len(c) for c in blocks])
         descent = block_of[1:][(np.diff(outcomes) <= 0) & (block_of[1:] == block_of[:-1])]
         outside = block_of[(outcomes < 0) | (outcomes >> self.num_qubits != 0)]
-        running = np.concatenate(([0], np.cumsum(n)))
-        if n.size and max(int(n.max()), -int(n.min())) * n.size >= 2**63:  # an int64 sum could wrap
-            running = np.array(list(accumulate(n.tolist(), initial=0)), dtype=object)
-        totals = (running[bounds[1:]] - running[bounds[:-1]]).tolist()
+        totals = [sum(c[:, 1].tolist()) for c in blocks]  # exact: an int64 sum could wrap
         shots = self.shots_per_setting
         # (setting, rank of the check, message): the first setting's first failing check
         faults = [(good, 0, "counts must be an int64 (K, 2) array")] * (good < len(shaped))

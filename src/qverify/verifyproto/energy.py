@@ -22,12 +22,12 @@ from ..randmeas import jackknife
 from ..repostore.format import (
     FORMAT_VERSION,
     MalformedDatasetError,
-    canonical_json,
     check_digest,
     document_digest,
     is_int,
     is_number,
     parse_envelope,
+    seal_document,
 )
 from ..rng import make_rng
 from .functions import keygen
@@ -222,8 +222,7 @@ def serialize_instance(instance: HamiltonianInstance) -> str:
         "threshold_yes": float(instance.threshold_yes),
         "threshold_no": float(instance.threshold_no),
     }
-    doc["digest"] = document_digest(doc)
-    return canonical_json(doc) + "\n"
+    return seal_document(doc)[0]
 
 
 _INSTANCE_KEYS = (

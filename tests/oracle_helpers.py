@@ -36,7 +36,7 @@ from qverify.repostore import (
     MalformedDatasetError,
     canonical_json,
     dataset_ensemble,
-    document_digest,
+    fnv1a64,
 )
 from qverify.repostore.format import (
     _FIELD_TYPES,
@@ -635,8 +635,14 @@ def dataset_to_document(ds) -> dict:
         "shots_per_setting": ds.shots_per_setting,
         "provenance": dict(ds.provenance),
     }
-    doc["digest"] = document_digest(doc)
+    doc["digest"] = oracle_document_digest(doc)
     return doc
+
+
+def oracle_document_digest(doc: dict) -> str:
+    """``document_digest`` as one render of the whole document body."""
+    body = {k: v for k, v in doc.items() if k != "digest"}
+    return format(fnv1a64(canonical_json(body).encode("utf-8")), "016x")
 
 
 def oracle_serialize_dataset(ds) -> str:
@@ -705,7 +711,7 @@ def oracle_load_dataset_text(text: str):
         oracle_validate(ds)
     except ValueError as exc:
         raise MalformedDatasetError(str(exc)) from None
-    check_digest(doc, document_digest(doc))
+    check_digest(doc, oracle_document_digest(doc))
     return ds, doc
 
 

@@ -490,6 +490,11 @@ def _refusal_texts() -> dict[str, str]:
         doc = four_setting_document()
         corrupt(doc)
         texts[f"two-faults-{case.id}"] = _sealed(doc) if reseal else canonical_json(doc)
+    # a repeated outcome is the one tie a count could break; the reader sorts
+    # each setting by outcome alone, and either order is refused with one message
+    repeated = two_setting_document()
+    repeated["counts"][1] = [["1", 2], ["1", 0]]
+    texts["repeated-outcome-counts-descending"] = _sealed(repeated)
     collected = dataset_to_document(collect(zero_state(1), sample_settings(1, 4, seed=1), 8, seed=2))
     for field, value in (("device_id", 7), ("provenance", [1, 2]), ("num_qubits", True)):
         texts[f"cli-{field}"] = _sealed({**collected, field: value})

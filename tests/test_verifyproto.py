@@ -27,11 +27,13 @@ from oracle_helpers import (
     image_probabilities,
     kron_chain,
     load_perfbench,
+    oracle_document_digest,
     outcome_probabilities,
 )
 from qverify.qsim import PauliTerm, QuantumState, QubitBasis
 from qverify.qsim.qubit import reduced_density
 from qverify.qsim.state import plus_state, random_pure_state, theta_state, zero_state
+from qverify.repostore import canonical_json, document_digest
 from qverify.rng import make_rng
 from qverify.verifyproto import (
     MEASUREMENT_ROUND,
@@ -683,6 +685,15 @@ class TestHamiltonianInstance:
         assert text == serialize_instance(inst)  # deterministic bytes
         back = load_instance_text(text)
         assert back == inst
+
+    def test_serialization_is_the_whole_document_render(self):
+        # one render per field gives the bytes and digest of rendering the
+        # whole document, floats and all
+        inst = HamiltonianInstance(2, (PauliTerm(0.1, "XZ"), PauliTerm(-1.25, "ZI")), -1.5, 1e-300)
+        text = serialize_instance(inst)
+        doc = json.loads(text)
+        assert text == canonical_json(doc) + "\n"
+        assert doc["digest"] == document_digest(doc) == oracle_document_digest(doc)
 
     def test_serialization_tamper_detected(self):
         inst, _, _ = _tfi_instance()
