@@ -93,7 +93,7 @@ from .repostore import (
     load_dataset_text,
     render_dataset,
 )
-from .rng import GENERATOR_ID, child_seed, make_rng
+from .rng import GENERATOR_ID, child_seed, make_rng, make_rngs
 from .verifyproto import (
     BasisGuessProver,
     HonestProver,
@@ -583,8 +583,7 @@ def _cmd_verify_delegate(args) -> Report:
     records: list[dict] = []
     decoded_counts = {0: 0, 1: 0}
     n_test = n_pass = 0
-    for r in range(args.rounds):
-        rng = make_rng(args.seed, "cli", "delegate", r)
+    for r, rng in enumerate(make_rngs(args.seed, "cli", "delegate", indices=range(args.rounds))):
         key = keygen(args.basis, rng=rng)
         kind = TEST_ROUND if rng.random() < args.test_fraction else MEASUREMENT_ROUND
         transcript, _ = play_round(prover, key, kind, args.qubit, (), rng)

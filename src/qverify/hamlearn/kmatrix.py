@@ -29,7 +29,7 @@ from ..qsim.fermion import (
     mode_index,
 )
 from ..qsim.state import QuantumState
-from ..rng import make_rng
+from ..rng import make_rngs
 from .opbasis import OperatorBasis
 
 if TYPE_CHECKING:  # avoid a circular import; constraints.py uses KRowEngine
@@ -232,10 +232,8 @@ class KSampler:
             raise ValueError("shots_per_entry must be positive")
         vals = np.zeros((self.n_rows, self.n_cols))
         for n in range(self.n_rows):
-            for m in range(self.n_cols):
-                # shots in the derivation path: different budgets draw
-                # independently even under the same seed
-                rng = make_rng(seed, "kentry", shots_per_entry, n, m)
+            # shots in the path: different budgets draw independently under one seed
+            for m, rng in enumerate(make_rngs(seed, "kentry", shots_per_entry, n, indices=range(self.n_cols))):
                 if self._spectral is not None:
                     w, probs = self._spectral[n][m]
                     counts = rng.multinomial(shots_per_entry, probs)

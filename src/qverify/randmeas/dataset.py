@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..qsim import QuantumState, sample_counts
-from ..rng import GENERATOR_ID, make_rng
+from ..rng import GENERATOR_ID, make_rngs
 from .settings import MeasurementSetting
 
 NO_SHOTS = "need at least one shot per setting"
@@ -82,9 +82,8 @@ def collect(
     if shots_per_setting < 1:
         raise ValueError(NO_SHOTS)
     counts = []
-    for u, setting in enumerate(settings):
-        rotated = state.rotated(setting.unitaries())
-        counts.append(sample_counts(rotated, shots_per_setting, make_rng(seed, "measure", u)))
+    for setting, rng in zip(settings, make_rngs(seed, "measure", indices=range(len(settings)))):
+        counts.append(sample_counts(state.rotated(setting.unitaries()), shots_per_setting, rng))
     ds = RandMeasDataset(
         device_id=device_id,
         state_label=state_label,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import make_rng
+from ..rng import make_rngs
 from .cliffords import CLIFFORD_TABLE, NUM_CLIFFORDS, phase_normalize
 
 UNITARITY_ATOL = 1e-10
@@ -30,6 +30,8 @@ class MeasurementSetting:
             raise ValueError("exactly one of clifford_indices / matrices required")
         if self.clifford_indices is not None:
             for i in self.clifford_indices:
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise ValueError(f"Clifford index {i!r} is not an integer")
                 if not 0 <= i < NUM_CLIFFORDS:
                     raise ValueError(f"Clifford index {i} out of range")
         else:
@@ -109,8 +111,7 @@ def sample_settings(
     if ensemble not in ("clifford", "haar"):
         raise ValueError(f"unknown ensemble {ensemble!r}")
     out: list[MeasurementSetting] = []
-    for u in range(n_settings):
-        rng = make_rng(seed, "setting", u)
+    for u, rng in enumerate(make_rngs(seed, "setting", indices=range(n_settings))):
         if ensemble == "clifford":
             idx = tuple(int(i) for i in rng.integers(0, NUM_CLIFFORDS, size=num_qubits))
             out.append(MeasurementSetting(u, clifford_indices=idx))

@@ -29,7 +29,7 @@ from ..repostore.format import (
     parse_envelope,
     seal_document,
 )
-from ..rng import make_rng
+from ..rng import make_rngs
 from .functions import keygen
 from .protocol import MEASUREMENT_ROUND, TEST_ROUND, ProtocolTranscript, born_cdf, play_round
 
@@ -148,9 +148,8 @@ def verify_energy(
     values: list[float] = []
     n_test = 0
     failure: ProtocolTranscript | None = None
-    for r in range(n_rounds):
-        vrng = make_rng(seed, "verifier", r)
-        prng = make_rng(seed, "prover", r)
+    streams = (make_rngs(seed, family, indices=range(n_rounds)) for family in ("verifier", "prover"))
+    for r, vrng, prng in zip(range(n_rounds), *streams):
         term = int(term_cdf.searchsorted(vrng.random(), side="right"))
         factors, dq, dbasis, others, sign = plans[term]
         key = keygen(dbasis, rng=vrng)

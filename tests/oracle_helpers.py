@@ -715,6 +715,30 @@ def oracle_load_dataset_text(text: str):
     return ds, doc
 
 
+# ---------------------------------------------------------------- seeded streams
+
+
+def oracle_make_rng(seed: int, *path: object) -> np.random.Generator:
+    """numpy's own ``PCG64(SeedSequence(seed, spawn_key))`` for the stream
+    (seed, *path): the package's derivation before it hashed seeds itself.
+    Path parts are ints masked to 32 bits or strings hashed by 32-bit FNV-1a."""
+    key = []
+    for p in path:
+        if isinstance(p, str):
+            acc = 2166136261
+            for ch in p.encode("utf-8"):
+                acc = ((acc ^ ch) * 16777619) & 0xFFFFFFFF
+            key.append(acc)
+        else:
+            key.append(int(p) & 0xFFFFFFFF)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=tuple(key))))
+
+
+def oracle_make_rngs(seed: int, *path: object, indices):
+    """``make_rngs`` as one oracle stream per index."""
+    return (oracle_make_rng(seed, *path, i) for i in indices)
+
+
 # ---------------------------------------------------------------- benchmark
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -143,6 +143,18 @@ class TestSampleSettings:
         s = MeasurementSetting(0, matrices=(phased,))
         assert np.allclose(s.matrices[0], np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("index", [5.0, True, np.float64(3.0)])
+    def test_clifford_index_that_is_not_an_integer_is_refused(self, index):
+        with pytest.raises(ValueError, match="is not an integer"):
+            MeasurementSetting(0, clifford_indices=(2, index))
+
+    def test_numpy_integer_clifford_indices_round_trip(self):
+        settings = [MeasurementSetting(0, clifford_indices=(np.int64(5), np.int64(23)))]
+        ds = RandMeasDataset("d", "s", 2, settings, [np.array([[0, 1], [3, 1]], dtype=np.int64)], 2)
+        back, _ = load_dataset_text(serialize_dataset(ds))
+        assert back.settings[0].clifford_indices == (5, 23)
+        assert serialize_dataset(back) == serialize_dataset(ds)
+
     def test_restricted_picks_qubits(self):
         s = MeasurementSetting(0, clifford_indices=(3, 7, 11))
         assert s.restricted((2, 0)).clifford_indices == (11, 3)
