@@ -90,7 +90,7 @@ from .repostore import (
     canonical_json,
     fidelity_to_dict,
     json_safe,
-    load_dataset_text,
+    read_dataset_text,
     render_dataset,
 )
 from .rng import GENERATOR_ID, child_seed, make_rng, make_rngs
@@ -379,8 +379,8 @@ def _fidelity_row(est: dict) -> list:
 
 def _cmd_randmeas_compare(args) -> Report:
     sub = _parse_subsystem(args.subsystem)
-    ds1, doc1 = load_dataset_text(Path(args.file_1).read_text(encoding="utf-8"))
-    ds2, doc2 = load_dataset_text(Path(args.file_2).read_text(encoding="utf-8"))
+    ds1, doc1, _ = read_dataset_text(Path(args.file_1).read_text(encoding="utf-8"))
+    ds2, doc2, _ = read_dataset_text(Path(args.file_2).read_text(encoding="utf-8"))
     est = fidelity_to_dict(estimate_fmax(ds1, ds2, sub))
     body = {"digest_1": doc1["digest"], "digest_2": doc2["digest"], "estimate": est}
     a, b = est["devices"]

@@ -11,7 +11,7 @@ from .format import (
     document_digest,
     fnv1a64,
     json_safe,
-    load_dataset_text,
+    read_dataset_text,
     render_dataset,
     serialize_dataset,
 )
@@ -30,7 +30,7 @@ __all__ = [
     "fidelity_to_dict",
     "fnv1a64",
     "json_safe",
-    "load_dataset_text",
+    "read_dataset_text",
     "render_dataset",
     "serialize_dataset",
 ]

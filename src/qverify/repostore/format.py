@@ -364,8 +364,3 @@ def read_dataset_text(text: str) -> tuple[RandMeasDataset, dict, str]:
     canonical, digest = seal_document(doc, texts)
     check_digest(doc, digest)
     return ds, doc, canonical
-
-
-def load_dataset_text(text: str) -> tuple[RandMeasDataset, dict]:
-    """``read_dataset_text`` without the canonical text."""
-    return read_dataset_text(text)[:2]

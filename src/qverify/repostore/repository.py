@@ -29,7 +29,6 @@ from .format import (
     canonical_json,
     dataset_ensemble,
     json_safe,
-    load_dataset_text,
     read_dataset_text,
 )
 
@@ -129,7 +128,7 @@ class Repository:
 
     def load(self, ds_id: str) -> RandMeasDataset:
         """Re-read the stored file, whose digest must equal its id."""
-        ds, doc = load_dataset_text(self._dataset_path(ds_id).read_text(encoding="utf-8"))
+        ds, doc, _ = read_dataset_text(self._dataset_path(ds_id).read_text(encoding="utf-8"))
         if doc["digest"] != ds_id:
             raise MalformedDatasetError(
                 f"stored file digest {doc['digest']!r} does not match id {ds_id!r}"
@@ -198,17 +197,3 @@ class Repository:
                     {"op": "compare_matrix", "ids": list(ids), "subsystem": json_safe(subsystem)}
                 )
         return report
-
-    def rebuild_index(self) -> dict:
-        """Replay the append-only log into a fresh index (for auditing)."""
-        rebuilt: dict = {"datasets": {}}
-        if not self.log_path.exists():
-            return rebuilt
-        for line in self.log_path.read_text(encoding="utf-8").splitlines():
-            record = json.loads(line)
-            if record.get("op") == "ingest" and not record.get("duplicate"):
-                ds, _ = load_dataset_text(
-                    (self.datasets_dir / f"{record['id']}.json").read_text(encoding="utf-8")
-                )
-                rebuilt["datasets"][record["id"]] = self._summary(ds)
-        return rebuilt

@@ -5,9 +5,10 @@ entangled with a preimage qubit and a two-qubit image register according
 to a public function table, the image register is measured and announced,
 and the round then either opens the committed registers in Z (consistency
 test against the table) or measures them in X so the privately held
-inverse data can be turned into the delegated outcome.  A ``BornMemo``
-keeps the Born distributions of these steps, so a prover of a fixed state
-commits it only when the memo misses.
+inverse data can be turned into the delegated outcome.  Each prover keeps
+the Born distributions of these steps in one ``BornMemo``, keyed by the
+register pattern a round is played on, so a round commits its register
+only when the memo misses.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def commit(state: QuantumState, qubit: int, table) -> QuantumState:
     return QuantumState(out.reshape(-1), QubitBasis(n + 3))
 
 
-# Byte budget of what one MemoLedger's memos keep; an entry that would pass
-# it is computed for its round and not kept.
+# Byte budget of the CDFs one BornMemo keeps; an entry that would pass it
+# is computed for its round and not kept.
 MEMO_BYTES = 32 << 20
 
 
@@ -107,52 +108,33 @@ def born_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-class MemoLedger:
-    """What the ``BornMemo``s of one prover keep together: the bytes they
-    hold, within one ``MEMO_BYTES`` budget, and the one committed state a
-    miss left alive."""
-
-    def __init__(self):
-        self.nbytes = 0
-        self.committed: tuple | None = None
-
-    def reserve(self, size: int) -> bool:
-        """Book ``size`` more bytes if the budget has room for them."""
-        if self.nbytes + size > MEMO_BYTES:
-            return False
-        self.nbytes += size
-        return True
-
-
 class BornMemo:
-    """Born CDFs of the rounds played on one system state.
+    """Born CDFs of the rounds one prover plays.
 
-    An image CDF is keyed by (committed table, qubit).  An outcome CDF is
-    keyed by (qubit, preimage class of the image, ops), the class being the
+    ``register(pattern)`` returns the system state a round with ``pattern``
+    is played on, and the pattern leads every key.  An image CDF is keyed
+    by (pattern, committed table, qubit).  An outcome CDF is keyed by
+    (pattern, qubit, preimage class of the image, ops), the class being the
     inputs k with table[k] == y: the collapsed residual keeps |z, x> exactly
     when 2*b_z + x lies in it, so every table with that class gives the same
     residual bit for bit.  A CDF is stored at its nonzero-probability
     positions only, where a right-sided search always lands, so draws equal
-    ``Generator.choice`` on the full vector.  A miss commits ``state`` with
-    ``commit``; consecutive misses of one (state, table, qubit) share it.
-    Memos built on one ``ledger`` share its byte budget and that one
-    committed state; by default a memo has a ledger of its own.
+    ``Generator.choice`` on the full vector.  Entries are kept while their
+    bytes fit in ``MEMO_BYTES``.  A miss commits the register with
+    ``commit``; consecutive misses of one (pattern, table, qubit) share it.
     """
 
-    def __init__(self, state: QuantumState, ledger: MemoLedger | None = None):
-        self.state = state
-        self.ledger = MemoLedger() if ledger is None else ledger
+    def __init__(self, register):
+        self.register = register
         self.nbytes = 0
         self._cdfs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._committed: tuple | None = None
 
-    def _committed(self, table, qubit) -> QuantumState:
-        # keyed by the state object, not the memo, so that no memo sits in
-        # a reference cycle with its ledger and outlives its prover
-        last = self.ledger.committed
-        if last is None or last[0] is not self.state or last[1] != (table, qubit):
-            last = (self.state, (table, qubit), commit(self.state, qubit, table))
-            self.ledger.committed = last
-        return last[2]
+    def _commit(self, pattern, table, qubit) -> QuantumState:
+        key = (pattern, table, qubit)
+        if self._committed is None or self._committed[0] != key:
+            self._committed = (key, commit(self.register(pattern), qubit, table))
+        return self._committed[1]
 
     def _draw(self, key, probabilities, rng) -> int:
         entry = self._cdfs.get(key)
@@ -161,28 +143,29 @@ class BornMemo:
             pos = p.nonzero()[0]
             entry = (pos, born_cdf(p)[pos])
             size = pos.nbytes + entry[1].nbytes
-            if self.ledger.reserve(size):
+            if self.nbytes + size <= MEMO_BYTES:
                 self._cdfs[key] = entry
                 self.nbytes += size
         pos, cdf = entry
         return int(pos[cdf.searchsorted(rng.random(), side="right")])
 
-    def image(self, table, qubit, rng) -> int:
+    def image(self, pattern, table, qubit, rng) -> int:
         """Draw the announced image of a round committed with ``table``."""
         return self._draw(
-            (table, qubit), lambda: _image_probabilities(self._committed(table, qubit)), rng
-        )
-
-    def sample(self, table, qubit, y, ops, rng) -> tuple[int, ...]:
-        """Jointly sample ``ops`` (qubit, 'x'|'z') on the residual of image
-        ``y`` in one Born draw and read the listed bits off."""
-        preimages = tuple(k for k in range(4) if table[k] == y)
-        i = self._draw(
-            (qubit, preimages, ops),
-            lambda: _outcome_probabilities(_collapse(self._committed(table, qubit), y), ops),
+            (pattern, table, qubit),
+            lambda: _image_probabilities(self._commit(pattern, table, qubit)),
             rng,
         )
-        return tuple((i >> (self.state.num_qubits - q)) & 1 for q, _ in ops)
+
+    def sample(self, pattern, table, qubit, y, ops, rng) -> int:
+        """Jointly sample ``ops`` (qubit, 'x'|'z') on the residual of image
+        ``y`` in one Born draw; returns the joint outcome index."""
+        preimages = tuple(k for k in range(4) if table[k] == y)
+        return self._draw(
+            (pattern, qubit, preimages, ops),
+            lambda: _outcome_probabilities(_collapse(self._commit(pattern, table, qubit), y), ops),
+            rng,
+        )
 
 
 class HonestSession:
@@ -191,19 +174,21 @@ class HonestSession:
     The image register is measured on construction; the round kind is only
     disclosed through which reveal method gets called, mirroring the
     message order of the interaction: the prover commits and announces the
-    image before learning whether it is being tested.  The round draws from
-    ``memo``, so it commits the state only on a memo miss.  ``other_ops``
-    lists (qubit, basis) pairs measured directly in measurement rounds.
+    image before learning whether it is being tested.  The round is played
+    on the ``n``-qubit register of ``pattern`` and draws from ``memo``, so
+    it commits the register only on a memo miss.  ``other_ops`` lists
+    (qubit, basis) pairs measured directly in measurement rounds.
     """
 
-    def __init__(self, memo: BornMemo, table, qubit, other_ops, rng):
-        self._memo, self._table, self._qubit, self._rng = memo, tuple(table), qubit, rng
-        self._preimage = memo.state.num_qubits
+    def __init__(self, memo: BornMemo, pattern, n, table, qubit, other_ops, rng):
+        self._memo, self._pattern, self._table = memo, pattern, tuple(table)
+        self._qubit, self._preimage, self._rng = qubit, n, rng
         self._other_ops = tuple(tuple(op) for op in other_ops)
-        self.image = memo.image(self._table, qubit, rng)
+        self.image = memo.image(pattern, self._table, qubit, rng)
 
     def _sample(self, ops) -> tuple[int, ...]:
-        return self._memo.sample(self._table, self._qubit, self.image, tuple(ops), self._rng)
+        i = self._memo.sample(self._pattern, self._table, self._qubit, self.image, ops, self._rng)
+        return tuple((i >> (self._preimage - q)) & 1 for q, _ in ops)
 
     def reveal_test(self) -> tuple[int, int]:
         """Open the committed registers in Z."""

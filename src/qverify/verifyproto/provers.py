@@ -3,8 +3,10 @@
 A prover exposes ``open_round(table, qubit, other_ops, rng)`` and returns
 a session carrying the announced image ``image`` plus the two reveal
 methods of ``protocol.HonestSession``.  ``protocol.play_round`` plays
-every round.  Provers draw from ``protocol.BornMemo``s, so a round commits
-a state only on a memo miss.
+every round.  Each prover draws from one ``protocol.BornMemo``, whose
+register function closes over the prover's state but never over the
+prover itself, so a round commits a register only on a memo miss and the
+memo goes with its prover.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..qsim import QuantumState, QubitBasis
-from .protocol import BornMemo, HonestSession, MemoLedger
+from .protocol import BornMemo, HonestSession
 
 
 class HonestProver:
@@ -23,14 +25,22 @@ class HonestProver:
     def __init__(self, state: QuantumState):
         state.validate()
         self.state = state
-        self._memo = BornMemo(state)
+        self._memo = BornMemo(lambda _: state)
 
     def _committed_table(self, table):
         return table
 
     def open_round(self, table, qubit, other_ops, rng) -> HonestSession:
         table = self._committed_table(table)
-        return self.session_class(self._memo, table, qubit, other_ops, rng)
+        n = self.state.num_qubits
+        return self.session_class(self._memo, (), n, table, qubit, other_ops, rng)
+
+
+def _basis_state(bits: tuple[int, ...]) -> QuantumState:
+    """|bits>, the first bit on qubit 0."""
+    vec = np.zeros(1 << len(bits), dtype=complex)
+    vec[int("".join(map(str, bits)), 2)] = 1.0
+    return QuantumState(vec, QubitBasis(len(bits)))
 
 
 class MixedStateProver:
@@ -40,40 +50,24 @@ class MixedStateProver:
     every marginal the verifier ever sees matches a prover holding I/2^n.
     A basis state is a product, so a round's draws depend only on the bits
     of the qubits it reads, R = {qubit} and the qubits of ``other_ops``.
-    The round is played on |s_R>, those bits in qubit order, from a memo
-    per bit pattern.  The kept memos and their states share one ledger.
+    The round is played on |s_R>, those bits in qubit order; s_R is the
+    round's pattern in the memo, and a miss rebuilds |s_R>.
     """
 
     def __init__(self, num_qubits: int):
         if num_qubits > 63:
             raise ValueError("the mixed prover draws its basis state as one int64: at most 63 qubits")
         self.num_qubits = num_qubits
-        self.ledger = MemoLedger()
-        self._memos: dict[tuple[int, ...], BornMemo] = {}
-
-    def _memo(self, bits: tuple[int, ...]) -> BornMemo:
-        memo = self._memos.get(bits)
-        if memo is None:
-            vec = np.zeros(1 << len(bits), dtype=complex)
-            vec[int("".join(map(str, bits)), 2)] = 1.0
-            state = QuantumState(vec, QubitBasis(len(bits)))
-            if self.ledger.reserve(vec.nbytes):
-                memo = self._memos[bits] = BornMemo(state, self.ledger)
-            else:
-                # a state the budget cannot hold gets a memo of its own for
-                # this round; the one it commits is then the only one alive
-                memo = BornMemo(state)
-                self.ledger.committed = None
-        return memo
+        self._memo = BornMemo(_basis_state)
 
     def open_round(self, table, qubit, other_ops, rng) -> HonestSession:
         n = self.num_qubits
         s = int(rng.integers(1 << n))
         read = sorted({qubit, *(q for q, _ in other_ops)})
         at = {q: i for i, q in enumerate(read)}
-        memo = self._memo(tuple((s >> (n - 1 - q)) & 1 for q in read))
+        bits = tuple((s >> (n - 1 - q)) & 1 for q in read)
         ops = tuple((at[q], basis) for q, basis in other_ops)
-        return HonestSession(memo, table, at[qubit], ops, rng)
+        return HonestSession(self._memo, bits, len(read), table, at[qubit], ops, rng)
 
 
 class _BasisGuessSession(HonestSession):

@@ -681,7 +681,8 @@ def _oracle_check_fields(doc: dict) -> None:
 
 
 def oracle_load_dataset_text(text: str):
-    """``load_dataset_text`` entry by entry: the same four steps in order."""
+    """``read_dataset_text`` entry by entry, without the canonical text: the
+    same four steps in order."""
     doc = parse_envelope(text, _REQUIRED_KEYS)
     _oracle_check_fields(doc)
     settings = []

@@ -51,7 +51,7 @@ from qverify.randmeas.estimators import (
     _pairwise_sums,
     _purity_terms,
 )
-from qverify.repostore import load_dataset_text, serialize_dataset
+from qverify.repostore import read_dataset_text, serialize_dataset
 from qverify.rng import make_rng
 
 
@@ -151,7 +151,7 @@ class TestSampleSettings:
     def test_numpy_integer_clifford_indices_round_trip(self):
         settings = [MeasurementSetting(0, clifford_indices=(np.int64(5), np.int64(23)))]
         ds = RandMeasDataset("d", "s", 2, settings, [np.array([[0, 1], [3, 1]], dtype=np.int64)], 2)
-        back, _ = load_dataset_text(serialize_dataset(ds))
+        back, _, _ = read_dataset_text(serialize_dataset(ds))
         assert back.settings[0].clifford_indices == (5, 23)
         assert serialize_dataset(back) == serialize_dataset(ds)
 
@@ -348,7 +348,7 @@ class TestEstimateOverlap:
         # both estimators give the purity U-statistic, not the cross product
         # biased by same-shot pairs
         ds = collect(ghz_state(4), sample_settings(4, 200, seed=50), 64, seed=51, device_id="a")
-        copy, _ = load_dataset_text(serialize_dataset(ds))
+        copy, _, _ = read_dataset_text(serialize_dataset(ds))
         assert copy is not ds
         for sub in (None, (0, 2)):
             purity = estimate_overlap(ds, ds, sub)

@@ -35,7 +35,7 @@ from qverify.repostore import (
     canonical_json,
     document_digest,
     fnv1a64,
-    load_dataset_text,
+    read_dataset_text,
     render_dataset,
     serialize_dataset,
 )
@@ -203,7 +203,7 @@ class TestSerialization:
     def test_roundtrip_clifford(self):
         ds = collect(ghz_state(2), sample_settings(2, 6, seed=1), 32, seed=2)
         text = serialize_dataset(ds)
-        back = load_dataset_text(text)[0]
+        back = read_dataset_text(text)[0]
         assert serialize_dataset(back) == text
         assert len(back.counts) == len(ds.counts)
         assert all(np.array_equal(a, b) for a, b in zip(back.counts, ds.counts))
@@ -217,7 +217,7 @@ class TestSerialization:
             ghz_state(2), sample_settings(2, 4, seed=3, ensemble="haar"), 16, seed=4
         )
         text = serialize_dataset(ds)
-        back = load_dataset_text(text)[0]
+        back = read_dataset_text(text)[0]
         assert serialize_dataset(back) == text
         for a, b in zip(back.settings, ds.settings):
             for ma, mb in zip(a.matrices, b.matrices):
@@ -227,13 +227,13 @@ class TestSerialization:
         doc = dataset_to_document(tiny_dataset())
         doc["digest"] = ("0" if doc["digest"][0] != "0" else "1") + doc["digest"][1:]
         with pytest.raises(DigestMismatchError):
-            load_dataset_text(canonical_json(doc))
+            read_dataset_text(canonical_json(doc))
 
     def test_corrupt_count_sum_names_setting(self):
         doc = dataset_to_document(tiny_dataset())
         doc["counts"][0][0][1] = 99
         with pytest.raises(MalformedDatasetError, match="setting 0"):
-            load_dataset_text(canonical_json(doc))
+            read_dataset_text(canonical_json(doc))
 
     def test_counts_parsed_to_sorted_index_rows(self):
         # a document may list outcomes in any order; the dataset holds them
@@ -242,7 +242,7 @@ class TestSerialization:
         doc = dataset_to_document(ds)
         doc["counts"] = [list(reversed(block)) for block in doc["counts"]]
         doc["digest"] = document_digest(doc)
-        back = load_dataset_text(canonical_json(doc))[0]
+        back = read_dataset_text(canonical_json(doc))[0]
         for block, rows in zip(doc["counts"], back.counts):
             assert rows.dtype == np.int64
             assert rows.tolist() == sorted([int(bits, 2), cnt] for bits, cnt in block)
@@ -254,7 +254,7 @@ class TestSerialization:
         doc[field] = value
         doc["digest"] = document_digest(doc)
         with pytest.raises(RepoFormatError):
-            load_dataset_text(canonical_json(doc))
+            read_dataset_text(canonical_json(doc))
 
     @pytest.mark.parametrize("counts,settings", MISTYPED_COUNTS_OR_SETTINGS)
     def test_mistyped_counts_or_settings_rejected(self, counts, settings):
@@ -262,13 +262,13 @@ class TestSerialization:
         doc["counts"], doc["settings"] = counts, settings
         doc["digest"] = document_digest(doc)
         with pytest.raises(MalformedDatasetError):
-            load_dataset_text(canonical_json(doc))
+            read_dataset_text(canonical_json(doc))
 
     def test_unsupported_version(self):
         doc = dataset_to_document(tiny_dataset())
         doc["format_version"] = 99
         with pytest.raises(UnsupportedVersionError):
-            load_dataset_text(canonical_json(doc))
+            read_dataset_text(canonical_json(doc))
 
     def test_serialization_deterministic(self):
         a = collect(ghz_state(2), sample_settings(2, 5, seed=9), 16, seed=10)
@@ -329,7 +329,7 @@ class TestDatasetInvariants:
         corrupt(doc)
         doc["digest"] = document_digest(doc)
         with pytest.raises(MalformedDatasetError, match=message):
-            load_dataset_text(canonical_json(doc))
+            read_dataset_text(canonical_json(doc))
 
     @pytest.mark.parametrize("corrupt,message", INVARIANT_CASES)
     def test_ingest_refuses_and_writes_nothing(self, corrupt, message, tmp_path, capsys):
@@ -349,7 +349,7 @@ class TestDatasetInvariants:
         assert not (tmp_path / "o").exists()
 
     def test_clean_document_reads(self):
-        ds, doc = load_dataset_text(canonical_json(two_setting_document()))
+        ds, doc, _ = read_dataset_text(canonical_json(two_setting_document()))
         assert ds.n_settings == 2 and doc["digest"] == document_digest(doc)
 
 
@@ -575,7 +575,7 @@ class TestReaderAgainstOracle:
         if order == "reversed":  # outcomes in no order: the reader sorts them
             doc["counts"] = [block[::-1] for block in doc["counts"]]
         text = _sealed(doc)
-        ds, got = load_dataset_text(text)
+        ds, got, _ = read_dataset_text(text)
         want_ds, want = oracle_load_dataset_text(text)
         assert got == want
         _assert_same_dataset(ds, want_ds)
@@ -584,7 +584,7 @@ class TestReaderAgainstOracle:
     @pytest.mark.parametrize("name", sorted(_refusal_texts()))
     def test_same_refusal(self, name):
         text = _refusal_texts()[name]
-        got = _refusal(load_dataset_text, text)
+        got = _refusal(read_dataset_text, text)
         assert got is not None
         assert got == _refusal(oracle_load_dataset_text, text)
 
@@ -593,15 +593,15 @@ class TestReaderAgainstOracle:
         doc = four_setting_document()
         corrupt(doc)
         text = _sealed(doc) if reseal else canonical_json(doc)
-        assert _refusal(load_dataset_text, text) == (MalformedDatasetError, message)
+        assert _refusal(read_dataset_text, text) == (MalformedDatasetError, message)
 
     @settings(max_examples=400, derandomize=True, deadline=None, database=None)
     @given(text=_mutated_document())
     def test_mutated_document_reads_or_refuses_as_the_oracle(self, text):
-        got, want = _refusal(load_dataset_text, text), _refusal(oracle_load_dataset_text, text)
+        got, want = _refusal(read_dataset_text, text), _refusal(oracle_load_dataset_text, text)
         assert got == want
         if got is None:
-            (ds, doc), (want_ds, want_doc) = load_dataset_text(text), oracle_load_dataset_text(text)
+            (ds, doc, _), (want_ds, want_doc) = read_dataset_text(text), oracle_load_dataset_text(text)
             assert doc == want_doc
             _assert_same_dataset(ds, want_ds)
 
@@ -807,15 +807,6 @@ class TestRepository:
         report = repo.compare_matrix([first, second])
         message = str(KeyError(f"unknown dataset id {first!r}"))
         assert report["errors"][f"{first},{second}"] == message
-
-    def test_rebuild_index_matches(self, repo, tmp_path):
-        d1 = collect(zero_state(1), sample_settings(1, 4, seed=5), 8, seed=6, device_id="a")
-        d2 = collect(zero_state(1), sample_settings(1, 4, seed=5), 8, seed=7, device_id="b")
-        i1 = repo.ingest(write_dataset(tmp_path, d1, "a.json"))
-        repo.ingest(write_dataset(tmp_path, d1, "a.json"))
-        i2 = repo.ingest(write_dataset(tmp_path, d2, "b.json"))
-        repo.compare(i1, i2)
-        assert repo.rebuild_index() == repo._read_index()
 
     def test_unknown_id(self, repo):
         with pytest.raises(KeyError):

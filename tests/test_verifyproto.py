@@ -11,8 +11,10 @@ and their draws against ``Generator.choice``.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -903,15 +905,24 @@ def _play(inst: HamiltonianInstance, prover) -> tuple[list[dict], list[str]]:
 
 
 def _entry_probabilities(state: QuantumState, key) -> np.ndarray:
-    """Oracle Born distribution behind one memo key.  An outcome key's
-    residual is rebuilt from a table that only shares the preimage class
-    (image 0 on the class, 1 elsewhere), not from the table that filled it."""
+    """Oracle Born distribution behind one memo key, the key's register
+    pattern removed.  An outcome key's residual is rebuilt from a table that
+    only shares the preimage class (image 0 on the class, 1 elsewhere), not
+    from the table that filled it."""
     if len(key) == 2:
         table, qubit = key
         return image_probabilities(commit(state, qubit, table))
     qubit, preimages, ops = key
     table = tuple(0 if k in preimages else 1 for k in range(4))
     return outcome_probabilities(collapse(commit(state, qubit, table), 0), ops)
+
+
+def _pattern_state(bits: tuple[int, ...]) -> QuantumState:
+    """The mixed prover's register of a bit pattern: |bits>, the first bit
+    on qubit 0."""
+    vec = np.zeros(1 << len(bits), dtype=complex)
+    vec[sum(b << (len(bits) - 1 - q) for q, b in enumerate(bits))] = 1.0
+    return QuantumState(vec, QubitBasis(len(bits)))
 
 
 @pytest.mark.parametrize("instance", sorted(_ORACLE_INSTANCES))
@@ -929,15 +940,21 @@ class TestMemoizedProvers:
         assert _play(inst, memoized(state)) == _play(inst, oracle(state))
 
     def test_memo_draws_equal_generator_choice(self):
-        # every entry of an honest and a basis-guess memo: one random() double
-        # per draw, the same index as Generator.choice on the full vector
+        # every entry of an honest, a basis-guess and a mixed prover's memo:
+        # one random() double per draw, the same index as Generator.choice on
+        # the full vector; a mixed entry's register is the basis state of
+        # its pattern, rebuilt here
         inst, gs, _ = _tfi_instance()
-        for prover in (HonestProver(gs), BasisGuessProver(gs)):
+        for prover, register in (
+            (HonestProver(gs), lambda _: gs),
+            (BasisGuessProver(gs), lambda _: gs),
+            (MixedStateProver(inst.num_qubits), _pattern_state),
+        ):
             _play(inst, prover)
             memo = prover._memo
             assert len(memo._cdfs) > 20
             for k, key in enumerate(sorted(memo._cdfs, key=repr)):
-                p = _entry_probabilities(gs, key)
+                p = _entry_probabilities(register(key[0]), key[1:])
                 ours = make_rng(k, "memo-draw")
                 theirs = make_rng(k, "memo-draw")
                 for _ in range(200):
@@ -955,15 +972,27 @@ class TestMemoizedProvers:
         assert _play(inst, prover) == expected
         assert prover._memo.nbytes <= budget
         assert bool(prover._memo._cdfs) == (budget > 0)
-        # the mixed prover's kept memos book their basis states and CDFs on
-        # one ledger; the clock's four-qubit patterns (256 B states) never
-        # fit in 200 bytes and are played on memos that are not kept
         mixed = MixedStateProver(clock.num_qubits)
         assert _play(clock, mixed) == expected_mixed
-        kept = mixed._memos.values()
-        assert sum(m.state.data.nbytes + m.nbytes for m in kept) == mixed.ledger.nbytes <= budget
-        assert bool(kept) == (budget > 0)
-        assert all(m.state.num_qubits < 4 for m in kept)
+        assert mixed._memo.nbytes <= budget
+        assert bool(mixed._memo._cdfs) == (budget > 0)
+
+    def test_memo_goes_with_its_prover(self):
+        # a memo's register closes over the prover's state, never over the
+        # prover, so dropping the prover frees its memo without the cycle
+        # collector
+        inst, gs, _ = _tfi_instance()
+        gc.disable()
+        try:
+            for make in (HonestProver, lambda s: MixedStateProver(s.num_qubits)):
+                prover = make(gs)
+                verify_energy(inst, prover, 50, 0.5, seed=0)
+                memo = weakref.ref(prover._memo)
+                assert memo()._cdfs
+                del prover
+                assert memo() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mixed_transcripts_equal_oracle_on_benchmark_instances(self, seed):
