@@ -10,15 +10,20 @@ The layout is created by the first ingest; a root that does not exist
 reads as an empty repository.  Single-writer discipline: mutations take an
 advisory lock; readers never lock, which is safe because every write is
 atomic.
+
+An id is 16 lowercase hex digits.  A load whose bytes equal those verified
+under its id returns a copy of their dataset, kept within ``VERIFIED_BYTES``.
 """
 
 from __future__ import annotations
 
+import copy
 import fcntl
+import io
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from ..ioutil import append_line, atomic_write_text
@@ -31,6 +36,8 @@ from .format import (
     json_safe,
     read_dataset_text,
 )
+
+VERIFIED_BYTES = 32 << 20  # per Repository: kept file bytes plus count arrays
 
 
 def fidelity_to_dict(est: FidelityEstimate) -> dict:
@@ -49,6 +56,16 @@ class Repository:
         self.datasets_dir = self.root / "datasets"
         self.index_path = self.root / "index.json"
         self.log_path = self.root / "log.jsonl"
+        self.nbytes = 0
+        self._verified: dict[str, tuple[bytes, RandMeasDataset]] = {}
+
+    def _keep(self, ds_id: str, data: bytes, ds: RandMeasDataset) -> tuple[bytes, RandMeasDataset]:
+        """Keep what fits the budget; a replaced entry stays counted in ``nbytes``."""
+        size = len(data) + sum(c.nbytes for c in ds.counts)
+        if self.nbytes + size <= VERIFIED_BYTES:
+            self._verified[ds_id] = (data, ds)
+            self.nbytes += size
+        return data, ds
 
     @contextmanager
     def _locked(self):
@@ -111,6 +128,7 @@ class Repository:
                 index["datasets"][ds_id] = self._summary(ds)
                 self._write_index(index)
             self._log({"op": "ingest", "id": ds_id, "duplicate": duplicate})
+        self._keep(ds_id, text.encode("utf-8"), ds)
         return ds_id
 
     def list_datasets(self) -> list[dict]:
@@ -122,18 +140,25 @@ class Repository:
 
     def _dataset_path(self, ds_id: str) -> Path:
         path = self.datasets_dir / f"{ds_id}.json"
-        if not path.exists():
+        if not (len(ds_id) == 16 and set(ds_id) <= set("0123456789abcdef") and path.exists()):
             raise KeyError(f"unknown dataset id {ds_id!r}")
         return path
 
     def load(self, ds_id: str) -> RandMeasDataset:
-        """Re-read the stored file, whose digest must equal its id."""
-        ds, doc, _ = read_dataset_text(self._dataset_path(ds_id).read_text(encoding="utf-8"))
-        if doc["digest"] != ds_id:
-            raise MalformedDatasetError(
-                f"stored file digest {doc['digest']!r} does not match id {ds_id!r}"
-            )
-        return ds
+        """Re-read the stored file, whose digest must equal its id, unless its
+        bytes were verified under the id; the copy returned shares nothing mutable."""
+        data = self._dataset_path(ds_id).read_bytes()
+        if (kept := self._verified.get(ds_id)) is None or kept[0] != data:
+            # the text read_text would give, newlines translated
+            ds, doc, _ = read_dataset_text(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+            if doc["digest"] != ds_id:
+                raise MalformedDatasetError(
+                    f"stored file digest {doc['digest']!r} does not match id {ds_id!r}"
+                )
+            kept = self._keep(ds_id, data, ds)
+        ds = kept[1]  # settings are frozen, with read-only matrices
+        counts, provenance = [c.copy() for c in ds.counts], copy.deepcopy(ds.provenance)
+        return replace(ds, settings=list(ds.settings), counts=counts, provenance=provenance)
 
     def compare(
         self,

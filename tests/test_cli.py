@@ -428,6 +428,31 @@ class TestRepoCommands:
         code = dispatch(["repo", "compare", ids[0], "0" * 16, "--out", str(out)])
         assert code == 3
 
+    @pytest.mark.parametrize("bad", ["../index", "../../x"])
+    def test_an_id_naming_a_path_is_unknown_and_opens_nothing_outside(
+        self, repo_env, bad, tmp_path, monkeypatch, capsys
+    ):
+        # these ids used to open <root>/index.json and <root>/../x.json and
+        # report the parse error of a file outside datasets/
+        root, out, ids = repo_env
+        (tmp_path / "x.json").write_text("{}")
+        opened = []
+        for name in ("read_bytes", "read_text"):
+            real = getattr(Path, name)
+            monkeypatch.setattr(Path, name, lambda self, *a, _real=real, **kw: opened.append(self) or _real(self, *a, **kw))
+        message = str(KeyError(f"unknown dataset id {bad!r}"))
+        capsys.readouterr()
+        for pair in ([bad, ids[0]], [ids[0], bad]):
+            assert dispatch(["repo", "compare", *pair, "--root", str(root), "--out", str(out / "c")]) == 3
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert (err["category"], err["message"]) == ("invalid-input", message)
+        assert not (out / "c").exists()
+        assert dispatch(["repo", "matrix", ids[0], bad, "--root", str(root), "--out", str(out / "m")]) == 0
+        errors = _read_json(out / "m" / "repo_matrix.json")["errors"]
+        assert errors == {f"{ids[0]},{bad}": message, f"{bad},{bad}": message}
+        read = [p for p in opened if p.parent != out / "m"]
+        assert read and all(p.parent == root / "datasets" for p in read)
+
     @pytest.mark.parametrize(
         "field,value", [("device_id", 7), ("provenance", [1, 2]), ("num_qubits", True)]
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from oracle_helpers import (
 from qverify.cli import dispatch
 from qverify.qsim import QuantumState, QubitBasis, ghz_state, zero_state
 from qverify.randmeas import (
+    CLIFFORD_TABLE,
     MeasurementSetting,
     RandMeasDataset,
     collect,
+    haar_unitary,
     sample_settings,
 )
 from qverify.repostore import (
@@ -39,6 +42,7 @@ from qverify.repostore import (
     render_dataset,
     serialize_dataset,
 )
+from qverify.repostore import repository
 from qverify.repostore.format import _float_free
 
 
@@ -661,6 +665,57 @@ class TestValidateAgainstOracle:
         assert _refusal(RandMeasDataset.validate, ds) == (ValueError, "setting 2: counts must be an int64 (K, 2) array")
 
 
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False), _TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=3), st.dictionaries(_TEXT, children, max_size=3)),
+    max_leaves=8,
+)
+_INDEX_TYPES = [int, np.int64, np.int32, np.int16, np.uint8, np.uint64]
+
+
+@st.composite
+def _valid_dataset(draw) -> RandMeasDataset:
+    """A dataset ``validate`` accepts, in either ensemble: positional setting
+    ids (the file keeps no other), JSON provenance, zero counts allowed."""
+    n = draw(st.one_of(st.integers(1, 4), st.integers(5, 63)))
+    k, shots = draw(st.integers(1, 4)), draw(st.one_of(st.integers(1, 8), st.integers(1, 2**62)))
+    index_type = draw(st.sampled_from(_INDEX_TYPES))
+    settings_, counts = [], []
+    for _ in range(k):
+        outcomes = sorted(draw(st.sets(st.integers(0, 2**n - 1), min_size=1, max_size=4)))
+        cuts = sorted(draw(st.lists(st.integers(0, shots), min_size=len(outcomes) - 1, max_size=len(outcomes) - 1)))
+        counts.append(np.array(list(zip(outcomes, np.diff([0, *cuts, shots]).tolist())), dtype=np.int64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))  # one seed for the n choices per setting
+    clifford = draw(st.booleans())
+    for u in range(k):
+        indices = rng.integers(-24, 24, size=n).tolist()
+        if clifford:
+            settings_.append(MeasurementSetting(u, clifford_indices=tuple(index_type(i % 24) for i in indices)))
+        else:  # Haar draws, and Clifford matrices with their exact zeros
+            mats = tuple(haar_unitary(rng) if i < 0 else CLIFFORD_TABLE[i] for i in indices)
+            settings_.append(MeasurementSetting(u, matrices=mats))
+    provenance = draw(st.dictionaries(_TEXT, _JSON_VALUES, max_size=3))
+    ds = RandMeasDataset(draw(_TEXT), draw(_TEXT), n, settings_, counts, shots, provenance)
+    ds.validate()
+    return ds
+
+
+class TestRoundTrip:
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(ds=_valid_dataset())
+    def test_the_reader_gives_back_what_the_writer_wrote(self, ds):
+        text = serialize_dataset(ds)
+        back, doc, canonical = read_dataset_text(text)
+        assert canonical == text and doc["digest"] == render_dataset(ds)[1]
+        _assert_same_dataset(back, ds)
+        # equal values of equal JSON types: -0.0 stays a float, 1 an int
+        assert canonical_json(back.provenance) == canonical_json(ds.provenance)
+        assert all(type(i) is int for s in back.settings for i in s.clifford_indices or ())
+
+
 @pytest.fixture()
 def repo(tmp_path):
     return Repository(tmp_path / "repo")
@@ -825,3 +880,128 @@ class TestRepository:
     def test_no_temp_leftovers(self, repo, tmp_path):
         repo.ingest(write_dataset(tmp_path, tiny_dataset()))
         assert not list(repo.root.rglob("*.tmp"))
+
+
+def _full_load(repo, ds_id):
+    """A load as a full read of the stored text, with nothing kept."""
+    ds, doc, _ = read_dataset_text((repo.datasets_dir / f"{ds_id}.json").read_text(encoding="utf-8"))
+    if doc["digest"] != ds_id:
+        raise MalformedDatasetError(f"stored file digest {doc['digest']!r} does not match id {ds_id!r}")
+    return ds
+
+
+def _nested_dataset(seed) -> RandMeasDataset:
+    ds = collect(zero_state(1), sample_settings(1, 4, seed=50), 8, seed=seed, device_id=f"d{seed}")
+    ds.provenance["nested"] = [1, {"k": [2.5]}]
+    return ds
+
+
+# ways to overwrite a stored file after its ingest: each is accepted or
+# refused as a full read of the new text accepts or refuses it
+TAMPERS = {
+    "one-byte": (lambda text, other: text.replace('"d51"', '"d52"'), DigestMismatchError),
+    "other-dataset": (lambda text, other: other, MalformedDatasetError),
+    "crlf": (lambda text, other: text.replace("\n", "\r\n"), None),
+    # offsets after the break count translated newlines, as read_text gives them
+    "crlf-broken": (lambda text, other: text.replace('"d51"', '\r\n\r"d51').replace("\n", "\r\n"), MalformedDatasetError),
+}
+
+
+class TestVerifiedReads:
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        """Every text the repository hands to the full reader."""
+        texts = []
+
+        def spy(text):
+            texts.append(text)
+            return read_dataset_text(text)
+
+        monkeypatch.setattr(repository, "read_dataset_text", spy)
+        return texts
+
+    def test_a_load_of_verified_bytes_skips_the_reader(self, repo, tmp_path, reads):
+        ds_id = repo.ingest(write_dataset(tmp_path, _nested_dataset(51)))
+        del reads[:]
+        loaded = [repo.load(ds_id) for _ in range(3)]
+        assert reads == []
+        for ds in loaded:
+            _assert_same_dataset(ds, _full_load(repo, ds_id))
+        assert 0 < repo.nbytes <= repository.VERIFIED_BYTES
+
+    @pytest.mark.parametrize("name", sorted(TAMPERS))
+    def test_a_changed_file_is_read_as_a_full_load_reads_it(self, name, repo, tmp_path):
+        tamper, refusal = TAMPERS[name]
+        i1 = repo.ingest(write_dataset(tmp_path, _nested_dataset(51), "a.json"))
+        i2 = repo.ingest(write_dataset(tmp_path, _nested_dataset(52), "b.json"))
+        repo.load(i1)
+        stored = repo.datasets_dir / f"{i1}.json"
+        other = (repo.datasets_dir / f"{i2}.json").read_bytes().decode("utf-8")
+        stored.write_bytes(tamper(stored.read_bytes().decode("utf-8"), other).encode("utf-8"))
+        want = _refusal(lambda ds_id: _full_load(repo, ds_id), i1)
+        assert (want and want[0]) == refusal
+        for _ in range(2):  # the second read follows whatever the first one kept
+            assert _refusal(repo.load, i1) == want
+            assert _refusal(lambda ds_id: repo.compare(ds_id, i2), i1) == want
+            errors = repo.compare_matrix([i2, i1])["errors"]
+            assert errors == ({} if want is None else {f"{i2},{i1}": want[1], f"{i1},{i1}": want[1]})
+        if want is None:
+            _assert_same_dataset(repo.load(i1), _full_load(repo, i1))
+
+    def test_a_loaded_dataset_shares_nothing_mutable(self, repo, tmp_path):
+        ds_id = repo.ingest(write_dataset(tmp_path, _nested_dataset(51)))
+        want = _full_load(repo, ds_id)
+        for fresh in (repo, Repository(repo.root)):  # an ingested entry, then a loaded one
+            for _ in range(2):
+                ds = fresh.load(ds_id)
+                _assert_same_dataset(ds, want)
+                ds.counts[0][0, 1] += 5
+                ds.counts.append(ds.counts[0])
+                ds.settings[0] = ds.settings[1]
+                ds.settings.append(ds.settings[0])
+                ds.provenance["seed"] = -1
+                ds.provenance["nested"][1]["k"].append(0)
+
+    def test_no_budget_reads_every_load_with_the_same_outputs(self, tmp_path, monkeypatch, reads):
+        def outputs(root):
+            repo = Repository(root)
+            ids = [repo.ingest(write_dataset(tmp_path, _nested_dataset(s), f"{s}.json")) for s in (51, 52)]
+            loaded = repo.load(ids[0])
+            return repo, ids, loaded, repo.compare_matrix(ids), repo.compare(ids[0], ids[1])
+
+        repo, ids, loaded, matrix, report = outputs(tmp_path / "kept")
+        assert len(reads) == 2
+        monkeypatch.setattr(repository, "VERIFIED_BYTES", 0)
+        none, *rest = outputs(tmp_path / "none")
+        assert len(reads) == 2 + 7 and none.nbytes == 0  # two ingests, then every load
+        _assert_same_dataset(rest[1], loaded)
+        assert rest[0] == ids and rest[2:] == [matrix, report]
+
+    def test_an_entry_is_kept_only_if_it_fits(self, repo, tmp_path, monkeypatch, reads):
+        ids = [repo.ingest(write_dataset(tmp_path, _nested_dataset(s), f"{s}.json")) for s in (51, 52)]
+        stored = (repo.datasets_dir / f"{ids[0]}.json").read_bytes()
+        size = len(stored) + sum(c.nbytes for c in repo.load(ids[0]).counts)
+        monkeypatch.setattr(repository, "VERIFIED_BYTES", size)  # room for the first id alone
+        fresh = Repository(repo.root)
+        del reads[:]
+        for ds_id in ids + ids:
+            fresh.load(ds_id)
+        assert len(reads) == 3 and fresh.nbytes == size
+
+
+class TestDatasetIds:
+    @pytest.mark.parametrize("bad", ["../index", "../../x", "0" * 15, "0" * 17, "A" * 16, "0" * 16 + "\n"])
+    def test_an_id_that_is_no_digest_opens_no_file(self, bad, repo, tmp_path, monkeypatch):
+        ds_id = repo.ingest(write_dataset(tmp_path, tiny_dataset()))
+        (tmp_path / "x.json").write_text("{}")  # where ../../x would lead
+        opened = []
+        for name in ("read_bytes", "read_text"):
+            real = getattr(Path, name)
+            monkeypatch.setattr(Path, name, lambda self, *a, _real=real, **kw: opened.append(self) or _real(self, *a, **kw))
+        with pytest.raises(KeyError) as raised:
+            repo.load(bad)
+        assert str(raised.value) == str(KeyError(f"unknown dataset id {bad!r}"))
+        assert opened == []
+        report = repo.compare_matrix([ds_id, bad])
+        assert report["errors"] == {f"{ds_id},{bad}": str(raised.value), f"{bad},{bad}": str(raised.value)}
+        assert opened == [repo.datasets_dir / f"{ds_id}.json"]
