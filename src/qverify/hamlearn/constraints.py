@@ -66,15 +66,10 @@ def enumerate_candidates(lattice: LatticeSpec) -> list[ConstraintOp]:
 
 @dataclass
 class ConstraintSet:
-    ops: list[ConstraintOp]
-    independent: list[bool]
+    ops: list[ConstraintOp]  # the first ``rank`` independent, the rest dependent fill
     rank: int
     # n_rejected_pool: candidates visited and rejected before selection stopped
     provenance: dict
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.ops)
 
 
 def build_constraints(
@@ -132,7 +127,6 @@ def build_constraints(
     rank = len(accepted)
     return ConstraintSet(
         ops=accepted + rejected[: n_constraints - rank],
-        independent=[True] * rank + [False] * (n_constraints - rank),
         rank=rank,
         provenance={"n_rejected_pool": len(rejected)},
     )

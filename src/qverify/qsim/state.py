@@ -134,18 +134,15 @@ def parse_state_spec(spec: str, rng: np.random.Generator | None = None) -> Quant
     amps:a0,a1,... (complex literals, normalized).
     """
     kind, _, arg = spec.partition(":")
-    if kind == "ghz":
-        return ghz_state(int(arg))
-    if kind == "zero":
-        return zero_state(int(arg))
-    if kind == "plus":
-        return plus_state(int(arg))
+    if kind == "random" and rng is None:
+        raise ValueError("random state spec needs a seeded generator")
+    if kind in ("ghz", "zero", "plus", "random"):
+        n = QubitBasis(int(arg)).n  # refuses a count below one before 1 << n
+        if kind == "random":
+            return random_pure_state(n, rng)
+        return {"ghz": ghz_state, "zero": zero_state, "plus": plus_state}[kind](n)
     if kind == "theta":
         return theta_state(_finite(float(arg), spec))
-    if kind == "random":
-        if rng is None:
-            raise ValueError("random state spec needs a seeded generator")
-        return random_pure_state(int(arg), rng)
     if kind == "amps":
         v = _finite(np.array([complex(x) for x in arg.split(",")]), spec)
         n = int(np.log2(len(v)))

@@ -35,9 +35,6 @@ class RandMeasDataset:
             raise ValueError("settings must be non-empty")
         if self.shots_per_setting < 1:
             raise ValueError(NO_SHOTS)
-        ids = [s.setting_id for s in self.settings]
-        if len(set(ids)) != len(ids):
-            raise ValueError("setting ids must be unique")
         for u, s in enumerate(self.settings):
             if s.num_qubits != self.num_qubits:
                 raise ValueError(f"setting {u}: width {s.num_qubits} != {self.num_qubits} qubits")

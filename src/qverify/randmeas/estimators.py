@@ -4,7 +4,8 @@ Cross-device overlap uses the plain product of the two devices' empirical
 frequencies (independent devices need no diagonal correction).  Same-device
 purity uses the unbiased U-statistic over ordered pairs of distinct shots
 within each setting.  Standard errors come from a leave-one-setting-out
-jackknife; settings are the independent replication unit.
+jackknife; settings are the independent replication unit.  Two datasets
+pair their settings by position, and must agree on each on the subsystem.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from ..qsim import QuantumState
 from .cliffords import CLIFFORD_TABLE
 from .dataset import RandMeasDataset
-from .settings import MeasurementSetting, sample_settings
+from .settings import sample_settings
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def _align(ds1: RandMeasDataset, ds2: RandMeasDataset, subsystem: tuple[int, ...
         raise ValueError("datasets have different numbers of settings")
     for u, (a, b) in enumerate(zip(ds1.settings, ds2.settings)):
         if not a.matches(b, qubits=subsystem):
-            raise ValueError(f"settings differ at position {u} (setting id {a.setting_id})")
+            raise ValueError(f"settings differ at position {u}")
 
 
 def _same_data(ds1: RandMeasDataset, ds2: RandMeasDataset) -> bool:
@@ -281,33 +282,22 @@ def _reduced_state(state: QuantumState, subsystem: tuple[int, ...] | None) -> Qu
     return state if subsystem is None else state.reduced(subsystem)
 
 
-def _setting_for_width(
-    setting: MeasurementSetting, full_width: int, subsystem: tuple[int, ...] | None, width: int
-) -> MeasurementSetting:
-    if setting.num_qubits == width:
-        return setting
-    if subsystem is not None and setting.num_qubits == full_width:
-        return setting.restricted(subsystem)
-    raise ValueError("setting width matches neither the register nor the subsystem")
-
-
 def exact_mode_overlap(
     state1: QuantumState,
     state2: QuantumState,
     ensemble: str = "clifford",
     subsystem: tuple[int, ...] | None = None,
-    settings: list[MeasurementSetting] | None = None,
     n_settings: int | None = None,
     seed: int | None = None,
 ) -> Estimate:
     """Infinite-shot estimator from exact rotated probabilities.
 
-    With the Clifford ensemble and no explicit settings the full table of
-    24^N_A settings is enumerated (N_A <= 3), reproducing the overlap exactly;
-    otherwise the given or sampled settings are averaged with a standard error.
+    Two modes: with the Clifford ensemble and no ``n_settings`` the full
+    table of 24^N_A settings is enumerated (N_A <= 3), reproducing the
+    overlap exactly; otherwise ``n_settings`` settings are sampled from
+    ``seed`` at the subsystem's width and averaged with a standard error.
     """
-    full_n = state1.num_qubits
-    sub = _check_subsystem(full_n, subsystem)
+    sub = _check_subsystem(state1.num_qubits, subsystem)
     sa = _reduced_state(state1, sub)
     sb = _reduced_state(state2, sub)
     n_a = sa.num_qubits
@@ -322,7 +312,7 @@ def exact_mode_overlap(
         pb = sb.rotated(us).probabilities()
         return scale * (pa @ kernel @ pb)
 
-    if settings is None and ensemble == "clifford" and n_settings is None:
+    if ensemble == "clifford" and n_settings is None:
         if n_a > 3:
             raise ValueError("full Clifford enumeration limited to 3 qubits")
         acc = 0.0
@@ -330,11 +320,7 @@ def exact_mode_overlap(
             acc += term([CLIFFORD_TABLE[i] for i in combo])
         total = len(CLIFFORD_TABLE) ** n_a
         return Estimate(acc / total, None, total)
-    if settings is None:
-        if n_settings is None or seed is None:
-            raise ValueError("sampled exact mode needs n_settings and seed")
-        settings = sample_settings(n_a, n_settings, seed, ensemble)
-    terms = np.array(
-        [term(_setting_for_width(s, full_n, sub, n_a).unitaries()) for s in settings]
-    )
+    if n_settings is None or seed is None:
+        raise ValueError("sampled exact mode needs n_settings and seed")
+    terms = np.array([term(s.unitaries()) for s in sample_settings(n_a, n_settings, seed, ensemble)])
     return Estimate(*jackknife(float, terms), len(terms))

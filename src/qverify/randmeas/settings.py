@@ -13,15 +13,15 @@ UNITARITY_ATOL = 1e-10
 MATRIX_MATCH_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MeasurementSetting:
     """One round of local rotations: a Clifford index or an explicit matrix per qubit.
 
-    Explicit matrices are stored phase-normalized so that cross-device
-    comparison can be done entrywise.
+    A setting is known by its position in the shared sequence, as in the
+    dataset file; both fields are keyword-only.  Explicit matrices are
+    stored phase-normalized so that cross-device comparison is entrywise.
     """
 
-    setting_id: int
     clifford_indices: tuple[int, ...] | None = None
     matrices: tuple[np.ndarray, ...] | None = None
 
@@ -64,13 +64,8 @@ class MeasurementSetting:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} outside register")
         if self.clifford_indices is not None:
-            return MeasurementSetting(
-                self.setting_id,
-                clifford_indices=tuple(self.clifford_indices[q] for q in qubits),
-            )
-        return MeasurementSetting(
-            self.setting_id, matrices=tuple(self.matrices[q] for q in qubits)
-        )
+            return MeasurementSetting(clifford_indices=tuple(self.clifford_indices[q] for q in qubits))
+        return MeasurementSetting(matrices=tuple(self.matrices[q] for q in qubits))
 
     def matches(self, other: "MeasurementSetting", qubits: tuple[int, ...] | None = None) -> bool:
         """Cross-device agreement: exact for Clifford indices, entrywise for matrices."""
@@ -111,11 +106,11 @@ def sample_settings(
     if ensemble not in ("clifford", "haar"):
         raise ValueError(f"unknown ensemble {ensemble!r}")
     out: list[MeasurementSetting] = []
-    for u, rng in enumerate(make_rngs(seed, "setting", indices=range(n_settings))):
+    for rng in make_rngs(seed, "setting", indices=range(n_settings)):
         if ensemble == "clifford":
             idx = tuple(int(i) for i in rng.integers(0, NUM_CLIFFORDS, size=num_qubits))
-            out.append(MeasurementSetting(u, clifford_indices=idx))
+            out.append(MeasurementSetting(clifford_indices=idx))
         else:
             mats = tuple(haar_unitary(rng) for _ in range(num_qubits))
-            out.append(MeasurementSetting(u, matrices=mats))
+            out.append(MeasurementSetting(matrices=mats))
     return out

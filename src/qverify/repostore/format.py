@@ -191,17 +191,21 @@ def render_dataset(ds: RandMeasDataset) -> tuple[str, str]:
     else:
         settings = [[_matrix_to_pairs(m) for m in s.matrices] for s in ds.settings]
     rows, lengths = np.concatenate(ds.counts), [len(c) for c in ds.counts]
+    # a numpy integer writes as the int it holds, which the header check takes
+    n, shots = (v.item() if isinstance(v, np.integer) else v for v in (ds.num_qubits, ds.shots_per_setting))
     doc = {
         "format_version": FORMAT_VERSION,
         "device_id": ds.device_id,
         "state_label": ds.state_label,
-        "num_qubits": ds.num_qubits,
+        "num_qubits": n,
         "ensemble": ensemble,
         "settings": settings,
-        "shots_per_setting": ds.shots_per_setting,
+        "counts": list(ds.counts),  # typed here, rendered from its columns below
+        "shots_per_setting": shots,
         "provenance": dict(ds.provenance),
     }
-    return seal_document(doc, {"counts": _counts_text(rows[:, 0], rows[:, 1], lengths, ds.num_qubits)})
+    _check_header(doc)
+    return seal_document(doc, {"counts": _counts_text(rows[:, 0], rows[:, 1], lengths, n)})
 
 
 def serialize_dataset(ds: RandMeasDataset) -> str:
@@ -262,10 +266,10 @@ def check_digest(doc: dict, want: str) -> None:
         raise DigestMismatchError(f"digest {doc['digest']!r} != computed {want!r}")
 
 
-def _check_fields(doc: dict) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Check what only the file format can: JSON types, the ensemble tag, the
-    qubit range, integer shots, the setting specs and the counts entries.
-    The dataset invariants are ``RandMeasDataset.validate``'s to check."""
+def _check_header(doc: dict) -> None:
+    """Check every field but the setting specs and counts entries: JSON types,
+    the ensemble tag, the qubit range, integer shots.  Reader and writer both
+    run it, so the writer writes only what the reader reads."""
     for key, kind in _FIELD_TYPES:
         if not isinstance(doc[key], kind):
             got = type(doc[key]).__name__
@@ -278,6 +282,13 @@ def _check_fields(doc: dict) -> tuple[list[int], np.ndarray, np.ndarray]:
     shots = doc["shots_per_setting"]
     if not is_int(shots):
         raise MalformedDatasetError(f"bad shots_per_setting {shots!r}")
+
+
+def _check_fields(doc: dict) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Check what only the file format can: the header, the setting specs and
+    the counts entries.  The dataset invariants are ``validate``'s to check."""
+    _check_header(doc)
+    n = doc["num_qubits"]
     for u, spec in enumerate(doc["settings"]):
         if not isinstance(spec, list) or (
             doc["ensemble"] == "clifford" and not all(is_int(i) for i in spec)
@@ -323,10 +334,9 @@ def _to_dataset(doc: dict, lengths: list[int], indices: np.ndarray, cnts: np.nda
     for u, spec in enumerate(doc["settings"]):
         try:
             if doc["ensemble"] == "clifford":
-                settings.append(MeasurementSetting(u, clifford_indices=tuple(spec)))
+                settings.append(MeasurementSetting(clifford_indices=tuple(spec)))
             else:
-                matrices = tuple(_pairs_to_matrix(q) for q in spec)
-                settings.append(MeasurementSetting(u, matrices=matrices))
+                settings.append(MeasurementSetting(matrices=tuple(_pairs_to_matrix(q) for q in spec)))
         except ValueError as exc:
             raise MalformedDatasetError(f"setting {u}: {exc}") from None
     # per block, the order of a sort of (index, count) tuples: a count breaks

@@ -593,9 +593,6 @@ def oracle_validate(ds) -> None:
         raise ValueError("settings must be non-empty")
     if ds.shots_per_setting < 1:
         raise ValueError("need at least one shot per setting")
-    ids = [s.setting_id for s in ds.settings]
-    if len(set(ids)) != len(ids):
-        raise ValueError("setting ids must be unique")
     for u, s in enumerate(ds.settings):
         if s.num_qubits != ds.num_qubits:
             raise ValueError(f"setting {u}: width {s.num_qubits} != {ds.num_qubits} qubits")
@@ -689,10 +686,10 @@ def oracle_load_dataset_text(text: str):
     for u, spec in enumerate(doc["settings"]):
         try:
             if doc["ensemble"] == "clifford":
-                settings.append(MeasurementSetting(u, clifford_indices=tuple(spec)))
+                settings.append(MeasurementSetting(clifford_indices=tuple(spec)))
             else:
                 matrices = tuple(_pairs_to_matrix(q) for q in spec)
-                settings.append(MeasurementSetting(u, matrices=matrices))
+                settings.append(MeasurementSetting(matrices=matrices))
         except ValueError as exc:
             raise MalformedDatasetError(f"setting {u}: {exc}") from None
     counts = [

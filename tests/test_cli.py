@@ -970,6 +970,17 @@ def test_non_finite_state_spec_is_invalid_input(command, spec, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["-1", "0"])
+@pytest.mark.parametrize("kind", ["ghz", "zero", "plus", "random"])
+def test_qubit_count_below_one_is_invalid_input(kind, count, tmp_path, capsys):
+    # refused before a register of 2^count amplitudes is formed
+    out = tmp_path / "out"
+    assert dispatch([*_STATE_COMMANDS["collect"], "--state", f"{kind}:{count}", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"category": "invalid-input", "message": "need at least one qubit"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("action", ["error", "default"])
 def test_overflowing_amplitudes_are_invalid_input(action, tmp_path, capsys):
     # the squared amplitudes overflow the norm; the spec is refused, with no

@@ -19,3 +19,12 @@ def test_no_private_name_is_imported_from_another_module():
             if alias.name.startswith("_")
         ]
     assert not leaks, "private names imported across modules:\n" + "\n".join(leaks)
+
+
+def test_readme_library_entry_points_run():
+    # the documented imports stay importable as public names are removed
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library entry points\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import" in code
+    exec(compile(code, "README.md", "exec"), {})

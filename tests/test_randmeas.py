@@ -138,32 +138,38 @@ class TestSampleSettings:
 
     def test_explicit_setting_validation(self):
         with pytest.raises(ValueError):
-            MeasurementSetting(0, matrices=(np.array([[1.0, 1.0], [0.0, 1.0]]),))
+            MeasurementSetting(matrices=(np.array([[1.0, 1.0], [0.0, 1.0]]),))
         phased = np.exp(0.7j) * np.eye(2)
-        s = MeasurementSetting(0, matrices=(phased,))
+        s = MeasurementSetting(matrices=(phased,))
         assert np.allclose(s.matrices[0], np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("index", [5.0, True, np.float64(3.0)])
     def test_clifford_index_that_is_not_an_integer_is_refused(self, index):
         with pytest.raises(ValueError, match="is not an integer"):
-            MeasurementSetting(0, clifford_indices=(2, index))
+            MeasurementSetting(clifford_indices=(2, index))
 
     def test_numpy_integer_clifford_indices_round_trip(self):
-        settings = [MeasurementSetting(0, clifford_indices=(np.int64(5), np.int64(23)))]
+        settings = [MeasurementSetting(clifford_indices=(np.int64(5), np.int64(23)))]
         ds = RandMeasDataset("d", "s", 2, settings, [np.array([[0, 1], [3, 1]], dtype=np.int64)], 2)
         back, _, _ = read_dataset_text(serialize_dataset(ds))
         assert back.settings[0].clifford_indices == (5, 23)
         assert serialize_dataset(back) == serialize_dataset(ds)
 
+    def test_fields_are_keyword_only(self):
+        # a setting is its position in a list: a leading id is refused, not
+        # taken for the Clifford indices
+        with pytest.raises(TypeError):
+            MeasurementSetting(0, clifford_indices=(5,))
+
     def test_restricted_picks_qubits(self):
-        s = MeasurementSetting(0, clifford_indices=(3, 7, 11))
+        s = MeasurementSetting(clifford_indices=(3, 7, 11))
         assert s.restricted((2, 0)).clifford_indices == (11, 3)
 
 
 class TestCollect:
     def test_identity_settings_on_zero_state(self):
         ident = clifford_index(np.eye(2))
-        settings = [MeasurementSetting(0, clifford_indices=(ident, ident, ident))]
+        settings = [MeasurementSetting(clifford_indices=(ident, ident, ident))]
         ds = collect(zero_state(3), settings, 100, seed=0)
         assert len(ds.counts) == 1 and ds.counts[0].dtype == np.int64
         assert ds.counts[0].tolist() == [[0, 100]]
@@ -241,24 +247,28 @@ class TestExactMode:
             assert abs(est.value - want) < 1e-12
 
     def test_marginal_consistency(self):
-        # marginalizing full-register exact distributions equals estimating
-        # on the reduced states with the restricted settings
+        # the sampled mode on the reduced states equals marginalizing the
+        # full-register exact distributions under the same subsystem
+        # settings, padded with the identity on the other qubits
         rng = make_rng(6, "marginal")
         s1 = random_pure_state(3, rng)
         s2 = random_density_state(3, rng)
         sub = (0, 2)
         for ensemble in ("clifford", "haar"):
-            settings = sample_settings(3, 25, seed=13, ensemble=ensemble)
-            reduced_path = exact_mode_overlap(s1, s2, subsystem=sub, settings=settings)
+            reduced_path = exact_mode_overlap(s1, s2, ensemble, subsystem=sub, n_settings=25, seed=13)
             terms = []
             kernel = np.array([[1.0, -0.5, -0.5, 0.25],
                                [-0.5, 1.0, 0.25, -0.5],
                                [-0.5, 0.25, 1.0, -0.5],
                                [0.25, -0.5, -0.5, 1.0]])
-            for s in settings:
-                p1 = marginal_probabilities(s1.rotated(s.unitaries()).probabilities(), 3, sub)
-                p2 = marginal_probabilities(s2.rotated(s.unitaries()).probabilities(), 3, sub)
+            for s in sample_settings(len(sub), 25, seed=13, ensemble=ensemble):
+                padded = [np.eye(2)] * 3
+                for q, u in zip(sub, s.unitaries()):
+                    padded[q] = u
+                p1 = marginal_probabilities(s1.rotated(padded).probabilities(), 3, sub)
+                p2 = marginal_probabilities(s2.rotated(padded).probabilities(), 3, sub)
                 terms.append(4.0 * (p1 @ kernel @ p2))
+            assert reduced_path.n_settings == 25
             assert abs(reduced_path.value - np.mean(terms)) < 1e-12
 
     def test_monte_carlo_fallback_has_error_bar(self):
@@ -331,10 +341,19 @@ class TestEstimateOverlap:
         with pytest.raises(ValueError):
             estimate_overlap(d1, d2)
 
+    def test_a_mismatch_is_named_by_its_position(self):
+        settings = sample_settings(1, 4, seed=1)
+        moved = MeasurementSetting(clifford_indices=((settings[2].clifford_indices[0] + 1) % NUM_CLIFFORDS,))
+        other = [*settings[:2], moved, *settings[3:]]
+        d1 = collect(zero_state(1), settings, 10, seed=2)
+        d2 = collect(zero_state(1), other, 10, seed=3)
+        with pytest.raises(ValueError, match="^settings differ at position 2$"):
+            estimate_overlap(d1, d2)
+
     def test_subsystem_settings_only_need_to_match_there(self):
         full = sample_settings(2, 6, seed=40)
         other = [
-            MeasurementSetting(s.setting_id, clifford_indices=(s.clifford_indices[0], 0))
+            MeasurementSetting(clifford_indices=(s.clifford_indices[0], 0))
             for s in full
         ]
         d1 = collect(ghz_state(2), full, 16, seed=41, device_id="a")
@@ -366,7 +385,7 @@ class TestEstimatePurity:
             device_id="d",
             state_label="s",
             num_qubits=1,
-            settings=[MeasurementSetting(0, clifford_indices=(ident,))],
+            settings=[MeasurementSetting(clifford_indices=(ident,))],
             counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)],
             shots_per_setting=2,
         )
@@ -464,7 +483,7 @@ class TestEstimateFmax:
                 device_id=dev,
                 state_label="s",
                 num_qubits=2,
-                settings=[MeasurementSetting(0, clifford_indices=(ident, ident))],
+                settings=[MeasurementSetting(clifford_indices=(ident, ident))],
                 counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)],
                 shots_per_setting=2,
             )
@@ -499,7 +518,7 @@ class TestStringKeyedOracle:
 
     def test_tie_keeps_the_string_order_of_purities(self):
         ident = clifford_index(np.eye(2))
-        settings = [MeasurementSetting(u, clifford_indices=(ident,)) for u in range(3)]
+        settings = [MeasurementSetting(clifford_indices=(ident,))] * 3
 
         def dataset(rows):
             counts = [np.array(r, dtype=np.int64) for r in rows]
@@ -523,7 +542,7 @@ def suite_datasets() -> list[tuple[list[RandMeasDataset], list]]:
     rng = make_rng(21, "kernel-forms")
     ident = clifford_index(np.eye(2))
     two_shot = RandMeasDataset(
-        "d", "s", 1, [MeasurementSetting(0, clifford_indices=(ident,))],
+        "d", "s", 1, [MeasurementSetting(clifford_indices=(ident,))],
         [np.array([[0, 1], [1, 1]], dtype=np.int64)], 2,
     )
     groups = [([two_shot], [None, (0,), ()])]
@@ -546,7 +565,7 @@ def suite_datasets() -> list[tuple[list[RandMeasDataset], list]]:
 
 def _hand_built_dataset(device: str, num_qubits: int, rows: list[list[list[int]]]) -> RandMeasDataset:
     settings = [
-        MeasurementSetting(u, clifford_indices=tuple((u + q) % NUM_CLIFFORDS for q in range(num_qubits)))
+        MeasurementSetting(clifford_indices=tuple((u + q) % NUM_CLIFFORDS for q in range(num_qubits)))
         for u in range(len(rows))
     ]
     counts = [np.array(r, dtype=np.int64) for r in rows]
@@ -628,7 +647,7 @@ class TestDatasetValidate:
     )
     def test_rejects_malformed_counts(self, rows, match):
         ident = clifford_index(np.eye(2))
-        setting = MeasurementSetting(0, clifford_indices=(ident,))
+        setting = MeasurementSetting(clifford_indices=(ident,))
         ds = RandMeasDataset("d", "s", 1, [setting], [rows], 2)
         with pytest.raises(ValueError, match=match):
             ds.validate()

@@ -155,7 +155,7 @@ def tiny_dataset() -> RandMeasDataset:
         device_id="devA",
         state_label="zero",
         num_qubits=1,
-        settings=[MeasurementSetting(0, clifford_indices=(5,))],
+        settings=[MeasurementSetting(clifford_indices=(5,))],
         counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)],
         shots_per_setting=2,
         provenance={"seed": 7},
@@ -286,8 +286,8 @@ def two_setting_document() -> dict:
         state_label="zero",
         num_qubits=1,
         settings=[
-            MeasurementSetting(0, clifford_indices=(5,)),
-            MeasurementSetting(1, clifford_indices=(3,)),
+            MeasurementSetting(clifford_indices=(5,)),
+            MeasurementSetting(clifford_indices=(3,)),
         ],
         counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)] * 2,
         shots_per_setting=2,
@@ -401,7 +401,7 @@ def _assert_same_dataset(ds, want):
     for a, b in zip(ds.counts, want.counts):
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
     for a, b in zip(ds.settings, want.settings, strict=True):
-        assert a.setting_id == b.setting_id and a.clifford_indices == b.clifford_indices
+        assert a.clifford_indices == b.clifford_indices
         assert all(np.array_equal(x, y) for x, y in zip(a.matrices or (), b.matrices or (), strict=True))
 
 
@@ -410,7 +410,7 @@ def four_setting_document() -> dict:
         device_id="devA",
         state_label="zero",
         num_qubits=1,
-        settings=[MeasurementSetting(u, clifford_indices=(u,)) for u in range(4)],
+        settings=[MeasurementSetting(clifford_indices=(u,)) for u in range(4)],
         counts=[np.array([[0, 1], [1, 1]], dtype=np.int64)] * 4,
         shots_per_setting=2,
     )
@@ -555,7 +555,7 @@ class TestWriterAgainstOracle:
                 device_id="devA",
                 state_label="s",
                 num_qubits=2,
-                settings=[MeasurementSetting(0, clifford_indices=(np.int64(5), np.int64(23)))],
+                settings=[MeasurementSetting(clifford_indices=(np.int64(5), np.int64(23)))],
                 counts=[np.array([[0, 1], [3, 1]], dtype=np.int64)],
                 shots_per_setting=2,
                 provenance=provenance,
@@ -569,6 +569,41 @@ class TestWriterAgainstOracle:
         got = _refusal(serialize_dataset, refused)
         assert got == _refusal(oracle_serialize_dataset, refused)
         assert got == (MalformedDatasetError, "non-finite float nan not representable")
+
+
+# fields a dataset may hold and ``validate`` accepts, but the reader refuses
+WRITE_REFUSALS = [
+    ("device_id", 5, "device_id must be a str, not int"),
+    ("state_label", None, "state_label must be a str, not NoneType"),
+    ("shots_per_setting", 4.0, "bad shots_per_setting 4.0"),
+    ("shots_per_setting", True, "bad shots_per_setting True"),
+    ("num_qubits", 64, "bad num_qubits 64"),
+    ("num_qubits", True, "bad num_qubits True"),
+]
+
+
+class TestWriterRefusals:
+    @pytest.mark.parametrize("field,value,message", WRITE_REFUSALS)
+    def test_the_writer_refuses_what_the_reader_refuses(self, field, value, message):
+        n = int(value) if field == "num_qubits" else 1
+        shots = value if field == "shots_per_setting" else 2
+        ds = RandMeasDataset(
+            "devA", "zero", n, [MeasurementSetting(clifford_indices=(5,) * n)],
+            [np.array([[0, int(shots)]], dtype=np.int64)], shots,
+        )
+        setattr(ds, field, value)
+        ds.validate()
+        want = (MalformedDatasetError, message)
+        assert _refusal(render_dataset, ds) == want
+        doc = dataset_to_document(tiny_dataset())
+        doc[field] = value
+        assert _refusal(read_dataset_text, _sealed(doc)) == want
+
+    def test_numpy_integer_width_and_shots_write_as_ints(self):
+        ds = tiny_dataset()
+        want = serialize_dataset(ds)
+        ds.num_qubits, ds.shots_per_setting = np.int64(1), np.uint8(2)
+        assert serialize_dataset(ds) == want
 
 
 class TestReaderAgainstOracle:
@@ -635,7 +670,7 @@ def _counts_dataset(draw) -> RandMeasDataset:
             _BLOCK_FAULTS[fault](rows)
         block = np.array(rows, dtype=np.int32 if fault == "int32" else np.int64)
         counts.append(block[:, :1] if fault == "narrow" else block)
-    settings_ = [MeasurementSetting(u, clifford_indices=(0,) * n) for u in range(k)]
+    settings_ = [MeasurementSetting(clifford_indices=(0,) * n)] * k
     return RandMeasDataset("d", "s", n, settings_, counts, shots)
 
 
@@ -647,7 +682,7 @@ class TestValidateAgainstOracle:
 
     def test_int64_wrap_reports_the_exact_sum(self):
         ds = RandMeasDataset(
-            "d", "s", 2, [MeasurementSetting(0, clifford_indices=(0, 0))],
+            "d", "s", 2, [MeasurementSetting(clifford_indices=(0, 0))],
             [np.array([[u, 2**62] for u in range(4)], dtype=np.int64)], 2**64,
         )
         ds.validate()
@@ -657,7 +692,7 @@ class TestValidateAgainstOracle:
 
     def test_malformed_block_after_an_earlier_fault(self):
         ds = RandMeasDataset(
-            "d", "s", 1, [MeasurementSetting(u, clifford_indices=(0,)) for u in range(3)],
+            "d", "s", 1, [MeasurementSetting(clifford_indices=(0,))] * 3,
             [np.array([[0, 2]]), np.array([[0, 5]]), np.array([[0, 2]], dtype=np.int32)], 2,
         )
         assert _refusal(RandMeasDataset.validate, ds) == (ValueError, "setting 1: counts sum 5 != shots_per_setting 2")
@@ -678,8 +713,8 @@ _INDEX_TYPES = [int, np.int64, np.int32, np.int16, np.uint8, np.uint64]
 
 @st.composite
 def _valid_dataset(draw) -> RandMeasDataset:
-    """A dataset ``validate`` accepts, in either ensemble: positional setting
-    ids (the file keeps no other), JSON provenance, zero counts allowed."""
+    """A dataset ``validate`` accepts, in either ensemble: JSON provenance,
+    zero counts allowed."""
     n = draw(st.one_of(st.integers(1, 4), st.integers(5, 63)))
     k, shots = draw(st.integers(1, 4)), draw(st.one_of(st.integers(1, 8), st.integers(1, 2**62)))
     index_type = draw(st.sampled_from(_INDEX_TYPES))
@@ -690,13 +725,13 @@ def _valid_dataset(draw) -> RandMeasDataset:
         counts.append(np.array(list(zip(outcomes, np.diff([0, *cuts, shots]).tolist())), dtype=np.int64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))  # one seed for the n choices per setting
     clifford = draw(st.booleans())
-    for u in range(k):
+    for _ in range(k):
         indices = rng.integers(-24, 24, size=n).tolist()
         if clifford:
-            settings_.append(MeasurementSetting(u, clifford_indices=tuple(index_type(i % 24) for i in indices)))
+            settings_.append(MeasurementSetting(clifford_indices=tuple(index_type(i % 24) for i in indices)))
         else:  # Haar draws, and Clifford matrices with their exact zeros
             mats = tuple(haar_unitary(rng) if i < 0 else CLIFFORD_TABLE[i] for i in indices)
-            settings_.append(MeasurementSetting(u, matrices=mats))
+            settings_.append(MeasurementSetting(matrices=mats))
     provenance = draw(st.dictionaries(_TEXT, _JSON_VALUES, max_size=3))
     ds = RandMeasDataset(draw(_TEXT), draw(_TEXT), n, settings_, counts, shots, provenance)
     ds.validate()
