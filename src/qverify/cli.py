@@ -67,7 +67,7 @@ from .hamlearn import (
     solution_distance,
 )
 from .hamlearn.curves import fit_loglog_slope
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, error_text
 from .qsim import (
     LatticeSpec,
     QuantumState,
@@ -317,6 +317,8 @@ def _cmd_hamlearn_run(args) -> Report:
 
 
 def _cmd_randmeas_collect(args) -> Report:
+    if os.sep in args.device_id:  # it names the dataset file under --out
+        raise ValueError(f"device id {args.device_id!r} contains a path separator")
     state = _state_arg(args.state, args.seed, "randmeas")
     settings_seed = (
         args.settings_seed
@@ -1076,12 +1078,9 @@ def dispatch(argv: list[str]) -> int:
             _report_error(EXIT_CHECK, report.failed_check)
             return EXIT_CHECK
         return EXIT_OK
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        _report_error(EXIT_IO, str(exc))
-        return EXIT_IO
-    except (ValueError, KeyError, MemoryError) as exc:  # RepoFormatError and json.JSONDecodeError are ValueErrors
-        too_large = isinstance(exc, MemoryError)
-        _report_error(EXIT_INVALID, f"input too large to simulate: {exc}" if too_large else str(exc))
+    except (ValueError, KeyError, MemoryError, OverflowError) as exc:  # RepoFormatError and json.JSONDecodeError are ValueErrors
+        too_large = isinstance(exc, (MemoryError, OverflowError))
+        _report_error(EXIT_INVALID, f"input too large to simulate: {exc}" if too_large else error_text(exc))
         return EXIT_INVALID
     except OSError as exc:
         _report_error(EXIT_IO, str(exc))

@@ -1,4 +1,4 @@
-"""Atomic file helpers shared by the repository and the CLI."""
+"""Atomic file helpers and error text shared by the repository and the CLI."""
 
 from __future__ import annotations
 
@@ -32,3 +32,8 @@ def append_line(path: Path, line: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line if line.endswith("\n") else line + "\n")
+
+
+def error_text(exc: BaseException) -> str:
+    """An exception's message as raised: a KeyError's str() is its key's repr."""
+    return str(exc.args[0]) if isinstance(exc, KeyError) and len(exc.args) == 1 else str(exc)

@@ -160,21 +160,9 @@ class FermionBasis:
         self._down_index[self.down_configs] = np.arange(
             self.n_down_configs, dtype=np.int32
         )
-        self._state_up: np.ndarray | None = None
-        self._state_down: np.ndarray | None = None
-
-    # per-full-index occupation bitmasks, built once on first use
-    @property
-    def state_up(self) -> np.ndarray:
-        if self._state_up is None:
-            self._state_up = np.repeat(self.up_configs, self.n_down_configs)
-        return self._state_up
-
-    @property
-    def state_down(self) -> np.ndarray:
-        if self._state_down is None:
-            self._state_down = np.tile(self.down_configs, self.n_up_configs)
-        return self._state_down
+        # per-full-index occupation bitmasks
+        self.state_up = np.repeat(self.up_configs, self.n_down_configs)
+        self.state_down = np.tile(self.down_configs, self.n_up_configs)
 
     def __repr__(self) -> str:
         lat = self.lattice

@@ -98,7 +98,7 @@ def ghz_state(n: int) -> QuantumState:
 
 
 def plus_state(n: int) -> QuantumState:
-    v = np.full(1 << n, 1 / np.sqrt(1 << n), dtype=complex)
+    v = np.full(1 << n, 1 / np.sqrt(float(1 << n)), dtype=complex)
     return QuantumState(v, QubitBasis(n))
 
 

@@ -58,28 +58,20 @@ class MeasurementSetting:
             return [CLIFFORD_TABLE[i] for i in self.clifford_indices]
         return list(self.matrices)
 
-    def restricted(self, qubits: tuple[int, ...]) -> "MeasurementSetting":
-        """The same setting viewed on a subset of qubits (order preserved)."""
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} outside register")
-        if self.clifford_indices is not None:
-            return MeasurementSetting(clifford_indices=tuple(self.clifford_indices[q] for q in qubits))
-        return MeasurementSetting(matrices=tuple(self.matrices[q] for q in qubits))
-
     def matches(self, other: "MeasurementSetting", qubits: tuple[int, ...] | None = None) -> bool:
-        """Cross-device agreement: exact for Clifford indices, entrywise for matrices."""
-        a = self if qubits is None else self.restricted(qubits)
-        b = other if qubits is None else other.restricted(qubits)
-        if a.num_qubits != b.num_qubits:
-            return False
-        if a.clifford_indices is not None and b.clifford_indices is not None:
-            return a.clifford_indices == b.clifford_indices
-        ua, ub = a.unitaries(), b.unitaries()
-        return all(
-            np.allclose(phase_normalize(x), phase_normalize(y), atol=MATRIX_MATCH_ATOL)
-            for x, y in zip(ua, ub)
-        )
+        """Same unitaries on ``qubits`` (all when None), read as stored: equal Clifford
+        indices, else the unitaries, phase-normalized when built, within ``MATRIX_MATCH_ATOL``."""
+        if qubits is None:
+            if self.num_qubits != other.num_qubits:
+                return False
+            qubits = range(self.num_qubits)
+        elif outside := [q for s in (self, other) for q in qubits if not 0 <= q < s.num_qubits]:
+            raise ValueError(f"qubit {outside[0]} outside register")
+        if self.clifford_indices is not None and other.clifford_indices is not None:
+            a, b = self.clifford_indices, other.clifford_indices
+            return [a[q] for q in qubits] == [b[q] for q in qubits]
+        a, b = self.unitaries(), other.unitaries()
+        return np.allclose([a[q] for q in qubits], [b[q] for q in qubits], atol=MATRIX_MATCH_ATOL)
 
 
 def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

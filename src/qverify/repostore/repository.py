@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from ..ioutil import append_line, atomic_write_text
+from ..ioutil import append_line, atomic_write_text, error_text
 from ..randmeas.dataset import RandMeasDataset
 from ..randmeas.estimators import FidelityEstimate, estimate_fmax
 from .format import (
@@ -42,12 +42,6 @@ VERIFIED_BYTES = 32 << 20  # per Repository: kept file bytes plus count arrays
 
 def fidelity_to_dict(est: FidelityEstimate) -> dict:
     return json_safe(asdict(est))
-
-
-def _check_same_ensemble(ds1: RandMeasDataset, ds2: RandMeasDataset) -> None:
-    e1, e2 = dataset_ensemble(ds1), dataset_ensemble(ds2)
-    if e1 != e2:
-        raise MalformedDatasetError(f"ensemble mismatch: {e1} vs {e2}")
 
 
 class Repository:
@@ -169,7 +163,6 @@ class Repository:
         """F_max per requested subsystem (None entry = full system)."""
         ds1 = self.load(id_1)
         ds2 = ds1 if id_2 == id_1 else self.load(id_2)  # same object: overlap routes to purity
-        _check_same_ensemble(ds1, ds2)
         estimates = [
             {"subsystem": json_safe(sub), **fidelity_to_dict(estimate_fmax(ds1, ds2, sub))}
             for sub in (subsystems if subsystems is not None else [None])
@@ -206,10 +199,9 @@ class Repository:
                         if ds_id in failed:
                             raise failed[ds_id]
                     ds_i, ds_j = loaded[ids[i]], loaded[ids[j]]
-                    _check_same_ensemble(ds_i, ds_j)
                     matrix[i][j] = matrix[j][i] = estimate_fmax(ds_i, ds_j, subsystem).fmax
                 except (ValueError, KeyError) as exc:
-                    errors[f"{ids[i]},{ids[j]}"] = str(exc)
+                    errors[f"{ids[i]},{ids[j]}"] = error_text(exc)
         report = {
             "ids": list(ids),
             "subsystem": json_safe(subsystem),

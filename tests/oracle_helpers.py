@@ -335,6 +335,32 @@ def clifford_index(u: np.ndarray) -> int:
     raise ValueError("matrix is not in the single-qubit Clifford table")
 
 
+def _oracle_restricted(s: MeasurementSetting, qubits) -> MeasurementSetting:
+    """The setting rebuilt on ``qubits`` (order kept), through the constructor's
+    checks and phase normalization."""
+    for q in qubits:
+        if not 0 <= q < s.num_qubits:
+            raise ValueError(f"qubit {q} outside register")
+    if s.clifford_indices is not None:
+        return MeasurementSetting(clifford_indices=tuple(s.clifford_indices[q] for q in qubits))
+    return MeasurementSetting(matrices=tuple(s.matrices[q] for q in qubits))
+
+
+def oracle_matches(a: MeasurementSetting, b: MeasurementSetting, qubits=None) -> bool:
+    """Setting agreement on rebuilt copies restricted to ``qubits``, each
+    unitary phase-normalized once more before the entrywise comparison."""
+    if qubits is not None:
+        a, b = _oracle_restricted(a, qubits), _oracle_restricted(b, qubits)
+    if a.num_qubits != b.num_qubits:
+        return False
+    if a.clifford_indices is not None and b.clifford_indices is not None:
+        return a.clifford_indices == b.clifford_indices
+    return all(
+        np.allclose(phase_normalize(x), phase_normalize(y), atol=1e-12)
+        for x, y in zip(a.unitaries(), b.unitaries())
+    )
+
+
 def marginal_probabilities(probs: np.ndarray, num_qubits: int, subsystem) -> np.ndarray:
     """Sum a full-register distribution down to ``subsystem``, in its order."""
     rest = tuple(q for q in range(num_qubits) if q not in subsystem)

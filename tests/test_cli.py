@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from qverify.cli import dispatch
 from qverify.hamlearn import KRowEngine, build_constraints, build_operator_basis, reconstruct
 from qverify.qsim import LatticeSpec, PauliTerm, hubbard_ground_state
-from qverify.repostore import canonical_json, document_digest
+from qverify.randmeas import MeasurementSetting
+from qverify.repostore import canonical_json, document_digest, read_dataset_text, serialize_dataset
 from qverify.rng import child_seed
 from qverify.verifyproto import HamiltonianInstance, serialize_instance
 
@@ -293,6 +295,22 @@ class TestRandmeasCommands:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
 
+    @pytest.mark.parametrize("device_id", ["x/../../../escaped", "a/b"])
+    def test_device_id_with_a_path_separator_is_refused(self, device_id, tmp_path, capsys, monkeypatch):
+        # the id names the file dataset-<id>.json under --out
+        import qverify.cli as cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the device id was checked")
+
+        monkeypatch.setattr(cli, "sample_settings", no_sampling)
+        out = tmp_path / "outer" / "out"
+        argv = ["randmeas", "collect", "--state", "ghz:2", "--nu", "3", "--nm", "4", "--device-id", device_id]
+        assert dispatch(argv + ["--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"category": "invalid-input", "message": f"device id {device_id!r} contains a path separator"}
+        assert list(tmp_path.rglob("*")) == []
+
     def test_compare_single_setting_reports_nan_error_bar(self, tmp_path, capsys):
         # one shared setting leaves the jackknife standard error undefined;
         # it is data (null in JSON, "nan" on stdout), not a crash
@@ -428,6 +446,46 @@ class TestRepoCommands:
         code = dispatch(["repo", "compare", ids[0], "0" * 16, "--out", str(out)])
         assert code == 3
 
+    @pytest.mark.parametrize("subsystem", [[], ["--subsystem", "1,0"]])
+    def test_explicit_clifford_matrices_compare_as_their_indices(self, repo_env, subsystem, capsys):
+        # beta's file rewritten with each Clifford index as its matrix: the
+        # files and the repository give the estimate of the indexed pair
+        _, out, ids = repo_env
+        beta, _, _ = read_dataset_text((out / "dataset-beta.json").read_text())
+        settings = [MeasurementSetting(matrices=tuple(s.unitaries())) for s in beta.settings]
+        explicit = out / "explicit.json"
+        explicit.write_text(serialize_dataset(replace(beta, settings=settings)))
+        assert dispatch(["repo", "ingest", str(explicit), "--out", str(out)]) == 0
+        explicit_id = _read_json(out / "repo_ingest.json")["id"]
+        assert explicit_id not in ids
+        estimates = []
+        for second in (out / "dataset-beta.json", explicit):
+            argv = ["randmeas", "compare", str(out / "dataset-alpha.json"), str(second), *subsystem]
+            assert dispatch(argv + ["--out", str(out / "f")]) == 0
+            estimates.append(_read_json(out / "f" / "randmeas_compare.json")["estimate"])
+        for second in (ids[1], explicit_id):
+            assert dispatch(["repo", "compare", ids[0], second, *subsystem, "--out", str(out / "r")]) == 0
+            estimates += _read_json(out / "r" / "repo_compare.json")["estimates"]
+        assert estimates[1:] == estimates[:1] * 3
+
+    def test_clifford_and_haar_settings_differ_at_position_0(self, repo_env, capsys):
+        _, out, ids = repo_env
+        argv = ["randmeas", "collect", "--state", "ghz:2", "--nu", "30", "--nm", "32", "--settings-seed", "5"]
+        assert dispatch(argv + ["--ensemble", "haar", "--device-id", "haar", "--out", str(out)]) == 0
+        assert dispatch(["repo", "ingest", str(out / "dataset-haar.json"), "--out", str(out)]) == 0
+        haar_id = _read_json(out / "repo_ingest.json")["id"]
+        message = "settings differ at position 0"
+        capsys.readouterr()
+        for argv in (
+            ["randmeas", "compare", str(out / "dataset-alpha.json"), str(out / "dataset-haar.json")],
+            ["repo", "compare", ids[0], haar_id],
+        ):
+            assert dispatch(argv + ["--out", str(out / "refused")]) == 3
+            assert json.loads(capsys.readouterr().err)["error"] == {"category": "invalid-input", "message": message}
+        assert not (out / "refused").exists()
+        assert dispatch(["repo", "matrix", ids[0], haar_id, "--out", str(out / "m")]) == 0
+        assert _read_json(out / "m" / "repo_matrix.json")["errors"] == {f"{ids[0]},{haar_id}": message}
+
     @pytest.mark.parametrize("bad", ["../index", "../../x"])
     def test_an_id_naming_a_path_is_unknown_and_opens_nothing_outside(
         self, repo_env, bad, tmp_path, monkeypatch, capsys
@@ -440,7 +498,7 @@ class TestRepoCommands:
         for name in ("read_bytes", "read_text"):
             real = getattr(Path, name)
             monkeypatch.setattr(Path, name, lambda self, *a, _real=real, **kw: opened.append(self) or _real(self, *a, **kw))
-        message = str(KeyError(f"unknown dataset id {bad!r}"))
+        message = f"unknown dataset id {bad!r}"
         capsys.readouterr()
         for pair in ([bad, ids[0]], [ids[0], bad]):
             assert dispatch(["repo", "compare", *pair, "--root", str(root), "--out", str(out / "c")]) == 3

@@ -17,6 +17,7 @@ from oracle_helpers import (
     dense_overlap,
     hamming_kernel,
     marginal_probabilities,
+    oracle_matches,
     string_cross_terms,
     string_fmax,
     string_overlap,
@@ -161,9 +162,58 @@ class TestSampleSettings:
         with pytest.raises(TypeError):
             MeasurementSetting(0, clifford_indices=(5,))
 
-    def test_restricted_picks_qubits(self):
-        s = MeasurementSetting(clifford_indices=(3, 7, 11))
-        assert s.restricted((2, 0)).clifford_indices == (11, 3)
+
+def _setting_pool(n: int, seed: int) -> list[MeasurementSetting]:
+    """Settings on ``n`` qubits: Clifford-indexed, the same unitaries as
+    explicit matrices under random global phases, one index moved, a Haar
+    draw, the Haar draw under random phases, and the Haar draw with its
+    first unitary turned by 1e-3 rad."""
+    rng = make_rng(seed, "setting-pool", n)
+    (cliff,) = sample_settings(n, 1, seed=seed)
+    (haar,) = sample_settings(n, 1, seed=seed, ensemble="haar")
+    idx = cliff.clifford_indices
+    moved = idx[:-1] + ((idx[-1] + 1 + int(rng.integers(NUM_CLIFFORDS - 1))) % NUM_CLIFFORDS,)
+
+    def phased(mats):
+        return tuple(m * np.exp(2j * np.pi * rng.random()) for m in mats)
+
+    turn = scipy.linalg.expm(-1e-3j * np.array([[0, 1], [1, 0]]))
+    return [
+        cliff,
+        MeasurementSetting(clifford_indices=tuple(np.int64(i) for i in idx)),
+        MeasurementSetting(matrices=phased(CLIFFORD_TABLE[list(idx)])),
+        MeasurementSetting(clifford_indices=moved),
+        MeasurementSetting(matrices=phased(CLIFFORD_TABLE[list(moved)])),
+        haar,
+        MeasurementSetting(matrices=phased(haar.matrices)),
+        MeasurementSetting(matrices=(haar.matrices[0] @ turn, *haar.matrices[1:])),
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestSettingMatches:
+    def test_matches_the_restricted_copy_oracle(self):
+        # the stored entries of the compared qubits decide, as rebuilding the
+        # settings on those qubits and normalizing their phases again did
+        pool = [s for n in (1, 2, 3) for seed in (0, 1) for s in _setting_pool(n, seed)]
+        qubit_sets = [None, (0,), (1,), (2,), (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
+        qubit_sets += [(0, 0), (1, 1), (-1,), (0, -1), (3,), (2, 3)]
+        seen, differ = set(), []
+        for a, b in itertools.product(pool, repeat=2):
+            for qubits in qubit_sets:
+                want = _outcome(oracle_matches, a, b, qubits)
+                got = _outcome(a.matches, b, qubits)
+                seen.add(want[0] if want[0] != "value" else want[1])
+                if got != want or type(got[1]) is not type(want[1]):
+                    differ.append((a, b, qubits, want, got))
+        assert differ == []
+        assert seen == {True, False, "ValueError"}
 
 
 class TestCollect:

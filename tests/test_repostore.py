@@ -813,11 +813,13 @@ class TestRepository:
         assert fwd == rev
 
     def test_ensemble_mismatch_rejected(self, repo, tmp_path):
+        # a Clifford and a Haar draw apply different unitaries: the
+        # estimators' settings rule refuses the pair
         d1 = collect(zero_state(1), sample_settings(1, 4, seed=1), 8, seed=2)
         d2 = collect(zero_state(1), sample_settings(1, 4, seed=1, ensemble="haar"), 8, seed=2)
         i1 = repo.ingest(write_dataset(tmp_path, d1, "a.json"))
         i2 = repo.ingest(write_dataset(tmp_path, d2, "b.json"))
-        with pytest.raises(MalformedDatasetError, match="ensemble"):
+        with pytest.raises(ValueError, match="^settings differ at position 0$"):
             repo.compare(i1, i2)
 
     def test_matrix_ensemble_mismatch_carries_the_compare_message(self, repo, tmp_path):
@@ -825,12 +827,12 @@ class TestRepository:
         d2 = collect(zero_state(1), sample_settings(1, 4, seed=1, ensemble="haar"), 8, seed=2)
         i1 = repo.ingest(write_dataset(tmp_path, d1, "a.json"))
         i2 = repo.ingest(write_dataset(tmp_path, d2, "b.json"))
-        with pytest.raises(MalformedDatasetError) as raised:
+        with pytest.raises(ValueError) as raised:
             repo.compare(i1, i2)
         report = repo.compare_matrix([i1, i2])
         assert report["matrix"][0][1] is None and report["matrix"][1][0] is None
         assert report["errors"] == {f"{i1},{i2}": str(raised.value)}
-        assert str(raised.value) == "ensemble mismatch: clifford vs haar"
+        assert str(raised.value) == "settings differ at position 0"
 
     @pytest.mark.parametrize("index", ["[]", '{"datasets": {"x": 5}}', '{"datasets": []}', "{}"])
     def test_malformed_index_is_invalid_input(self, index, tmp_path, capsys):
@@ -887,7 +889,7 @@ class TestRepository:
         assert sorted(calls) == sorted(ids + [unknown])
         assert report["matrix"][0][4] == report["matrix"][4][4] == 1.0
         # every pair holding the unknown id records its load error, once
-        message = str(KeyError(f"unknown dataset id {unknown!r}"))
+        message = f"unknown dataset id {unknown!r}"
         want = {f"{a},{unknown}": message for a in ids} | {f"{unknown},{unknown}": message}
         want[f"{unknown},{ids[0]}"] = message
         assert report["errors"] == want
@@ -895,7 +897,7 @@ class TestRepository:
     def test_matrix_both_ids_failing_reports_the_first(self, repo):
         first, second = "0" * 16, "1" * 16
         report = repo.compare_matrix([first, second])
-        message = str(KeyError(f"unknown dataset id {first!r}"))
+        message = f"unknown dataset id {first!r}"
         assert report["errors"][f"{first},{second}"] == message
 
     def test_unknown_id(self, repo):
@@ -1038,5 +1040,6 @@ class TestDatasetIds:
         assert str(raised.value) == str(KeyError(f"unknown dataset id {bad!r}"))
         assert opened == []
         report = repo.compare_matrix([ds_id, bad])
-        assert report["errors"] == {f"{ds_id},{bad}": str(raised.value), f"{bad},{bad}": str(raised.value)}
+        message = f"unknown dataset id {bad!r}"
+        assert report["errors"] == {f"{ds_id},{bad}": message, f"{bad},{bad}": message}
         assert opened == [repo.datasets_dir / f"{ds_id}.json"]
